@@ -6,13 +6,14 @@ Outputs are CSV, SPF1, PGM and JSON, written atomically and reproducible
 byte-for-byte for a fixed config (timestamps go to a separate log file).
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 runtime/solver
-error.
+error.  A sweep also exits 3 when fewer than 80% of its r values succeed;
+a failed level (infeasible, squeezed out or emptied) is an error row in
+``sweep.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import math
@@ -375,14 +376,7 @@ def cmd_verify(cfg: dict, verbose: bool = False) -> int:
     outdir = _outdir(cfg)
     params = cfg.get("check_params", {})
     checks = cfg["checks"]
-    workers = int(os.environ.get("SEGPART_THREADS", "1"))
-    results = []
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _run_check(c, params, outdir), checks))
-    else:
-        for name in checks:
-            results.append(_run_check(name, params, outdir))
+    results = [_run_check(name, params, outdir) for name in checks]
     summary = {"checks": results, "passed": all(r["passed"] for r in results)}
     spio.atomic_write_text(
         os.path.join(outdir, "verify.json"), json.dumps(summary, sort_keys=True) + "\n"

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
 
 from .errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 
@@ -192,79 +193,24 @@ def build_domain(shape: str, n: int, *params: float) -> GridDomain:
             (x + r0) ** 2 + y * y > r0 * r0
         )
         dom = GridDomain(n + 1, n + 1, h, mask, (-radius, -radius), shape, p)
-
-    if not dom.mask.any():  # pragma: no cover - GridDomain already raises
-        raise EmptyDomainError("empty domain")
     return dom
 
 
-def _edt_1d_sq(f: np.ndarray) -> np.ndarray:
-    """Lower-envelope pass of the two-pass exact distance transform.
+def _distance_to(true_nodes: np.ndarray, h: float) -> np.ndarray:
+    """Lattice-wide physical distance to ``true_nodes`` (no mask clipping).
 
-    ``f`` holds squared offsets along the orthogonal axis (may be inf);
-    returns ``min_j (i-j)^2 + f[j]`` for every i, in index units.
+    Exact Euclidean transform of Maurer et al. (scipy's
+    ``distance_transform_edt``): the root of an exact integer squared index
+    distance, scaled by ``h``.
     """
-    m = f.shape[0]
-    d = np.full(m, np.inf)
-    sites = np.flatnonzero(np.isfinite(f))
-    if sites.size == 0:
-        return d
-    v = np.zeros(sites.size, dtype=np.intp)  # parabola apex positions
-    z = np.empty(sites.size + 1)             # envelope breakpoints
-    k = 0
-    v[0] = sites[0]
-    z[0] = -np.inf
-    z[1] = np.inf
-    for q in sites[1:]:
-        fq = f[q] + q * q
-        while True:
-            p = v[k]
-            s = (fq - (f[p] + p * p)) / (2.0 * (q - p))
-            if k > 0 and s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for q in range(m):
-        while z[k + 1] < q:
-            k += 1
-        p = v[k]
-        d[q] = (q - p) ** 2 + f[p]
-    return d
+    if not true_nodes.any():
+        raise EmptyRegionError("distance transform of an empty node set")
+    return distance_transform_edt(~true_nodes) * h
 
 
 def _edt_sq_index(true_nodes: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance (index units) to the nearest true node."""
-    nx, ny = true_nodes.shape
-    total = nx * ny
-    if not true_nodes.any():
-        raise EmptyRegionError("distance transform of an empty node set")
-    # brute force is exact and fast enough below 64^2; envelope passes above
-    if total <= 64 * 64:
-        ti, tj = np.nonzero(true_nodes)
-        ii, jj = np.indices(true_nodes.shape)
-        pts = np.stack([ii.ravel(), jj.ravel()], axis=1).astype(float)
-        best = np.full(total, np.inf)
-        chunk = 2048
-        tvec = np.stack([ti, tj], axis=1).astype(float)
-        for s in range(0, total, chunk):
-            block = pts[s : s + chunk]
-            d2 = ((block[:, None, :] - tvec[None, :, :]) ** 2).sum(axis=2)
-            best[s : s + chunk] = d2.min(axis=1)
-        return best.reshape(nx, ny)
-    g = np.where(true_nodes, 0.0, np.inf)
-    for j in range(ny):
-        col = g[:, j]
-        if np.isfinite(col).any():
-            g[:, j] = _edt_1d_sq(col)
-    out = np.empty_like(g)
-    for i in range(nx):
-        out[i, :] = _edt_1d_sq(g[i, :])
-    return out
+    return _distance_to(true_nodes, 1.0) ** 2
 
 
 def distance_transform(m: Mask) -> ScalarField:
@@ -273,15 +219,7 @@ def distance_transform(m: Mask) -> ScalarField:
     Zero on ``m`` itself.  Values are reported on the domain mask; off-mask
     nodes carry 0 by the field convention.
     """
-    if m.is_empty():
-        raise EmptyRegionError("distance transform of an empty mask")
-    d = np.sqrt(_edt_sq_index(m.nodes)) * m.domain.h
-    return ScalarField.from_values(m.domain, d)
-
-
-def _distance_to(true_nodes: np.ndarray, h: float) -> np.ndarray:
-    """Lattice-wide physical distance to ``true_nodes`` (no mask clipping)."""
-    return np.sqrt(_edt_sq_index(true_nodes)) * h
+    return ScalarField.from_values(m.domain, _distance_to(m.nodes, m.domain.h))
 
 
 def dilate(m: Mask, r: float) -> Mask:
@@ -289,8 +227,6 @@ def dilate(m: Mask, r: float) -> Mask:
     if r < 0:
         raise ValueError(f"dilation radius must be nonnegative, got {r}")
     if m.is_empty():
-        from .errors import EmptyRegionError
-
         raise EmptyRegionError("dilate of an empty mask")
     if r == 0:
         return Mask(m.domain, m.nodes.copy())
@@ -303,9 +239,7 @@ def erode(m: Mask, r: float) -> Mask:
     if r < 0:
         raise ValueError(f"erosion radius must be nonnegative, got {r}")
     comp = ~m.nodes
-    if not comp.any():
-        return Mask(m.domain, m.nodes.copy())
-    if r == 0:
+    if r == 0 or not comp.any():
         return Mask(m.domain, m.nodes.copy())
     d = _distance_to(comp, m.domain.h)
     return Mask(m.domain, m.nodes & (d > r * (1 + 1e-12)))

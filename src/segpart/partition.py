@@ -15,6 +15,10 @@ at least r": two node sets are accepted when neither meets the (r - h)-
 dilation of the other, which keeps a continuum-feasible configuration
 feasible under refinement.
 
+A sweep level's warm start is rebuilt by the same block pass, seeded with
+the restored supports and infinite eigenvalues, so that it accepts every
+block.
+
 Supports are thresholded positivity sets {u > tau * max u}: discrete
 eigenfunctions are strictly positive on their whole carrying component, so
 the exact positivity set is useless as geometry; the threshold is what
@@ -118,16 +122,42 @@ def _truncate(f: ScalarField, tau: float) -> tuple[ScalarField, Mask, float]:
     return cut, supp, rayleigh_quotient(cut)
 
 
-def pairwise_support_distances(state: PartitionState) -> np.ndarray:
-    """Matrix of minimal node-to-node distances between supports."""
-    k = state.k
+def _pairwise_node_distances(nodes: list[np.ndarray], h: float) -> np.ndarray:
+    """Matrix of minimal node-to-node distances between nonempty node sets
+    (inf on the diagonal)."""
+    k = len(nodes)
     out = np.full((k, k), np.inf)
-    dts = [_distance_to(s.nodes, s.domain.h) for s in state.supports]
+    dts = [_distance_to(m, h) for m in nodes]
     for i in range(k):
         for j in range(k):
-            if i != j and state.supports[i].nodes.any():
-                out[i, j] = float(dts[j][state.supports[i].nodes].min())
+            if i != j:
+                out[i, j] = float(dts[j][nodes[i]].min())
     return out
+
+
+def pairwise_support_distances(state: PartitionState) -> np.ndarray:
+    """Matrix of minimal node-to-node distances between supports."""
+    return _pairwise_node_distances(
+        [s.nodes for s in state.supports], state.supports[0].domain.h
+    )
+
+
+def _union_of_others(nodes: list[np.ndarray], i: int) -> np.ndarray:
+    """Union of every node set but the i-th."""
+    others = np.zeros_like(nodes[i])
+    for j, m in enumerate(nodes):
+        if j != i:
+            others |= m
+    return others
+
+
+def _distance_to_others(nodes: list[np.ndarray], i: int, h: float) -> np.ndarray:
+    """Lattice-wide distance to the nearest node of any set but the i-th;
+    inf everywhere when the others are empty (k = 1)."""
+    others = _union_of_others(nodes, i)
+    if not others.any():
+        return np.full(others.shape, np.inf)
+    return _distance_to(others, h)
 
 
 def check_feasible(
@@ -266,8 +296,8 @@ def _block_order(supports: list[Mask]) -> list[int]:
     return [i for _, i in sorted(keys)]
 
 
-def relax_step(state: PartitionState, prob: PartitionProblem) -> PartitionState:
-    """One block pass; the energy cannot increase.
+def _block_pass(state: PartitionState, prob: PartitionProblem) -> PartitionState:
+    """One Gauss-Seidel pass over the components in :func:`_block_order`.
 
     allowed_i = domain minus the (r - h)-dilation of the union of the other
     components' current supports; component i becomes the ground state of
@@ -281,10 +311,7 @@ def relax_step(state: PartitionState, prob: PartitionProblem) -> PartitionState:
     supports = list(state.supports)
     lambdas = state.lambdas.copy().astype(float)
     for i in _block_order(supports):
-        others = np.zeros_like(domain.mask)
-        for j in range(prob.k):
-            if j != i:
-                others |= supports[j].nodes
+        others = _union_of_others([s.nodes for s in supports], i)
         if others.any() and slack > 0:
             blocked = dilate(Mask(domain, others), slack).nodes
         else:
@@ -303,6 +330,11 @@ def relax_step(state: PartitionState, prob: PartitionProblem) -> PartitionState:
         outer_iterations=state.outer_iterations + 1,
         metadata=dict(state.metadata),
     )
+
+
+def relax_step(state: PartitionState, prob: PartitionProblem) -> PartitionState:
+    """One block pass (see :func:`_block_pass`); the energy cannot increase."""
+    return _block_pass(state, prob)
 
 
 def _optimize_from(prob: PartitionProblem, state: PartitionState) -> PartitionState:
@@ -367,15 +399,10 @@ def _nodal_distance(state: PartitionState, domain: GridDomain) -> np.ndarray:
     sits halfway between adjacent node columns of touching supports)."""
     dist = np.zeros(domain.mask.shape)
     union = np.zeros_like(domain.mask)
-    for s in state.supports:
-        union |= s.nodes
-    dts = [_distance_to(s.nodes, domain.h) for s in state.supports]
-    for i, s in enumerate(state.supports):
-        other = np.full(domain.mask.shape, np.inf)
-        for j in range(state.k):
-            if j != i:
-                other = np.minimum(other, dts[j])
-        sel = s.nodes
+    nodes = [s.nodes for s in state.supports]
+    for i, sel in enumerate(nodes):
+        union |= sel
+        other = _distance_to_others(nodes, i, domain.h)
         dist[sel] = np.maximum(other[sel] - domain.h / 2.0, 0.0)
     dist[~union] = 0.0
     dist[~domain.mask] = 0.0
@@ -503,13 +530,8 @@ def _restore_feasibility(
     nodes = [s.nodes.copy() for s in supports]
     need = prob.r - prob.domain.h
     for _ in range(8):
-        dts = [_distance_to(m, prob.domain.h) if m.any() else None for m in nodes]
-        worst = 0.0
-        for i in range(prob.k):
-            for j in range(i + 1, prob.k):
-                if nodes[i].any() and dts[j] is not None:
-                    d = float(dts[j][nodes[i]].min())
-                    worst = max(worst, need - d)
+        d = _pairwise_node_distances(nodes, prob.domain.h)
+        worst = float(np.max(need - d, initial=0.0))
         if worst <= 0:
             return nodes
         shrink = worst / 2.0 + prob.domain.h
@@ -523,37 +545,17 @@ def _state_from_supports(
     cells: list[np.ndarray], prob: PartitionProblem
 ) -> PartitionState:
     """One sequential rebuild pass: solve each component against the current
-    supports of the others (a relax pass seeded with the given geometry)."""
-    domain = prob.domain
-    slack = max(prob.r - domain.h, 0.0)
-    current: list[np.ndarray] = [c.copy() for c in cells]
-    k = prob.k
-    fields: list = [None] * k
-    supports: list = [None] * k
-    lambdas = np.zeros(k)
-    order = _block_order([Mask(domain, c) for c in cells])
-    for i in order:
-        others = np.zeros_like(domain.mask)
-        for j in range(k):
-            if j != i:
-                block = supports[j].nodes if supports[j] is not None else current[j]
-                others |= block
-        if others.any() and slack > 0:
-            blocked = dilate(Mask(domain, others), slack).nodes
-        else:
-            blocked = others
-        allowed = domain.mask & ~blocked
-        if not allowed.any():
-            raise SqueezedOutError(i)
-        res = _solve_component(domain, allowed, prob)
-        f, supp, lam = _truncate(res.field, prob.tau)
-        fields[i] = f
-        supports[i] = supp
-        lambdas[i] = lam
-    return PartitionState(
-        fields, supports, lambdas, float(lambdas.sum()),
+    supports of the others (a relax pass seeded with the given geometry,
+    whose infinite eigenvalues make it accept every block)."""
+    seed = PartitionState(
+        [ScalarField.zeros(prob.domain)] * prob.k,
+        [Mask(prob.domain, c) for c in cells],
+        np.full(prob.k, np.inf),
+        math.inf,
+        outer_iterations=-1,  # the rebuild pass is not an outer iteration
         metadata={"seed": prob.seed, "pass_style": "gauss-seidel"},
     )
+    return _block_pass(seed, prob)
 
 
 def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
@@ -670,20 +672,17 @@ def exterior_sphere_fraction(state: PartitionState, prob: PartitionProblem) -> f
     reach = prob.r + 2.0 * domain.h
     off_domain = ~domain.mask
     wall = _distance_to(off_domain, domain.h) if off_domain.any() else None
-    dts = [_distance_to(s.nodes, domain.h) for s in state.supports]
+    nodes = [s.nodes for s in state.supports]
     hits = 0
     total = 0
-    for i, s in enumerate(state.supports):
-        comp = ~s.nodes
+    for i, sel in enumerate(nodes):
+        comp = ~sel
         if not comp.any():
             continue
-        edge = s.nodes & (_distance_to(comp, domain.h) <= domain.h * (1 + 1e-9))
+        edge = sel & (_distance_to(comp, domain.h) <= domain.h * (1 + 1e-9))
         if wall is not None:
             edge &= wall > reach
-        others = np.full(domain.mask.shape, np.inf)
-        for j in range(state.k):
-            if j != i:
-                others = np.minimum(others, dts[j])
+        others = _distance_to_others(nodes, i, domain.h)
         total += int(edge.sum())
         hits += int((others[edge] <= reach).sum())
     return hits / total if total else math.nan

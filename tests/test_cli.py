@@ -1,7 +1,10 @@
 import json
 import os
 
+import pytest
+
 from segpart import cli
+from segpart.partition import SweepReport
 
 
 def write_config(tmp_path, name, cfg):
@@ -144,6 +147,32 @@ class TestSweep:
         summary = json.load(open(os.path.join(cfg["output"]["dir"], "sweep_summary.json")))
         assert summary["c_slope_vs_r"] > 0
         assert summary["failed_r"] == []
+
+    @pytest.mark.parametrize("n_failed, code", [(1, 0), (2, 3)])
+    def test_exit_3_below_80_percent_success(self, tmp_path, monkeypatch, n_failed, code):
+        r_values = [0.25, 0.125, 0.0625, 0.03125, 0.0]
+
+        def fake_sweep(prob, rs):
+            rows = [
+                {"r": r, "error": "infeasible r"} if i < n_failed else
+                {"r": r, "c": 40.0 + r, "lambdas": [20.0, 20.0 + r], "lip_max": 1.0,
+                 "linf_max": 1.0, "holder_05": 1.0, "dist_to_u0": [0.0, 0.0],
+                 "error": None}
+                for i, r in enumerate(rs)
+            ]
+            return SweepReport(rows, {"k": 2}, {})
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        cfg = {
+            "schema": 1,
+            "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
+            "grid": {"n": 16},
+            "problem": {"k": 2, "r_values": r_values, "seed": 5},
+            "output": {"dir": os.path.join(tmp_path, "sw3")},
+        }
+        assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == code
+        summary = json.load(open(os.path.join(cfg["output"]["dir"], "sweep_summary.json")))
+        assert summary["failed_r"] == r_values[:n_failed]
 
     def test_missing_r_values_rejected(self, tmp_path):
         cfg = {

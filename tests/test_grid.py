@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segpart.errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 from segpart.grid import (
@@ -27,6 +31,27 @@ def brute_force_edt(true_nodes: np.ndarray) -> np.ndarray:
         for j in range(ny):
             out[i, j] = np.sqrt(((ti - i) ** 2 + (tj - j) ** 2).min())
     return out
+
+
+def random_nodes(nx: int, ny: int, density: float, seed: int) -> np.ndarray:
+    """Random node set: noise of the given density plus one solid block,
+    whose straight edges put many nodes at whole-cell distances from the
+    complement.  At least one node is true and at least one is false."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.random((nx, ny)) < density
+    i0, i1 = np.sort(rng.integers(0, nx, 2))
+    j0, j1 = np.sort(rng.integers(0, ny, 2))
+    nodes[i0 : i1 + 1, j0 : j1 + 1] = True
+    if nodes.all():
+        nodes[0, 0] = nodes[-1, -1] = False
+        nodes[nx // 2, ny // 2] = True
+    return nodes
+
+
+# 3..80 nodes a side covers lattices on both sides of 64^2 nodes
+sides = st.integers(3, 80)
+densities = st.floats(0.001, 0.95)
+seeds = st.integers(0, 2**32 - 1)
 
 
 class TestBuildDomain:
@@ -110,7 +135,7 @@ class TestDistanceTransform:
             distance_transform(Mask(dom, np.zeros((8, 8), dtype=bool)))
 
     def test_matches_brute_force_on_large_grid(self):
-        # force the two-pass envelope path (> 64^2 nodes) against the oracle
+        # a lattice above 64^2 nodes with sparse sites, against the oracle
         rng = np.random.default_rng(3)
         nodes = rng.random((70, 73)) < 0.02
         nodes[35, 36] = True
@@ -125,6 +150,13 @@ class TestDistanceTransform:
                 nodes[3, 3] = True
             got = np.sqrt(_edt_sq_index(nodes))
             assert np.allclose(got, brute_force_edt(nodes), atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=sides, ny=sides, density=densities, seed=seeds)
+    def test_matches_brute_force_on_random_masks(self, nx, ny, density, seed):
+        nodes = random_nodes(nx, ny, density, seed)
+        got = np.sqrt(_edt_sq_index(nodes))
+        assert np.allclose(got, brute_force_edt(nodes), rtol=0.0, atol=1e-9)
 
     def test_one_lipschitz_node_to_node(self):
         rng = np.random.default_rng(11)
@@ -197,6 +229,42 @@ class TestMorphology:
         # eroded set keeps distance > r from the complement
         d = distance_transform(Mask(dom, er))
         assert not er[5, 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nx=sides,
+        ny=sides,
+        density=densities,
+        seed=seeds,
+        # k * 0.1 > k / 10 for k = 3, 6, 7, ...: ties one rounding apart
+        h=st.sampled_from([0.1, 0.05, 0.2, 1 / 48]) | st.floats(0.01, 2.0),
+        # whole cells and sqrt(q) cells put lattice nodes exactly at distance r
+        r_cells=(
+            st.integers(1, 20).map(float)
+            | st.floats(0.01, 20.0)
+            | st.integers(1, 400).map(math.sqrt)
+        ),
+    )
+    def test_erode_is_complement_of_dilated_complement(
+        self, nx, ny, density, seed, h, r_cells
+    ):
+        dom = GridDomain.raw(nx, ny, h)
+        nodes = random_nodes(nx, ny, density, seed)
+        # the same radius written in decimals sits one rounding off the
+        # node distance
+        for r in (r_cells * h, round(r_cells * h, 6)):
+            er = erode(Mask(dom, nodes), r).nodes
+            assert np.array_equal(er, ~dilate(Mask(dom, ~nodes), r).nodes)
+
+    def test_erode_dilate_agree_one_rounding_off_a_tie(self):
+        # 3 * 0.1 > 0.3: a node three cells inside sits at distance 0.3 up to
+        # one rounding, so erode and dilate must share the tie tolerance
+        dom = GridDomain.raw(20, 20, 0.1)
+        nodes = np.zeros((20, 20), dtype=bool)
+        nodes[5:15, 5:15] = True
+        er = erode(Mask(dom, nodes), 0.3).nodes
+        assert np.array_equal(er, ~dilate(Mask(dom, ~nodes), 0.3).nodes)
+        assert not er[7, 9] and er[8, 9]
 
     def test_negative_radius_rejected(self):
         dom = GridDomain.raw(8, 8, 1.0)
