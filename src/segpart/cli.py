@@ -69,6 +69,9 @@ _SECTION_KEYS = {
     "check_params": (set(), {"N", "samples", "n", "theta_nodes", "seed"}),
 }
 
+# smallest accepted value of each (integer) check parameter
+_CHECK_PARAM_MIN = {"N": 2, "samples": 256, "n": 2, "theta_nodes": 16, "seed": 0}
+
 
 def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
     keys = set(obj)
@@ -106,6 +109,12 @@ def load_config(path: str, command: str) -> dict:
         for name in checks:
             if name not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r}")
+    for key, value in cfg.get("check_params", {}).items():
+        low = _CHECK_PARAM_MIN[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(
+                f"check_params.{key} must be an integer >= {low}, got {value!r}"
+            )
     return cfg
 
 

@@ -8,10 +8,10 @@ applies).  Inner CG solves run with loose tolerances; inexact solves are
 fine because any amplification of the ground component helps the outer
 iteration.
 
-The 1-D solvers cover the closed-form-adjacent references: first zeros of
-Bessel J_nu by ascending series plus bisection, the radial ground state of a
-ball in dimension N by shooting, and the first Laplace-Beltrami eigenvalue
-of a spherical cap through the weighted Sturm-Liouville problem with weight
+The 1-D references: first zeros of Bessel J_nu (scipy's jv and brentq in
+a classical bracket), the radial ground state of a ball in dimension N in
+closed form (scipy's 0F1), and the first Laplace-Beltrami eigenvalue of a
+spherical cap through the weighted Sturm-Liouville problem with weight
 sin(theta)^(N-2).
 """
 
@@ -24,7 +24,9 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import label as nd_label
+from scipy.optimize import brentq
 from scipy.sparse.linalg import cg
+from scipy.special import hyp0f1, jv
 
 from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from .grid import GridDomain, Mask, ScalarField, gradient_magnitude
@@ -125,13 +127,6 @@ def first_dirichlet_eig(
     n = A.shape[0]
     h = domain.h
 
-    if n == 1:
-        lam = 4.0 / (h * h)
-        vec = np.array([1.0])
-        values = np.zeros(domain.mask.shape)
-        values.ravel()[idx_flat] = vec / h
-        return EigenResult(lam, ScalarField(domain, values), 0.0, 0)
-
     rng = np.random.default_rng(seed)
     x = 1.0 + 0.01 * rng.random(n)
     x /= np.linalg.norm(x)
@@ -176,56 +171,38 @@ def first_dirichlet_eig(
 
 
 # ---------------------------------------------------------------------------
-# Bessel J_nu by ascending series
+# Bessel zeros and the radial ground state in closed form
 
 
-def _bessel_j_series(nu: float, x: float) -> float:
-    """Ascending series for J_nu(x); adequate for x below ~15."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    half = 0.5 * x
-    log_half = math.log(half)
-    total = 0.0
-    for k in range(0, 60):
-        log_term = (2 * k + nu) * log_half - math.lgamma(k + 1) - math.lgamma(k + nu + 1)
-        term = math.exp(log_term)
-        total += -term if k % 2 else term
-        if term < 1e-19 * max(abs(total), 1e-30) and k > 4:
-            break
-    return total
+def _first_zero(nu: float, tol: float = 1e-12) -> float:
+    """First positive zero j_{nu,1} of J_nu to absolute ``tol``, any nu >= 0.
+
+    brentq runs inside the classical bracket
+    sqrt(nu (nu + 2)) < j_{nu,1} < sqrt(nu + 1) (sqrt(nu + 2) + 1),
+    which holds no other zero of J_nu.
+    """
+    lo = math.sqrt(nu * (nu + 2.0))
+    hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
+    return brentq(lambda x: jv(nu, x), lo, hi, xtol=tol)
 
 
 def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
-    """First positive zero of J_nu for nu in [0, 5], via series + bisection."""
+    """First positive zero of J_nu for nu in [0, 5]."""
     if not (0.0 <= nu <= 5.0):
         raise ValueError(f"order must lie in [0, 5], got {nu}")
-    # J_nu > 0 just right of 0; scan for the first sign change
-    lo = max(nu, 1e-6)
-    step = 0.05
-    x = lo + step
-    f_lo = _bessel_j_series(nu, lo)
-    while x < 16.0:
-        f_x = _bessel_j_series(nu, x)
-        if f_lo > 0 and f_x <= 0:
-            break
-        lo, f_lo = x, f_x
-        x += step
-    else:
-        raise ValueError(f"no zero of J_{nu} located below 16")
-    hi = x
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            break
-        if _bessel_j_series(nu, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _first_zero(nu, tol)
 
 
-# ---------------------------------------------------------------------------
-# Radial ground state by shooting
+def _radial_phi(dim: int, lambda_bar: float, s: np.ndarray | float) -> np.ndarray:
+    """phi(s) = 0F1(; N/2; -lambda s^2 / 4) = Gamma(nu+1) (2/ks)^nu J_nu(ks),
+    nu = N/2 - 1, k = sqrt(lambda): the regular radial solution, phi(0) = 1."""
+    s = np.asarray(s, dtype=float)
+    return hyp0f1(dim / 2.0, -0.25 * lambda_bar * s * s)
+
+
+def _ball_lambda(dim: int, radius: float) -> float:
+    """First Dirichlet eigenvalue of the ball of radius 2R in dimension N."""
+    return (_first_zero(dim / 2.0 - 1.0) / (2.0 * radius)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,40 +217,12 @@ class RadialGroundState:
     phi: np.ndarray
 
 
-def _integrate_radial(dim: int, lam: float, s_end: float, steps: int):
-    """RK4 on the radial equation; returns sampled phi (series start at s=0)."""
-    ds = s_end / steps
-    s_grid = ds * np.arange(steps + 1)
-    phi = np.empty(steps + 1)
-    # series start handles the coordinate singularity at s = 0
-    phi[0] = 1.0
-    s1 = ds
-    n = dim
-    phi1 = 1.0 - lam * s1**2 / (2 * n) + lam**2 * s1**4 / (8 * n * (n + 2))
-    p1 = -lam * s1 / n + lam**2 * s1**3 / (2 * n * (n + 2))
-    phi[1] = phi1
-    y = np.array([phi1, p1])
-
-    def rhs(s, st):
-        f, p = st
-        return np.array([p, -lam * f - (n - 1) * p / s])
-
-    for k in range(1, steps):
-        s = s_grid[k]
-        k1 = rhs(s, y)
-        k2 = rhs(s + ds / 2, y + ds / 2 * k1)
-        k3 = rhs(s + ds / 2, y + ds / 2 * k2)
-        k4 = rhs(s + ds, y + ds * k3)
-        y = y + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        phi[k + 1] = y[0]
-    return s_grid, phi
-
-
 def radial_ground_state(dim: int, radius: float, samples: int = 1024) -> RadialGroundState:
     """Ground state of the ball of radius 2R in dimension N, phi(0) = 1.
 
-    lambda is shot so the first zero of phi falls exactly at s = 2R; the
-    returned profile is positive and strictly decreasing on (0, 2R).
+    lambda = (j_{nu,1} / 2R)^2 puts the first zero of phi exactly at s = 2R;
+    phi is sampled on ``samples`` equispaced points of [0, 2R] and is
+    positive and strictly decreasing on [0, 2R).
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -281,35 +230,9 @@ def radial_ground_state(dim: int, radius: float, samples: int = 1024) -> RadialG
         raise ValueError(f"radius must be positive, got {radius}")
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
-    s_end = 2.0 * radius
-    coarse = 2048
-
-    def has_zero(lam: float) -> bool:
-        _, phi = _integrate_radial(dim, lam, s_end, coarse)
-        return bool((phi[1:] <= 0).any())
-
-    lo = 0.0
-    hi = dim * (math.pi / s_end) ** 2
-    for _ in range(60):
-        if has_zero(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise ConvergenceError("shooting bracket failure", math.inf)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if has_zero(mid):
-            hi = mid
-        else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
-
-    steps = max(coarse, 2 * (samples - 1))
-    s_fine, phi_fine = _integrate_radial(dim, lam, s_end, steps)
-    s_out = np.linspace(0.0, s_end, samples)
-    phi_out = np.interp(s_out, s_fine, phi_fine)
-    return RadialGroundState(dim, radius, lam, s_out, phi_out)
+    lam = _ball_lambda(dim, radius)
+    s = np.linspace(0.0, 2.0 * radius, samples)
+    return RadialGroundState(dim, radius, lam, s, _radial_phi(dim, lam, s))
 
 
 # ---------------------------------------------------------------------------

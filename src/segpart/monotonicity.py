@@ -33,7 +33,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import ConstraintViolationError
-from .eigensolve import bessel_first_zero, exterior_ball_nodes, radial_ground_state
+from .eigensolve import _ball_lambda, _first_zero, _radial_phi, exterior_ball_nodes
 from .grid import GridDomain, ScalarField, discrete_gradient
 from .io import atomic_write_text
 
@@ -58,12 +58,8 @@ class RadialProfile:
         rho_arr = np.asarray(rho, dtype=float)
         if np.any(rho_arr > 2.0 * self.R_bar * (1 + 1e-12)):
             raise ValueError("phi sampled beyond its ball of definition")
-        # the profile grid stops at 3R/2; fall back to the stored ODE solution
-        return np.interp(rho_arr, self._s_full, self._phi_full)
-
-    # populated by build_radial_profile
-    _s_full: np.ndarray = field(default=None, repr=False)
-    _phi_full: np.ndarray = field(default=None, repr=False)
+        # closed form, so radii past the sampled grid's 3R/2 need no table
+        return _radial_phi(self.dim, self.lambda_bar, rho_arr)
 
 
 @dataclass(eq=False)
@@ -108,7 +104,7 @@ def _consecutive_decrease(values: np.ndarray) -> float:
 
 
 def build_radial_profile(dim: int, R_bar: float, samples: int = 1024) -> RadialProfile:
-    """Sample phi on [0, 2R] and integrate Gamma inward from 3R/2.
+    """Sample phi on [0, 3R/2] and integrate Gamma inward from 3R/2.
 
     The composite Simpson sweep runs in u = s^(2-N) so the divergence of the
     integrand at the origin costs no accuracy; psi(0) is set to its
@@ -120,19 +116,13 @@ def build_radial_profile(dim: int, R_bar: float, samples: int = 1024) -> RadialP
         raise ValueError(f"R_bar must be positive, got {R_bar}")
     if samples < 256:
         raise ValueError(f"need at least 256 samples, got {samples}")
-    ground = radial_ground_state(dim, R_bar, 4 * samples)
-    outer = 1.5 * R_bar
-    s = np.linspace(0.0, outer, samples)
-    phi = np.interp(s, ground.s, ground.phi)
-
+    lam = _ball_lambda(dim, R_bar)
+    s = np.linspace(0.0, 1.5 * R_bar, samples)
+    phi = _radial_phi(dim, lam, s)
     if dim == 2:
-        profile = RadialProfile(dim, R_bar, ground.lambda_bar, s, phi, None, None)
-    else:
-        gamma_phi, psi = gamma_psi_from_phi(s, phi, dim)
-        profile = RadialProfile(dim, R_bar, ground.lambda_bar, s, phi, gamma_phi, psi)
-    object.__setattr__(profile, "_s_full", ground.s)
-    object.__setattr__(profile, "_phi_full", ground.phi)
-    return profile
+        return RadialProfile(dim, R_bar, lam, s, phi, None, None)
+    gamma_phi, psi = gamma_psi_from_phi(s, phi, dim)
+    return RadialProfile(dim, R_bar, lam, s, phi, gamma_phi, psi)
 
 
 def gamma_psi_from_phi(
@@ -167,7 +157,7 @@ def profile_for_lambda(dim: int, lambda_bar: float, samples: int = 1024) -> Radi
     """Profile whose reference ball B_{2R} has first eigenvalue lambda_bar."""
     if lambda_bar <= 0:
         raise ValueError(f"lambda_bar must be positive, got {lambda_bar}")
-    j = bessel_first_zero(dim / 2.0 - 1.0)
+    j = _first_zero(dim / 2.0 - 1.0)
     two_R = j / math.sqrt(lambda_bar)
     return build_radial_profile(dim, two_R / 2.0, samples)
 

@@ -350,8 +350,14 @@ def _optimize_from(prob: PartitionProblem, state: PartitionState) -> PartitionSt
         if drop < -10.0 * prob.tol_eig:
             stalled = True
         quiet = quiet + 1 if drop < prob.tol_outer else 0
+        # the pass is deterministic in (supports, lambdas): once it returns
+        # its input, every later pass would repeat it bit for bit
+        fixed = np.array_equal(new.lambdas, state.lambdas) and all(
+            np.array_equal(a.nodes, b.nodes)
+            for a, b in zip(new.supports, state.supports)
+        )
         state = new
-        if quiet >= 3:
+        if quiet >= 3 or fixed:
             break
     best.metadata.update(
         {"passes": passes, "stalled": stalled, "pass_style": "gauss-seidel"}
@@ -367,8 +373,9 @@ def optimize(
     restarts: int = 3,
 ) -> PartitionState:
     """Iterate block passes until the relative energy decrease stays below
-    tol_outer for three consecutive passes (or max_outer); returns the best
-    state seen.  Deterministic for a fixed problem and seed.
+    tol_outer for three consecutive passes, a pass returns its input
+    supports and eigenvalues unchanged, or max_outer passes have run;
+    returns the best state seen.  Deterministic for a fixed problem and seed.
 
     Cold starts run a few deterministic restarts (sub-seeds derived from the
     problem seed) and keep the lowest energy: the centroidal initialization

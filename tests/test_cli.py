@@ -57,6 +57,32 @@ class TestConfigValidation:
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"N": 1},
+            {"n": 1},
+            {"n": "x"},
+            {"samples": 100},
+            {"samples": 512.0},
+            {"theta_nodes": 8},
+            {"seed": -1},
+            {"seed": True},
+        ],
+        ids=["N", "n", "n-str", "samples", "samples-float", "theta_nodes", "seed",
+             "seed-bool"],
+    )
+    def test_bad_check_params_exit_2(self, tmp_path, capsys, params):
+        cfg = {
+            "schema": 1,
+            "checks": ["gamma"],
+            "check_params": params,
+            "output": {"dir": os.path.join(tmp_path, "o")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 2
+        key = next(iter(params))
+        assert f"config error: check_params.{key}" in capsys.readouterr().err
+
 
 class TestEig:
     def test_square_prints_lambda(self, tmp_path, capsys):

@@ -43,6 +43,9 @@ class TestMaskedEig:
         res = first_dirichlet_eig(dom, Mask(dom, nodes))
         assert res.lam == 4.0 / dom.h**2
         assert res.residual == 0.0
+        assert res.iterations == 0
+        assert res.field.values[2, 2] == 1.0 / dom.h
+        assert np.count_nonzero(res.field.values) == 1
 
     def test_field_normalized_and_nonnegative(self, square_eig_128):
         dom, res = square_eig_128
@@ -115,7 +118,19 @@ class TestBesselZero:
 
     @pytest.mark.parametrize(
         "nu, expected",
-        [(0.0, 2.404825557695773), (1.0, 3.831705970207512)],
+        [
+            (0.0, 2.404825557695773),
+            (0.5, 3.141592653589793),
+            (1.0, 3.831705970207512),
+            (1.5, 4.493409457909064),
+            (2.0, 5.135622301840683),
+            (2.5, 5.763459196894550),
+            (3.0, 6.380161895923984),
+            (3.5, 6.987932000500520),
+            (4.0, 7.588342434503804),
+            (4.5, 8.182561452571243),
+            (5.0, 8.771483815959954),
+        ],
     )
     def test_against_scipy_oracle(self, nu, expected):
         # independent oracle: scipy Bessel + brentq bracket refinement
@@ -151,6 +166,18 @@ class TestRadialGroundState:
         inner = out.phi[: -1]
         assert np.all(np.diff(inner) < 0)
         assert np.all(inner > 0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 13, 40])
+    def test_solves_radial_equation(self, dim):
+        # dims above 12 lie past bessel_first_zero's [0, 5] order range
+        out = radial_ground_state(dim, 0.5, 2001)
+        s, phi = out.s, out.phi
+        ds = s[1] - s[0]
+        d2 = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / ds**2
+        d1 = (phi[2:] - phi[:-2]) / (2.0 * ds)
+        residual = d2 + (dim - 1) / s[1:-1] * d1 + out.lambda_bar * phi[1:-1]
+        assert np.max(np.abs(residual)) <= 1e-5 * out.lambda_bar
+        assert abs(phi[-1]) <= 1e-12
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

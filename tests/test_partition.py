@@ -172,6 +172,16 @@ class TestOptimize:
         for fa, fb in zip(a.fields, b.fields):
             assert np.array_equal(fa.values, fb.values)
 
+    def test_stops_at_a_fixed_point(self):
+        dom = build_domain("rectangle", 32, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=0.0625, seed=11, tol_eig=1e-8)
+        again = optimize(prob, initial=optimize(prob))
+        assert again.metadata["passes"] < 3
+        after = relax_step(again, prob)
+        assert np.array_equal(after.lambdas, again.lambdas)
+        for a, b in zip(after.supports, again.supports):
+            assert np.array_equal(a.nodes, b.nodes)
+
     def test_permutation_invariance(self):
         dom = build_domain("rectangle", 24, 2.0, 1.0)
         prob = PartitionProblem(dom, k=2, r=0.0, seed=1, tol_eig=1e-7)
