@@ -254,15 +254,16 @@ def _run_check(name: str, params: dict, outdir: str) -> dict:
         rows = []
         worst_monot = 0.0
         prev = None
+        theta_nodes = int(params.get("theta_nodes", 4096))
         for r in [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]:
-            cs = cap_eigenvalue(nn, r, nodes=int(params.get("theta_nodes", 4096)))
+            cs = cap_eigenvalue(nn, r, nodes=theta_nodes)
             rows.append([r, cs.lambda1])
             if prev is not None:
                 worst_monot = max(worst_monot, cs.lambda1 - prev)
             prev = cs.lambda1
         _check_rows_to_csv(os.path.join(outdir, "cap.csv"), ["r", "lambda"], rows)
         err0 = abs(rows[0][1] - (nn - 1))
-        slope = (cap_eigenvalue(nn, 0.01).lambda1 - rows[0][1]) / 0.01
+        slope = (cap_eigenvalue(nn, 0.01, nodes=theta_nodes).lambda1 - rows[0][1]) / 0.01
         passed = err0 <= 1e-6 and worst_monot <= 1e-9 and slope < 0
         return {"check": "cap", "passed": bool(passed),
                 "lambda0_error": err0, "slope_at_0": slope}
@@ -301,7 +302,7 @@ def _run_check(name: str, params: dict, outdir: str) -> dict:
     if name == "mean_value":
         n = int(params.get("n", 128))
         dom = build_domain("disk", n, 1.0)
-        res = first_dirichlet_eig(dom, tol=1e-8)
+        res = first_dirichlet_eig(dom, tol=1e-10)
         prof = profile_for_lambda(2, res.lam, 1024)
         radii = [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
         rep = mean_value_check(res.field, res.lam, (0.0, 0.0), radii, prof)

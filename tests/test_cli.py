@@ -4,6 +4,7 @@ import os
 import pytest
 
 from segpart import cli
+from segpart.eigensolve import cap_eigenvalue
 from segpart.partition import SweepReport
 
 
@@ -230,6 +231,32 @@ class TestVerify:
         r0 = cap_rows[1].split(",")
         assert float(r0[0]) == 0.0
         assert abs(float(r0[1]) - 2.0) < 1e-6
+
+    def test_cap_slope_at_one_resolution(self, tmp_path):
+        cfg = {
+            "schema": 1,
+            "checks": ["cap"],
+            "check_params": {"N": 3, "theta_nodes": 16},
+            "output": {"dir": os.path.join(tmp_path, "vc")},
+        }
+        cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)])
+        summary = json.load(open(os.path.join(cfg["output"]["dir"], "verify.json")))
+        slope = summary["checks"][0]["slope_at_0"]
+        quotient = (
+            cap_eigenvalue(3, 0.01, nodes=16).lambda1 - cap_eigenvalue(3, 0.0, nodes=16).lambda1
+        ) / 0.01
+        assert abs(slope - quotient) <= 1e-9
+        assert abs(slope + 1.4895) <= 1e-4
+
+    def test_mean_value_check_passes(self, tmp_path):
+        cfg = {
+            "schema": 1,
+            "checks": ["mean_value"],
+            "check_params": {"n": 48, "seed": 101},
+            "output": {"dir": os.path.join(tmp_path, "vm")},
+        }
+        code = cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)])
+        assert code == 0
 
     def test_psi_check(self, tmp_path):
         cfg = {

@@ -8,9 +8,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from segpart.errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from segpart.eigensolve import (
+    _factor,
     bessel_first_zero,
     cap_eigenvalue,
     first_dirichlet_eig,
+    masked_laplacian,
     poincare_check,
     radial_ground_state,
 )
@@ -83,6 +85,30 @@ class TestMaskedEig:
         assert np.all(lam_both.field.values[right] == 0.0) or np.all(
             lam_both.field.values[left] == 0.0
         )
+
+    def test_exact_tie_returns_lowest_label(self):
+        # mirror-image components carry bit-identical blocks and start vectors;
+        # the left one comes first in raster order, so it has the lower label
+        dom = build_domain("rectangle", 16, 2.0, 1.0)
+        x, _ = dom.coords()
+        left = dom.mask & (x < 0.8)
+        right = dom.mask & (x > 1.2)
+        a = first_dirichlet_eig(dom, Mask(dom, left | right), tol=1e-8)
+        solo = first_dirichlet_eig(dom, Mask(dom, left), tol=1e-8)
+        assert np.all(a.field.values[left] > 0.0)
+        assert np.all(a.field.values[~left] == 0.0)
+        assert abs(a.lam - solo.lam) <= 1e-12
+        b = first_dirichlet_eig(dom, Mask(dom, left | right), tol=1e-8)
+        assert a.lam == b.lam and a.residual == b.residual
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.field.values, b.field.values)
+
+    def test_factor_fill_stays_low(self):
+        # the fill sets the factor's memory; COLAMD gives about 1.19e6 here
+        dom = build_domain("square", 128, 1.0)
+        A, _ = masked_laplacian(dom, dom.mask)
+        lu = _factor(A)
+        assert lu.L.nnz + lu.U.nnz <= 7.0e5
 
     def test_scaling_law_richardson(self):
         lams = {}
