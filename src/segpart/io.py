@@ -96,6 +96,8 @@ def read_mask_array(path: str) -> np.ndarray:
             tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"not a P2 PGM file: {path}")
+    if len(tokens) < 4:
+        raise ValueError(f"truncated PGM header in {path}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     pixels = np.array([int(t) for t in tokens[4 : 4 + width * height]])
     if pixels.size != width * height:

@@ -10,7 +10,8 @@ from segpart.grid import (
     GridDomain,
     Mask,
     ScalarField,
-    _edt_sq_index,
+    _distance_to,
+    _holder_seminorm,
     build_domain,
     dilate,
     dirichlet_energy,
@@ -46,6 +47,34 @@ def random_nodes(nx: int, ny: int, density: float, seed: int) -> np.ndarray:
         nodes[0, 0] = nodes[-1, -1] = False
         nodes[nx // 2, ny // 2] = True
     return nodes
+
+
+def brute_force_holder(v: np.ndarray, h: float, alpha: float) -> float:
+    """Independent all-pairs oracle for the Holder seminorm, in row chunks."""
+    ii, jj = np.indices(v.shape)
+    px, py, w = ii.ravel() * h, jj.ravel() * h, v.ravel()
+    best = 0.0
+    for s in range(0, w.size, 512):
+        dist = np.hypot(px[s : s + 512, None] - px, py[s : s + 512, None] - py)
+        diff = np.abs(w[s : s + 512, None] - w)
+        ratio = np.divide(diff, dist**alpha, out=np.zeros_like(diff), where=dist > 0)
+        best = max(best, float(ratio.max()))
+    return best
+
+
+def random_values(nx: int, ny: int, kind: str, seed: int) -> np.ndarray:
+    """Test field of the given kind: zero, sparse (a few nonnegative spikes),
+    dense (positive everywhere), mixed (signed noise) or smooth (signed
+    double cumulative sum, whose small steps make the offset bounds tight)."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((nx, ny))
+    if kind == "sparse":
+        return rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.1)
+    if kind == "dense":
+        return 0.1 + rng.random((nx, ny))
+    noise = rng.standard_normal((nx, ny))
+    return noise if kind == "mixed" else np.cumsum(np.cumsum(noise, 0), 1)
 
 
 # 3..80 nodes a side covers lattices on both sides of 64^2 nodes
@@ -139,7 +168,7 @@ class TestDistanceTransform:
         rng = np.random.default_rng(3)
         nodes = rng.random((70, 73)) < 0.02
         nodes[35, 36] = True
-        got = np.sqrt(_edt_sq_index(nodes))
+        got = np.sqrt(_distance_to(nodes, 1.0) ** 2)
         assert np.allclose(got, brute_force_edt(nodes), atol=1e-9)
 
     def test_matches_brute_force_small_grids(self):
@@ -148,14 +177,14 @@ class TestDistanceTransform:
             nodes = rng.random((17, 13)) < 0.1
             if not nodes.any():
                 nodes[3, 3] = True
-            got = np.sqrt(_edt_sq_index(nodes))
+            got = np.sqrt(_distance_to(nodes, 1.0) ** 2)
             assert np.allclose(got, brute_force_edt(nodes), atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(nx=sides, ny=sides, density=densities, seed=seeds)
     def test_matches_brute_force_on_random_masks(self, nx, ny, density, seed):
         nodes = random_nodes(nx, ny, density, seed)
-        got = np.sqrt(_edt_sq_index(nodes))
+        got = np.sqrt(_distance_to(nodes, 1.0) ** 2)
         assert np.allclose(got, brute_force_edt(nodes), rtol=0.0, atol=1e-9)
 
     def test_one_lipschitz_node_to_node(self):
@@ -316,24 +345,40 @@ class TestNorms:
         assert abs(vals[-1] - 1.0) < 0.05
 
     def test_linear_field_lip_and_holder(self):
-        # free lattice: f(x) = x on the closed square, no Dirichlet zeroing
+        # free lattice: f(x) = x on the closed square, no Dirichlet zeroing;
+        # |dx| / |dx|^(1/2) peaks at the full width dx = 1
         dom = GridDomain.raw(33, 33, 1.0 / 32.0)
         x, _ = dom.coords()
         f = ScalarField.from_values(dom, x)
         out = norms(f, alpha=0.5)
         assert out["lip"] == pytest.approx(1.0, abs=1e-9)
-        # exhaustive oracle over all node pairs
-        v = f.values.ravel()
-        ii, jj = np.indices(f.values.shape)
-        px = ii.ravel() * dom.h
-        py = jj.ravel() * dom.h
-        best = 0.0
-        for a in range(0, v.size, 7):  # strided exhaustive scan, same max
-            dist = np.hypot(px - px[a], py - py[a])
-            dist[a] = np.inf
-            best = max(best, float(np.max(np.abs(v - v[a]) / np.sqrt(dist))))
-        assert out["holder"] >= best - 1e-12
-        assert out["holder"] == pytest.approx(1.0, abs=0.05)
+        assert out["holder"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nx=st.integers(1, 24),
+        ny=st.integers(1, 24),
+        h=st.floats(0.01, 2.0),
+        alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        kind=st.sampled_from(["zero", "sparse", "dense", "mixed", "smooth"]),
+        seed=seeds,
+    )
+    def test_holder_matches_all_pairs(self, nx, ny, h, alpha, kind, seed):
+        f = ScalarField(GridDomain.raw(nx, ny, h), random_values(nx, ny, kind, seed))
+        want = brute_force_holder(f.values, h, alpha)
+        assert _holder_seminorm(f, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_holder_exact_on_sweep_state(self):
+        # both fields of the first level of the n=48 seed-11 sweep, on its
+        # 97x49 lattice
+        from segpart.partition import PartitionProblem, optimize
+
+        dom = build_domain("rectangle", 48, 2.0, 1.0)
+        state = optimize(PartitionProblem(dom, k=2, r=1 / 8, seed=11))
+        assert (dom.nx, dom.ny) == (97, 49)
+        for f in state.fields:
+            want = brute_force_holder(f.values, dom.h, 0.5)
+            assert _holder_seminorm(f, 0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_l2_triangle_inequality(self):
         rng = np.random.default_rng(13)

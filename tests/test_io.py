@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segpart.grid import Mask, ScalarField, build_domain
+from segpart.grid import GridDomain, Mask, ScalarField, build_domain
 from segpart.io import (
     atomic_write_text,
     field_to_bytes,
@@ -85,6 +87,56 @@ def test_pgm_values_are_0_and_255(tmp_path):
     assert tokens[0] == "P2"
     body = set(tokens[4:])
     assert body <= {"0", "255"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    h=st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False),
+    data=st.data(),
+)
+def test_spf1_round_trip_property(tmp_path_factory, nx, ny, h, data):
+    # every finite float64, signed zeros and subnormals included, survives
+    values = data.draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=nx * ny,
+            max_size=nx * ny,
+        )
+    )
+    dom = GridDomain.raw(nx, ny, h)
+    f = ScalarField(dom, np.array(values, dtype=float).reshape(nx, ny))
+    path = os.path.join(tmp_path_factory.mktemp("spf1"), "f.spf1")
+    write_field(path, f)
+    back = read_field(path, domain=dom)
+    assert back.domain.h == h
+    assert back.values.tobytes() == f.values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 16),
+    ny=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+)
+def test_pgm_round_trip_property(tmp_path_factory, nx, ny, seed, density):
+    nodes = np.random.default_rng(seed).random((nx, ny)) < density
+    path = os.path.join(tmp_path_factory.mktemp("pgm"), "mask.pgm")
+    atomic_write_text(path, mask_to_pgm(nodes))
+    back = read_mask_array(path)
+    # stored height=nx, width=ny: rows of the file are first-index slices
+    assert back.shape == (nx, ny)
+    assert np.array_equal(back, nodes)
+
+
+@pytest.mark.parametrize("text", ["P2\n3\n", "P2\n", "P2 3 2\n"])
+def test_pgm_truncated_header_rejected(tmp_path, text):
+    path = os.path.join(tmp_path, "short.pgm")
+    atomic_write_text(path, text)
+    with pytest.raises(ValueError):
+        read_mask_array(path)
 
 
 def test_atomic_write_no_partial_files(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import segpart as sp
-from segpart.errors import EmptyRegionError, InfeasibleError
+from segpart.errors import EmptyRegionError, InfeasibleError, SqueezedOutError
 from segpart.eigensolve import first_dirichlet_eig
 from segpart.grid import Mask, build_domain
 from segpart.partition import (
@@ -83,6 +85,38 @@ class TestInit:
         sites = [dom.nearest_node((0.9, 0.5)), dom.nearest_node((1.1, 0.5))]
         with pytest.raises(InfeasibleError, match="infeasible r"):
             init_partition(prob, sites=sites)
+
+
+def assert_feasible_and_segregated(state, prob):
+    assert check_feasible(state, prob)
+    for i in range(prob.k):
+        for j in range(i + 1, prob.k):
+            assert not np.any(state.fields[i].values * state.fields[j].values)
+            assert not np.any(state.supports[i].nodes & state.supports[j].nodes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(
+        [("square", (1.0,)), ("rectangle", (2.0, 1.0)), ("disk", (1.0,))]
+    ),
+    n=st.integers(8, 24),
+    k=st.sampled_from([2, 3]),
+    r_frac=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_init_and_relax_stay_feasible_and_segregated(shape, n, k, r_frac, seed):
+    name, args = shape
+    dom = build_domain(name, n, *args)
+    try:
+        r = r_frac * dom.diameter() / k
+        prob = PartitionProblem(dom, k=k, r=r, seed=seed, tol_eig=1e-6)
+        state = init_partition(prob)
+        after = relax_step(state, prob)
+    except (InfeasibleError, SqueezedOutError):
+        assume(False)
+    assert_feasible_and_segregated(state, prob)
+    assert_feasible_and_segregated(after, prob)
 
 
 class TestRelax:
