@@ -205,7 +205,12 @@ def cmd_partition(cfg: dict, verbose: bool = False) -> int:
         os.path.join(outdir, "manifest.json"), json.dumps(manifest, sort_keys=True) + "\n"
     )
     print(f"c={state.c!r}")
-    _log(outdir, f"partition done c={state.c!r}", verbose)
+    _log(
+        outdir,
+        f"partition done c={state.c!r} eig_solves={state.metadata['eig_solves']}"
+        f" eig_memo_hits={state.metadata['eig_memo_hits']}",
+        verbose,
+    )
     return 0
 
 
@@ -236,7 +241,13 @@ def cmd_sweep(cfg: dict, verbose: bool = False) -> int:
         os.path.join(outdir, "sweep_summary.json"),
         json.dumps(summary, sort_keys=True) + "\n",
     )
-    _log(outdir, f"sweep done slope={slope!r} failed={failed}", verbose)
+    _log(
+        outdir,
+        f"sweep done slope={slope!r} failed={failed}"
+        f" eig_solves={report.metadata['eig_solves']}"
+        f" eig_memo_hits={report.metadata['eig_memo_hits']}",
+        verbose,
+    )
     ok = len(report.rows) - len(failed)
     return 0 if ok >= 0.8 * len(report.rows) else 3
 

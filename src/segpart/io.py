@@ -99,9 +99,13 @@ def read_mask_array(path: str) -> np.ndarray:
     if len(tokens) < 4:
         raise ValueError(f"truncated PGM header in {path}")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    pixels = np.array([int(t) for t in tokens[4 : 4 + width * height]])
+    pixels = np.array([int(t) for t in tokens[4:]])
     if pixels.size != width * height:
-        raise ValueError(f"truncated PGM payload in {path}")
+        raise ValueError(
+            f"PGM payload has {pixels.size} values, not {width}x{height}, in {path}"
+        )
     if maxval <= 0:
         raise ValueError(f"bad PGM maxval in {path}")
+    if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
+        raise ValueError(f"PGM pixel value outside [0, {maxval}] in {path}")
     return (pixels.reshape(height, width) > 0)

@@ -23,6 +23,18 @@ Supports are thresholded positivity sets {u > tau * max u}: discrete
 eigenfunctions are strictly positive on their whole carrying component, so
 the exact positivity set is useless as geometry; the threshold is what
 stabilizes the dilation/erosion geometry between passes.
+
+Every block solve goes through a :class:`SolveMemo` scoped to one run:
+``run_sweep`` shares one across all its levels, ``optimize`` one across its
+restarts, and a public call given none makes a fresh one.  Within a run the
+same allowed set recurs often: the pass that confirms a fixed point
+re-poses every block unchanged, restarts reach the same cells, and levels
+whose slack r - h adds no lattice node pose the same discrete problem.  The
+key is (domain, tol_eig, seed, allowed-node bytes): :func:`first_dirichlet_eig`
+is deterministic in exactly these inputs (``max_iter`` stays at its
+default), so a hit returns the very result a fresh solve would compute, bit
+for bit.  Domains compare by identity, and each cached field holds its
+domain alive.
 """
 
 from __future__ import annotations
@@ -226,12 +238,25 @@ def _lloyd_sites(
     return sites
 
 
+class SolveMemo(dict):
+    """Block eigensolves of one run, keyed by :func:`_solve_component`;
+    ``hits`` counts the solves it saved."""
+
+    hits = 0
+
+
 def _solve_component(
-    domain: GridDomain, allowed: np.ndarray, prob: PartitionProblem
+    allowed: np.ndarray, prob: PartitionProblem, memo: SolveMemo
 ) -> EigenResult:
-    return first_dirichlet_eig(
-        domain, Mask(domain, allowed), tol=prob.tol_eig, seed=prob.seed
-    )
+    key = (prob.domain, prob.tol_eig, prob.seed, allowed.tobytes())
+    res = memo.get(key)
+    if res is None:
+        res = memo[key] = first_dirichlet_eig(
+            prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig, seed=prob.seed
+        )
+    else:
+        memo.hits += 1
+    return res
 
 
 def init_partition(
@@ -239,11 +264,14 @@ def init_partition(
     sites: list[tuple[int, int]] | None = None,
     lloyd: bool | None = None,
     seed: int | None = None,
+    *,
+    memo: SolveMemo | None = None,
 ) -> PartitionState:
     """Feasible start: Voronoi cells of seeded random sites (polished to the
     centroidal tessellation unless explicit sites are given), each eroded by
     r/2 + h so that supports come out pairwise r + 2h apart, then one
     ground-state solve per cell."""
+    memo = SolveMemo() if memo is None else memo
     domain = prob.domain
     rng = np.random.default_rng(prob.seed if seed is None else seed)
     flat_mask = np.flatnonzero(domain.mask.ravel())
@@ -271,7 +299,7 @@ def init_partition(
 
     fields, supports, lambdas = [], [], []
     for allowed in cells:
-        res = _solve_component(domain, allowed, prob)
+        res = _solve_component(allowed, prob, memo)
         f, supp, lam = _truncate(res.field, prob.tau)
         fields.append(f)
         supports.append(supp)
@@ -296,7 +324,9 @@ def _block_order(supports: list[Mask]) -> list[int]:
     return [i for _, i in sorted(keys)]
 
 
-def _block_pass(state: PartitionState, prob: PartitionProblem) -> PartitionState:
+def _block_pass(
+    state: PartitionState, prob: PartitionProblem, *, memo: SolveMemo
+) -> PartitionState:
     """One Gauss-Seidel pass over the components in :func:`_block_order`.
 
     allowed_i = domain minus the (r - h)-dilation of the union of the other
@@ -319,7 +349,7 @@ def _block_pass(state: PartitionState, prob: PartitionProblem) -> PartitionState
         allowed = domain.mask & ~blocked
         if not allowed.any():
             raise SqueezedOutError(i)
-        res = _solve_component(domain, allowed, prob)
+        res = _solve_component(allowed, prob, memo)
         f, supp, lam = _truncate(res.field, prob.tau)
         if lam <= lambdas[i] * (1 + 1e-14) or not supports[i].nodes.any():
             fields[i] = f
@@ -332,18 +362,22 @@ def _block_pass(state: PartitionState, prob: PartitionProblem) -> PartitionState
     )
 
 
-def relax_step(state: PartitionState, prob: PartitionProblem) -> PartitionState:
+def relax_step(
+    state: PartitionState, prob: PartitionProblem, *, memo: SolveMemo | None = None
+) -> PartitionState:
     """One block pass (see :func:`_block_pass`); the energy cannot increase."""
-    return _block_pass(state, prob)
+    return _block_pass(state, prob, memo=SolveMemo() if memo is None else memo)
 
 
-def _optimize_from(prob: PartitionProblem, state: PartitionState) -> PartitionState:
+def _optimize_from(
+    prob: PartitionProblem, state: PartitionState, memo: SolveMemo
+) -> PartitionState:
     best = state
     quiet = 0
     stalled = False
     passes = 0
     for passes in range(1, prob.max_outer + 1):
-        new = relax_step(state, prob)
+        new = relax_step(state, prob, memo=memo)
         drop = (state.c - new.c) / max(abs(state.c), 1e-300)
         if new.c < best.c:
             best = new
@@ -371,6 +405,8 @@ def optimize(
     initial: PartitionState | None = None,
     sites: list[tuple[int, int]] | None = None,
     restarts: int = 3,
+    *,
+    memo: SolveMemo | None = None,
 ) -> PartitionState:
     """Iterate block passes until the relative energy decrease stays below
     tol_outer for three consecutive passes, a pass returns its input
@@ -382,17 +418,27 @@ def optimize(
     has more than one stable basin (a 2:1 rectangle also supports the
     stacked-strips tessellation) and block passes cannot leave a basin.
     Warm starts and explicit sites run once.
+
+    The returned metadata counts this call's eigensolves (``eig_solves``)
+    and the solves ``memo`` saved (``eig_memo_hits``).
     """
+    memo = SolveMemo() if memo is None else memo
+    solves, hits = len(memo), memo.hits
     if initial is not None or sites is not None:
-        state = initial if initial is not None else init_partition(prob, sites=sites)
-        return _optimize_from(prob, state)
-    best = None
-    for j in range(max(restarts, 1)):
-        start = init_partition(prob, seed=prob.seed + 9176 * j)
-        out = _optimize_from(prob, start)
-        out.metadata["restart"] = j
-        if best is None or out.c < best.c:
-            best = out
+        if initial is None:
+            initial = init_partition(prob, sites=sites, memo=memo)
+        best = _optimize_from(prob, initial, memo)
+    else:
+        best = None
+        for j in range(max(restarts, 1)):
+            start = init_partition(prob, seed=prob.seed + 9176 * j, memo=memo)
+            out = _optimize_from(prob, start, memo)
+            out.metadata["restart"] = j
+            if best is None or out.c < best.c:
+                best = out
+    best.metadata.update(
+        {"eig_solves": len(memo) - solves, "eig_memo_hits": memo.hits - hits}
+    )
     return best
 
 
@@ -549,7 +595,7 @@ def _restore_feasibility(
 
 
 def _state_from_supports(
-    cells: list[np.ndarray], prob: PartitionProblem
+    cells: list[np.ndarray], prob: PartitionProblem, *, memo: SolveMemo
 ) -> PartitionState:
     """One sequential rebuild pass: solve each component against the current
     supports of the others (a relax pass seeded with the given geometry,
@@ -562,13 +608,14 @@ def _state_from_supports(
         outer_iterations=-1,  # the rebuild pass is not an outer iteration
         metadata={"seed": prob.seed, "pass_style": "gauss-seidel"},
     )
-    return _block_pass(seed, prob)
+    return _block_pass(seed, prob, memo=memo)
 
 
 def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     """Optimize along descending separations, warm-starting each level from
     the previous optimum; components are matched to the r = 0 solution by
-    support overlap before distances are reported."""
+    support overlap before distances are reported.  All levels share one
+    :class:`SolveMemo`; the report metadata counts its solves and hits."""
     r_values = [float(r) for r in r_values]
     if sorted(r_values, reverse=True) != r_values:
         raise ValueError("r_values must be sorted descending")
@@ -577,14 +624,17 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     rows: list[dict] = []
     states: dict[float, PartitionState] = {}
     prev: PartitionState | None = None
+    memo = SolveMemo()
     for r in r_values:
         prob = prob_base.with_r(r)
         try:
             if prev is None:
-                state = optimize(prob)
+                state = optimize(prob, memo=memo)
             else:
                 cells = _restore_feasibility(prev.supports, prob)
-                state = optimize(prob, initial=_state_from_supports(cells, prob))
+                state = optimize(
+                    prob, initial=_state_from_supports(cells, prob, memo=memo), memo=memo
+                )
         except (InfeasibleError, SqueezedOutError, EmptyRegionError) as exc:
             rows.append({"r": r, "error": str(exc)})
             continue
@@ -623,6 +673,8 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
         "tol_outer": prob_base.tol_outer,
         "tau": prob_base.tau,
         "pass_style": "gauss-seidel",
+        "eig_solves": len(memo),
+        "eig_memo_hits": memo.hits,
     }
     return SweepReport(rows, meta, states)
 

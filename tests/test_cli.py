@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from segpart import cli
+from segpart import cli, partition
 from segpart.eigensolve import cap_eigenvalue
+from segpart.grid import Mask
 from segpart.partition import SweepReport
 
 
@@ -155,6 +156,48 @@ class TestPartition:
             assert a == b
 
 
+def solve_every_time(allowed, prob, memo):
+    """A block solve that never consults the run's memo."""
+    return partition.first_dirichlet_eig(
+        prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig, seed=prob.seed
+    )
+
+
+@pytest.mark.parametrize("command", ["partition", "sweep"])
+def test_solve_counts_reach_the_log_only(tmp_path, monkeypatch, capsys, command):
+    problem = {"k": 2, "seed": 5}
+    problem.update({"r_values": [0.25, 0.125, 0.0]} if command == "sweep" else {"r": 0.125})
+    outdirs = {}
+    for run in ("memo", "plain"):
+        if run == "plain":
+            monkeypatch.setattr(partition, "_solve_component", solve_every_time)
+        outdirs[run] = os.path.join(tmp_path, run)
+        cfg = {
+            "schema": 1,
+            "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
+            "grid": {"n": 32},
+            "problem": problem,
+            "tolerances": {"eig": 1e-7, "outer": 1e-6},
+            "output": {"dir": outdirs[run]},
+        }
+        path = write_config(tmp_path, f"{run}.json", cfg)
+        assert cli.main([command, "--config", path, "-v"]) == 0
+    err = capsys.readouterr().err
+    log = open(os.path.join(outdirs["memo"], "run.log")).read()
+    for text in (err, log):
+        assert "eig_solves=" in text and "eig_memo_hits=" in text
+    # every artifact but the log is byte-identical with and without the memo,
+    # and none carries the counts
+    names = sorted(os.listdir(outdirs["memo"]))
+    assert names == sorted(os.listdir(outdirs["plain"]))
+    names.remove("run.log")
+    assert names
+    for name in names:
+        a = open(os.path.join(outdirs["memo"], name), "rb").read()
+        assert a == open(os.path.join(outdirs["plain"], name), "rb").read()
+        assert b"eig_" not in a and b"memo" not in a
+
+
 class TestSweep:
     def test_sweep_outputs(self, tmp_path):
         cfg = {
@@ -187,7 +230,7 @@ class TestSweep:
                  "error": None}
                 for i, r in enumerate(rs)
             ]
-            return SweepReport(rows, {"k": 2}, {})
+            return SweepReport(rows, {"k": 2, "eig_solves": 0, "eig_memo_hits": 0}, {})
 
         monkeypatch.setattr(cli, "run_sweep", fake_sweep)
         cfg = {

@@ -139,6 +139,20 @@ def test_pgm_truncated_header_rejected(tmp_path, text):
         read_mask_array(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "P2\n2 1\n255\n255 0 255 255 7\n",  # tokens beyond width x height
+        "P2\n2 1\n255\n-4 999\n",  # pixel values outside [0, maxval]
+    ],
+)
+def test_pgm_bad_payload_rejected(tmp_path, text):
+    path = os.path.join(tmp_path, "bad.pgm")
+    atomic_write_text(path, text)
+    with pytest.raises(ValueError):
+        read_mask_array(path)
+
+
 def test_atomic_write_no_partial_files(tmp_path):
     path = os.path.join(tmp_path, "x.txt")
     atomic_write_text(path, "payload")

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 import segpart as sp
 from segpart.errors import EmptyRegionError, InfeasibleError, SqueezedOutError
+from segpart import partition
 from segpart.eigensolve import first_dirichlet_eig
 from segpart.grid import Mask, build_domain
 from segpart.partition import (
     PartitionProblem,
+    SolveMemo,
     check_feasible,
     cutoff_competitor,
     exterior_sphere_fraction,
@@ -303,6 +305,117 @@ class TestSweep:
         b = optimize(prob, sites=[s2, s1])
         perm = match_components(b, a)
         assert perm == [1, 0]
+
+
+def count_solves(monkeypatch):
+    """Route partition's eigensolves through a recorder; returns the list of
+    (allowed nodes, result) pairs it fills, one per real solve."""
+    solved = []
+
+    def recording(domain, allowed, **kw):
+        res = first_dirichlet_eig(domain, allowed, **kw)
+        solved.append((allowed.nodes.copy(), res))
+        return res
+
+    monkeypatch.setattr(partition, "first_dirichlet_eig", recording)
+    return solved
+
+
+def same_fixed_point(new, old):
+    return np.array_equal(new.lambdas, old.lambdas) and all(
+        np.array_equal(a.nodes, b.nodes) for a, b in zip(new.supports, old.supports)
+    )
+
+
+class TestSolveMemo:
+    def test_every_block_result_equals_a_fresh_solve(self, monkeypatch):
+        dom = build_domain("rectangle", 32, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
+        solved = count_solves(monkeypatch)
+        served = []
+        inner = partition._solve_component
+
+        def recording(allowed, prob, memo):
+            res = inner(allowed, prob, memo)
+            served.append((allowed.copy(), res))
+            return res
+
+        monkeypatch.setattr(partition, "_solve_component", recording)
+        rep = run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 0.0])
+        assert rep.metadata["eig_solves"] == len(solved)
+        assert rep.metadata["eig_memo_hits"] == len(served) - len(solved) > 0
+        # no allowed set is solved twice
+        assert len({nodes.tobytes() for nodes, _ in solved}) == len(solved)
+        # hits and misses alike equal a from-scratch solve, bit for bit
+        for nodes, res in served:
+            fresh = first_dirichlet_eig(
+                dom, Mask(dom, nodes), tol=prob.tol_eig, seed=prob.seed
+            )
+            assert fresh.lam == res.lam
+            assert fresh.residual == res.residual
+            assert fresh.iterations == res.iterations
+            assert fresh.field.values.tobytes() == res.field.values.tobytes()
+
+    def test_confirming_pass_makes_no_solve(self, monkeypatch):
+        dom = build_domain("rectangle", 32, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=0.0625, seed=11, tol_eig=1e-8)
+        solved = count_solves(monkeypatch)
+        passes = []
+        inner = partition.relax_step
+
+        def recording(state, prob, **kw):
+            before = len(solved)
+            new = inner(state, prob, **kw)
+            passes.append((same_fixed_point(new, state), len(solved) - before))
+            return new
+
+        monkeypatch.setattr(partition, "relax_step", recording)
+        state = optimize(prob)
+        confirming = [made for fixed, made in passes if fixed]
+        assert confirming and confirming == [0] * len(confirming)
+        assert state.metadata["eig_solves"] == len(solved)
+        assert state.metadata["eig_memo_hits"] > 0
+
+    def test_no_state_survives_between_sweeps(self, monkeypatch):
+        dom = build_domain("rectangle", 24, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=3, tol_eig=1e-8)
+        solved = count_solves(monkeypatch)
+        first = run_sweep(prob, [1 / 8, 1 / 16, 0.0])
+        made = len(solved)
+        second = run_sweep(prob, [1 / 8, 1 / 16, 0.0])
+        assert len(solved) - made == made
+        assert second.metadata["eig_solves"] == first.metadata["eig_solves"] == made
+        assert second.to_csv_lines() == first.to_csv_lines()
+
+    def test_public_calls_take_a_shared_memo(self):
+        dom = build_domain("rectangle", 24, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=0.0, seed=3, tol_eig=1e-8)
+        memo = SolveMemo()
+        state = optimize(prob, memo=memo)
+        again = relax_step(state, prob, memo=memo)
+        assert len(memo) == state.metadata["eig_solves"]
+        assert np.array_equal(again.lambdas, relax_step(state, prob).lambdas)
+
+    def test_levels_posing_one_problem_add_no_solve(self, monkeypatch):
+        # at n = 48 the slack r - h of r = 1/32, 1/64 and 0 dilates by no
+        # lattice node, so the last two levels pose the r = 1/32 problem again
+        dom = build_domain("rectangle", 48, 2.0, 1.0)
+        r_values = [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0]
+        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
+        solved = count_solves(monkeypatch)
+        starts = {r_values[0]: 0}
+        inner = partition._restore_feasibility
+
+        def marking(supports, prob):
+            starts[prob.r] = len(solved)
+            return inner(supports, prob)
+
+        monkeypatch.setattr(partition, "_restore_feasibility", marking)
+        rep = run_sweep(prob, r_values)
+        ends = [starts[r] for r in r_values[1:]] + [len(solved)]
+        made = {r: end - starts[r] for r, end in zip(r_values, ends)}
+        assert made[1 / 64] == made[0.0] == 0
+        assert rep.metadata["eig_solves"] == len(solved) == 16
 
 
 class TestGradientLocation:
