@@ -69,8 +69,20 @@ _SECTION_KEYS = {
     "check_params": (set(), {"N", "samples", "n", "theta_nodes", "seed"}),
 }
 
-# smallest accepted value of each (integer) check parameter
-_CHECK_PARAM_MIN = {"N": 2, "samples": 256, "n": 2, "theta_nodes": 16, "seed": 0}
+# (section, key): (integer?, lower bound, bound excluded?) of each scalar value
+_VALUE_RULES = {
+    ("grid", "n"): (True, 2, False),
+    ("check_params", "N"): (True, 2, False),
+    ("check_params", "samples"): (True, 256, False),
+    ("check_params", "n"): (True, 2, False),
+    ("check_params", "theta_nodes"): (True, 16, False),
+    ("check_params", "seed"): (True, 0, False),
+    ("tolerances", "eig"): (False, 0, True),
+    ("tolerances", "outer"): (False, 0, True),
+    ("problem", "k"): (True, 1, False),
+    ("problem", "seed"): (True, 0, False),
+    ("problem", "r"): (False, 0, False),
+}
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
@@ -81,6 +93,24 @@ def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _check_value(value, where: str, integer: bool, low, strict: bool) -> None:
+    """Raise ConfigError unless ``value`` is an integer (or, if not
+    ``integer``, a finite number) above ``low`` (``strict``) or at least
+    ``low``; booleans are rejected."""
+    kinds = (int,) if integer else (int, float)
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, kinds)
+        and not (isinstance(value, float) and not math.isfinite(value))
+        and (value > low if strict else value >= low)
+    )
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(
+            f"{where} must be {kind} {'>' if strict else '>='} {low}, got {value!r}"
+        )
 
 
 def load_config(path: str, command: str) -> dict:
@@ -109,12 +139,14 @@ def load_config(path: str, command: str) -> dict:
         for name in checks:
             if name not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r}")
-    for key, value in cfg.get("check_params", {}).items():
-        low = _CHECK_PARAM_MIN[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(
-                f"check_params.{key} must be an integer >= {low}, got {value!r}"
-            )
+    for (section, key), rule in _VALUE_RULES.items():
+        if key in cfg.get(section, {}):
+            _check_value(cfg[section][key], f"{section}.{key}", *rule)
+    r_values = cfg.get("problem", {}).get("r_values", [])
+    if not isinstance(r_values, list):
+        raise ConfigError(f"problem.r_values must be a list, got {r_values!r}")
+    for r in r_values:
+        _check_value(r, "problem.r_values entries", False, 0, False)
     return cfg
 
 
@@ -126,11 +158,8 @@ def _build_domain_from(cfg: dict):
     params = dom["params"]
     if not isinstance(params, list):
         raise ConfigError("domain.params must be a list")
-    n = cfg["grid"]["n"]
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"grid.n must be an integer >= 2, got {n}")
     try:
-        return build_domain(shape, n, *params)
+        return build_domain(shape, cfg["grid"]["n"], *params)
     except EmptyDomainError:
         raise
     except ValueError as exc:

@@ -7,7 +7,9 @@ the diagonal block once (SuperLU, a symmetric minimum-degree ordering, no
 pivoting: the block is SPD) and runs zero-shift inverse iteration.  Within a
 connected component the ground state is simple and the error contracts by
 lambda_1 / lambda_2 per solve, a ratio that near-degenerate clusters on
-different components would push towards 1 on the whole set.
+different components would push towards 1 on the whole set.  The loop's dot
+products and norms are plain numpy reductions that never call BLAS, so the
+results do not depend on the BLAS thread count.
 
 The 1-D references: first zeros of Bessel J_nu (scipy's jv and brentq in
 a classical bracket), the radial ground state of a ball in dimension N in
@@ -107,6 +109,18 @@ def _factor(block: sparse.spmatrix):
     )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b without BLAS: numpy's bundled OpenBLAS runs ``ddot`` on two
+    threads above about 10k elements, which keeps its worker spinning and
+    makes the last bits depend on the thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    """l2 norm of ``a`` without BLAS (see ``_dot``)."""
+    return math.sqrt(_dot(a, a))
+
+
 def _block_ground_state(block: sparse.csr_matrix, tol: float, max_iter: int, seed: int):
     """(lam, x, residual, solves) on one connected block, ``x`` unit l2.
 
@@ -115,10 +129,10 @@ def _block_ground_state(block: sparse.csr_matrix, tol: float, max_iter: int, see
     """
     rng = np.random.default_rng(seed)
     x = 1.0 + 0.01 * rng.random(block.shape[0])
-    x /= np.linalg.norm(x)
+    x /= _norm(x)
     ax = block @ x
-    lam = float(x @ ax)
-    res = float(np.linalg.norm(ax - lam * x))
+    lam = _dot(x, ax)
+    res = _norm(ax - lam * x)
     lu = None
     solves = 0
     while res > tol:
@@ -128,13 +142,13 @@ def _block_ground_state(block: sparse.csr_matrix, tol: float, max_iter: int, see
             lu = _factor(block)
         solves += 1
         y = lu.solve(x)
-        ny_ = np.linalg.norm(y)
+        ny_ = _norm(y)
         if not np.isfinite(ny_) or ny_ == 0.0:
             raise ConvergenceError("inverse iteration produced a null vector", res)
         x = y / ny_
         ax = block @ x
-        lam = float(x @ ax)
-        res = float(np.linalg.norm(ax - lam * x))
+        lam = _dot(x, ax)
+        res = _norm(ax - lam * x)
     return lam, x, res, solves
 
 
@@ -157,8 +171,8 @@ def first_dirichlet_eig(
     last residual if a component hits ``max_iter`` solves before
     ``residual <= tol``.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     nodes = domain.mask if allowed is None else allowed.nodes
     if not nodes.any():
         raise EmptyRegionError("empty region")
@@ -181,11 +195,11 @@ def first_dirichlet_eig(
     if x.sum() < 0:
         x = -x
     x = np.clip(x, 0.0, None)
-    nrm = np.linalg.norm(x)
+    nrm = _norm(x)
     if nrm == 0.0:
         raise ConvergenceError("eigenvector collapsed after sign fix", res)
     x /= nrm
-    lam = float(x @ (block @ x))
+    lam = _dot(x, block @ x)
 
     values = np.zeros(domain.mask.shape)
     values.ravel()[idx_flat[rows]] = x / domain.h  # h-weighted L2 normalization

@@ -615,7 +615,9 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     """Optimize along descending separations, warm-starting each level from
     the previous optimum; components are matched to the r = 0 solution by
     support overlap before distances are reported.  All levels share one
-    :class:`SolveMemo`; the report metadata counts its solves and hits."""
+    :class:`SolveMemo`; the report metadata counts its solves and hits.  A
+    level whose fields equal the previous level's bit for bit reuses its
+    norms."""
     r_values = [float(r) for r in r_values]
     if sorted(r_values, reverse=True) != r_values:
         raise ValueError("r_values must be sorted descending")
@@ -624,6 +626,7 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     rows: list[dict] = []
     states: dict[float, PartitionState] = {}
     prev: PartitionState | None = None
+    per_norms: list[dict] = []
     memo = SolveMemo()
     for r in r_values:
         prob = prob_base.with_r(r)
@@ -639,8 +642,11 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
             rows.append({"r": r, "error": str(exc)})
             continue
         states[r] = state
+        if prev is None or not all(
+            np.array_equal(a.values, b.values) for a, b in zip(state.fields, prev.fields)
+        ):
+            per_norms = [norms(f) for f in state.fields]
         prev = state
-        per_norms = [norms(f) for f in state.fields]
         rows.append(
             {
                 "r": r,

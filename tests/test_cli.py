@@ -85,6 +85,53 @@ class TestConfigValidation:
         key = next(iter(params))
         assert f"config error: check_params.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "n", 1),
+            ("grid", "n", 16.0),
+            ("tolerances", "eig", float("nan")),
+            ("tolerances", "eig", float("inf")),
+            ("tolerances", "eig", [1e-8]),
+            ("tolerances", "eig", 0.0),
+            ("tolerances", "eig", True),
+            ("tolerances", "outer", float("nan")),
+            ("tolerances", "outer", -1e-6),
+            ("problem", "k", [2]),
+            ("problem", "k", 2.7),
+            ("problem", "k", 0),
+            ("problem", "k", True),
+            ("problem", "seed", True),
+            ("problem", "seed", -1),
+            ("problem", "seed", 1.5),
+            ("problem", "r", -0.1),
+            ("problem", "r", float("nan")),
+            ("problem", "r", "0.1"),
+            ("problem", "r", False),
+            ("problem", "r_values", [0.1, float("nan"), 0.0]),
+            ("problem", "r_values", [0.1, -1.0, 0.0]),
+            ("problem", "r_values", [True, 0.0]),
+            ("problem", "r_values", "0.1"),
+        ],
+        ids=["n-one", "n-float", "eig-nan", "eig-inf", "eig-list", "eig-zero", "eig-bool", "outer-nan",
+             "outer-negative", "k-list", "k-float", "k-zero", "k-bool", "seed-bool",
+             "seed-negative", "seed-float", "r-negative", "r-nan", "r-str", "r-bool",
+             "r_values-nan", "r_values-negative", "r_values-bool", "r_values-str"],
+    )
+    def test_bad_problem_and_tolerance_values_exit_2(self, tmp_path, capsys, section,
+                                                     key, value):
+        cfg = {
+            "schema": 1,
+            "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
+            "grid": {"n": 16},
+            "problem": {"k": 2, "r_values": [0.25, 0.0], "seed": 5},
+            "tolerances": {"eig": 1e-7, "outer": 1e-6},
+            "output": {"dir": os.path.join(tmp_path, "o")},
+        }
+        cfg[section][key] = value
+        assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
+
 
 class TestEig:
     def test_square_prints_lambda(self, tmp_path, capsys):

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +10,12 @@ import scipy.optimize
 import scipy.special
 from scipy.linalg import eigh_tridiagonal
 
+import segpart
 from segpart.errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from segpart.eigensolve import (
+    _dot,
     _factor,
+    _norm,
     bessel_first_zero,
     cap_eigenvalue,
     first_dirichlet_eig,
@@ -136,6 +143,44 @@ class TestMaskedEig:
         b = first_dirichlet_eig(dom, tol=1e-9, seed=5)
         assert a.lam == b.lam
         assert np.array_equal(a.field.values, b.field.values)
+
+    @pytest.mark.parametrize("size", [1, 100, 20_000])
+    def test_reductions_match_blas(self, size):
+        # summation order differs from BLAS; positive terms keep it to a few ulps
+        rng = np.random.default_rng(size)
+        a, b = rng.random(size), rng.random(size)
+        assert _dot(a, b) == pytest.approx(float(a @ b), rel=1e-13)
+        assert _norm(a) == pytest.approx(float(np.linalg.norm(a)), rel=1e-13)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol):
+        # res > nan is False, so a NaN tolerance would return the start vector
+        dom = build_domain("square", 16, 1.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            first_dirichlet_eig(dom, tol=tol)
+
+    def test_independent_of_blas_thread_count(self):
+        # the n = 128 square has 16k nodes, above the size at which OpenBLAS
+        # splits a dot product over threads
+        script = (
+            "import hashlib, json\n"
+            "from segpart.eigensolve import first_dirichlet_eig\n"
+            "from segpart.grid import build_domain\n"
+            "res = first_dirichlet_eig(build_domain('square', 128, 1.0), tol=1e-9)\n"
+            "print(json.dumps([res.lam.hex(), res.iterations,\n"
+            "                  hashlib.sha256(res.field.values.tobytes()).hexdigest()]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout
+            runs.append(json.loads(out.splitlines()[-1]))
+        assert runs[0] == runs[1]
 
 
 class TestBesselZero:

@@ -297,6 +297,26 @@ class TestSweep:
         assert lines[0].startswith("r,c_r,lambda_1,lambda_2,lip_max")
         assert len(lines) == 4
 
+    def test_repeated_levels_reuse_their_norms(self, monkeypatch):
+        # at n = 48, seed 11, the levels r = 1/32, 1/64 and 0 return one state
+        dom = build_domain("rectangle", 48, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
+        inner = partition.norms
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return inner(f)
+
+        monkeypatch.setattr(partition, "norms", counting)
+        rep = run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
+        assert len(calls) == 6
+        for row in rep.rows:
+            fresh = [inner(f) for f in rep.states[row["r"]].fields]
+            assert row["lip_max"] == max(q["lip"] for q in fresh)
+            assert row["linf_max"] == max(q["linf"] for q in fresh)
+            assert row["holder_05"] == max(q["holder"] for q in fresh)
+
     def test_component_matching_tracks_labels(self):
         dom = build_domain("rectangle", 32, 2.0, 1.0)
         prob = PartitionProblem(dom, k=2, r=0.0, seed=2, tol_eig=1e-7)
