@@ -49,9 +49,8 @@ from .partition import (
 )
 
 SCHEMA_VERSION = 1
-KNOWN_CHECKS = (
-    "cap", "psi", "gamma", "mean_value", "acf", "cjk", "poincare", "gradient",
-)
+# check_params defaults; their minimums are in _VALUE_RULES
+_CHECK_DEFAULTS = {"N": 3, "samples": 1024, "n": 128, "theta_nodes": 4096, "seed": 0}
 
 _TOP_KEYS = {
     "eig": ({"schema", "domain", "grid", "output"}, {"tolerances"}),
@@ -66,7 +65,7 @@ _SECTION_KEYS = {
     "problem": (set(), {"k", "r", "r_values", "seed"}),
     "tolerances": (set(), {"eig", "outer"}),
     "output": ({"dir"}, set()),
-    "check_params": (set(), {"N", "samples", "n", "theta_nodes", "seed"}),
+    "check_params": (set(), set(_CHECK_DEFAULTS)),
 }
 
 # (section, key): (integer?, lower bound, bound excluded?) of each scalar value
@@ -139,14 +138,20 @@ def load_config(path: str, command: str) -> dict:
         for name in checks:
             if name not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r}")
+        if len(set(checks)) < len(checks):
+            raise ConfigError(f"checks must not repeat a name, got {checks!r}")
     for (section, key), rule in _VALUE_RULES.items():
         if key in cfg.get(section, {}):
             _check_value(cfg[section][key], f"{section}.{key}", *rule)
+    for section, key, strict in (("problem", "r_values", False), ("domain", "params", True)):
+        values = cfg.get(section, {}).get(key, [])
+        if not isinstance(values, list):
+            raise ConfigError(f"{section}.{key} must be a list, got {values!r}")
+        for v in values:
+            _check_value(v, f"{section}.{key} entries", False, 0, strict)
     r_values = cfg.get("problem", {}).get("r_values", [])
-    if not isinstance(r_values, list):
-        raise ConfigError(f"problem.r_values must be a list, got {r_values!r}")
-    for r in r_values:
-        _check_value(r, "problem.r_values entries", False, 0, False)
+    if len(set(r_values)) < len(r_values):
+        raise ConfigError(f"problem.r_values must not repeat a value, got {r_values!r}")
     return cfg
 
 
@@ -155,11 +160,8 @@ def _build_domain_from(cfg: dict):
     shape = dom["shape"]
     if shape not in SHAPE_PARAM_COUNT:
         raise ConfigError(f"unknown shape {shape!r}")
-    params = dom["params"]
-    if not isinstance(params, list):
-        raise ConfigError("domain.params must be a list")
     try:
-        return build_domain(shape, cfg["grid"]["n"], *params)
+        return build_domain(shape, cfg["grid"]["n"], *dom["params"])
     except EmptyDomainError:
         raise
     except ValueError as exc:
@@ -194,6 +196,18 @@ def _log(outdir: str, message: str, verbose: bool) -> None:
         print(message, file=sys.stderr)
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One CSV line per row; floats (numpy's too) as ``repr(float(v))``."""
+    lines = [",".join(header)] + [
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows
+    ]
+    spio.atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_json(outdir: str, name: str, obj) -> None:
+    spio.atomic_write_text(os.path.join(outdir, name), json.dumps(obj, sort_keys=True) + "\n")
+
+
 def cmd_eig(cfg: dict, verbose: bool = False) -> int:
     domain = _build_domain_from(cfg)
     outdir = _outdir(cfg)
@@ -201,10 +215,7 @@ def cmd_eig(cfg: dict, verbose: bool = False) -> int:
     res = first_dirichlet_eig(domain, tol=tol)
     spio.write_field(os.path.join(outdir, "eigenfunction.spf1"), res.field)
     spio.write_mask(os.path.join(outdir, "mask.pgm"), Mask(domain, domain.mask))
-    spio.atomic_write_text(
-        os.path.join(outdir, "eigenresult.json"),
-        json.dumps(res.to_sidecar(), sort_keys=True) + "\n",
-    )
+    _write_json(outdir, "eigenresult.json", res.to_sidecar())
     print(f"lambda1={res.lam!r}")
     _log(outdir, f"eig done lambda={res.lam!r}", verbose)
     return 0
@@ -230,9 +241,7 @@ def cmd_partition(cfg: dict, verbose: bool = False) -> int:
         spio.write_mask(
             os.path.join(outdir, f"support_{i + 1}.pgm"), state.supports[i]
         )
-    spio.atomic_write_text(
-        os.path.join(outdir, "manifest.json"), json.dumps(manifest, sort_keys=True) + "\n"
-    )
+    _write_json(outdir, "manifest.json", manifest)
     print(f"c={state.c!r}")
     _log(
         outdir,
@@ -266,10 +275,7 @@ def cmd_sweep(cfg: dict, verbose: bool = False) -> int:
         "failed_r": failed,
         "rows": len(report.rows),
     }
-    spio.atomic_write_text(
-        os.path.join(outdir, "sweep_summary.json"),
-        json.dumps(summary, sort_keys=True) + "\n",
-    )
+    _write_json(outdir, "sweep_summary.json", summary)
     _log(
         outdir,
         f"sweep done slope={slope!r} failed={failed}"
@@ -281,145 +287,141 @@ def cmd_sweep(cfg: dict, verbose: bool = False) -> int:
     return 0 if ok >= 0.8 * len(report.rows) else 3
 
 
-def _check_rows_to_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    spio.atomic_write_text(path, "\n".join(lines) + "\n")
+# Each verify check takes check_params merged over _CHECK_DEFAULTS and
+# returns (csv header, csv rows, summary); the summary carries "passed".
+def _check_cap(p: dict):
+    nn, nodes = p["N"], p["theta_nodes"]
+    radii = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+    lams = [cap_eigenvalue(nn, r, nodes=nodes).lambda1 for r in radii]
+    err0 = abs(lams[0] - (nn - 1))
+    rise = max(b - a for a, b in zip(lams, lams[1:]))
+    slope = (cap_eigenvalue(nn, 0.01, nodes=nodes).lambda1 - lams[0]) / 0.01
+    return ["r", "lambda"], zip(radii, lams), {
+        "lambda0_error": err0,
+        "slope_at_0": slope,
+        "passed": err0 <= 1e-6 and rise <= 1e-9 and slope < 0,
+    }
+
+
+def _check_psi(p: dict):
+    dim, samples = max(p["N"], 3), p["samples"]
+    prof = build_radial_profile(dim, 1.0, samples)
+
+    def fitted(pr):
+        sel = (pr.s > 0) & (pr.s <= pr.R_bar)
+        return float(np.max(np.abs(pr.psi[sel] - 1.0) / pr.s[sel]))
+
+    c1 = fitted(prof)
+    drift = abs(fitted(build_radial_profile(dim, 1.0, 2 * samples)) - c1) / max(c1, 1e-300)
+    passed = (
+        math.isfinite(c1)
+        and drift <= 0.10
+        and abs(prof.psi[0] - 1.0) <= 1e-8
+        and abs(prof.gamma_phi[-1]) <= 1e-8
+    )
+    return ["r", "psi"], zip(prof.s, prof.psi), {
+        "fitted_C": c1, "doubling_drift": drift, "passed": passed,
+    }
+
+
+def _check_gamma(p: dict):
+    nn = p["N"]
+    rows = [[t, gamma_fun(nn, float(t))] for t in np.linspace(0.0, 2.0 * nn, 41)]
+    v = gamma_fun(nn, float(nn - 1))
+    dv = gamma_fun_derivative(nn, float(nn - 1))
+    return ["t", "gamma"], rows, {
+        "gamma_at_Nm1": v,
+        "dgamma_at_Nm1": dv,
+        "passed": abs(v - 1.0) <= 1e-12 and abs(dv - 1.0 / nn) <= 1e-5,
+    }
+
+
+def _check_mean_value(p: dict):
+    res = first_dirichlet_eig(build_domain("disk", p["n"], 1.0), tol=1e-10)
+    prof = profile_for_lambda(2, res.lam, 1024)
+    radii = [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+    rep = mean_value_check(res.field, res.lam, (0.0, 0.0), radii, prof)
+    return ["r", "average"], zip(rep.radii, rep.values), {
+        "max_violation": rep.max_violation, "passed": rep.max_violation <= 0.01,
+    }
+
+
+def _check_acf(p: dict):
+    dom = build_domain("disk_minus_ball", p["n"], 2.0, 1.0)
+    res = first_dirichlet_eig(dom, tol=1e-8)
+    prof = profile_for_lambda(2, res.lam, 1024)
+    radii = list(np.linspace(4 * dom.h, 0.5, 12))
+    rep = min(
+        (acf_psi_functional(res.field, prof, (0.0, 0.0), radii, cc / prof.R_bar)
+         for cc in (0.0, 1.0, 2.0, 4.0, 8.0)),
+        key=lambda q: q.max_violation,
+    )
+    return ["r", "value"], zip(rep.radii, rep.values), {
+        "max_violation": rep.max_violation,
+        "C": rep.metadata["C"],
+        "passed": rep.max_violation <= 0.02,
+    }
+
+
+def _check_cjk(p: dict):
+    dom = build_domain("rectangle", p["n"], 2.0, 1.0)
+    state = optimize(PartitionProblem(dom, k=2, r=0.0, seed=p["seed"]))
+    radii = list(np.linspace(4 * dom.h, 0.25, 10))
+    rep = cjk_product(state.fields[0], state.fields[1], free_boundary_point(state), radii)
+    ratio = float(rep.values.max() / max(rep.values.min(), 1e-300))
+    return ["r", "value"], zip(rep.radii, rep.values), {
+        "max_min_ratio": ratio, "passed": ratio <= 50.0,
+    }
+
+
+def _check_poincare(p: dict):
+    dom = build_domain("disk_minus_ball", p["n"], 2.0, 1.0)
+    rng = np.random.default_rng(p["seed"])
+    x, y = dom.coords()
+    rows = []
+    for r in (0.25, 0.5, 1.0):
+        for _ in range(40):
+            coef = rng.standard_normal(6)
+            vals = (
+                coef[0]
+                + coef[1] * x + coef[2] * y
+                + coef[3] * np.sin(2 * x) + coef[4] * np.cos(2 * y)
+                + coef[5] * x * y
+            )
+            rows.append([r, poincare_check(ScalarField.from_values(dom, vals), r)])
+    worst = max(0.0, *(q for _, q in rows))
+    return ["r", "ratio"], rows, {"max_ratio": worst, "passed": math.isfinite(worst)}
+
+
+def _check_gradient(p: dict):
+    ratios = {}
+    for shape in ("disk", "square"):
+        dom = build_domain(shape, p["n"], 1.0)
+        res = first_dirichlet_eig(dom, tol=1e-8)
+        ratios[shape] = gradient_location_check(res, dom)["ratio"]
+    return ["shape", "ratio"], ratios.items(), {
+        **{f"ratio_{s}": v for s, v in ratios.items()},
+        "passed": all(v > 0.2 for v in ratios.values()),
+    }
+
+
+_CHECKS = {
+    "cap": _check_cap,
+    "psi": _check_psi,
+    "gamma": _check_gamma,
+    "mean_value": _check_mean_value,
+    "acf": _check_acf,
+    "cjk": _check_cjk,
+    "poincare": _check_poincare,
+    "gradient": _check_gradient,
+}
+KNOWN_CHECKS = tuple(_CHECKS)
 
 
 def _run_check(name: str, params: dict, outdir: str) -> dict:
-    nn = int(params.get("N", 3))
-    if name == "cap":
-        rows = []
-        worst_monot = 0.0
-        prev = None
-        theta_nodes = int(params.get("theta_nodes", 4096))
-        for r in [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]:
-            cs = cap_eigenvalue(nn, r, nodes=theta_nodes)
-            rows.append([r, cs.lambda1])
-            if prev is not None:
-                worst_monot = max(worst_monot, cs.lambda1 - prev)
-            prev = cs.lambda1
-        _check_rows_to_csv(os.path.join(outdir, "cap.csv"), ["r", "lambda"], rows)
-        err0 = abs(rows[0][1] - (nn - 1))
-        slope = (cap_eigenvalue(nn, 0.01, nodes=theta_nodes).lambda1 - rows[0][1]) / 0.01
-        passed = err0 <= 1e-6 and worst_monot <= 1e-9 and slope < 0
-        return {"check": "cap", "passed": bool(passed),
-                "lambda0_error": err0, "slope_at_0": slope}
-    if name == "psi":
-        samples = int(params.get("samples", 1024))
-        prof = build_radial_profile(max(nn, 3), 1.0, samples)
-        prof2 = build_radial_profile(max(nn, 3), 1.0, 2 * samples)
-        rows = [[float(s), float(p)] for s, p in zip(prof.s, prof.psi)]
-        _check_rows_to_csv(os.path.join(outdir, "psi.csv"), ["r", "psi"], rows)
-
-        def fitted(pr):
-            sel = (pr.s > 0) & (pr.s <= pr.R_bar)
-            return float(np.max(np.abs(pr.psi[sel] - 1.0) / pr.s[sel]))
-
-        c1, c2 = fitted(prof), fitted(prof2)
-        drift = abs(c2 - c1) / max(c1, 1e-300)
-        passed = (
-            math.isfinite(c1)
-            and drift <= 0.10
-            and abs(prof.psi[0] - 1.0) <= 1e-8
-            and abs(prof.gamma_phi[-1]) <= 1e-8
-        )
-        return {"check": "psi", "passed": bool(passed), "fitted_C": c1,
-                "doubling_drift": drift}
-    if name == "gamma":
-        rows = []
-        ts = np.linspace(0.0, 2.0 * nn, 41)
-        for t in ts:
-            rows.append([float(t), gamma_fun(nn, float(t))])
-        _check_rows_to_csv(os.path.join(outdir, "gamma.csv"), ["t", "gamma"], rows)
-        v = gamma_fun(nn, float(nn - 1))
-        dv = gamma_fun_derivative(nn, float(nn - 1))
-        passed = abs(v - 1.0) <= 1e-12 and abs(dv - 1.0 / nn) <= 1e-5
-        return {"check": "gamma", "passed": bool(passed),
-                "gamma_at_Nm1": v, "dgamma_at_Nm1": dv}
-    if name == "mean_value":
-        n = int(params.get("n", 128))
-        dom = build_domain("disk", n, 1.0)
-        res = first_dirichlet_eig(dom, tol=1e-10)
-        prof = profile_for_lambda(2, res.lam, 1024)
-        radii = [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
-        rep = mean_value_check(res.field, res.lam, (0.0, 0.0), radii, prof)
-        _check_rows_to_csv(
-            os.path.join(outdir, "mean_value.csv"),
-            ["r", "average"],
-            [[float(r), float(v)] for r, v in zip(rep.radii, rep.values)],
-        )
-        return {"check": "mean_value", "passed": bool(rep.max_violation <= 0.01),
-                "max_violation": rep.max_violation}
-    if name == "acf":
-        n = int(params.get("n", 128))
-        dom = build_domain("disk_minus_ball", n, 2.0, 1.0)
-        res = first_dirichlet_eig(dom, tol=1e-8)
-        prof = profile_for_lambda(2, res.lam, 1024)
-        radii = list(np.linspace(4 * dom.h, 0.5, 12))
-        best, best_c = math.inf, None
-        for cc in [0.0, 1.0, 2.0, 4.0, 8.0]:
-            rep = acf_psi_functional(
-                res.field, prof, (0.0, 0.0), radii, cc / prof.R_bar
-            )
-            if rep.max_violation < best:
-                best, best_c = rep.max_violation, cc / prof.R_bar
-                best_rep = rep
-        best_rep.write_csv(os.path.join(outdir, "acf.csv"))
-        return {"check": "acf", "passed": bool(best <= 0.02),
-                "max_violation": best, "C": best_c}
-    if name == "cjk":
-        n = int(params.get("n", 128))
-        dom = build_domain("rectangle", n, 2.0, 1.0)
-        prob = PartitionProblem(dom, k=2, r=0.0, seed=int(params.get("seed", 0)))
-        state = optimize(prob)
-        pt = free_boundary_point(state)
-        radii = list(np.linspace(4 * dom.h, 0.25, 10))
-        rep = cjk_product(state.fields[0], state.fields[1], pt, radii)
-        rep.write_csv(os.path.join(outdir, "cjk.csv"))
-        vals = rep.values
-        ratio = float(vals.max() / max(vals.min(), 1e-300))
-        return {"check": "cjk", "passed": bool(ratio <= 50.0), "max_min_ratio": ratio}
-    if name == "poincare":
-        n = int(params.get("n", 128))
-        dom = build_domain("disk_minus_ball", n, 2.0, 1.0)
-        rng = np.random.default_rng(int(params.get("seed", 0)))
-        x, y = dom.coords()
-        worst = 0.0
-        rows = []
-        for r in (0.25, 0.5, 1.0):
-            for _ in range(40):
-                coef = rng.standard_normal(6)
-                vals = (
-                    coef[0]
-                    + coef[1] * x + coef[2] * y
-                    + coef[3] * np.sin(2 * x) + coef[4] * np.cos(2 * y)
-                    + coef[5] * x * y
-                )
-                f = ScalarField.from_values(dom, vals)
-                q = poincare_check(f, r)
-                worst = max(worst, q)
-                rows.append([r, q])
-        _check_rows_to_csv(os.path.join(outdir, "poincare.csv"), ["r", "ratio"], rows)
-        return {"check": "poincare", "passed": bool(math.isfinite(worst)),
-                "max_ratio": worst}
-    if name == "gradient":
-        n = int(params.get("n", 128))
-        out = {}
-        for shape, args in (("disk", (1.0,)), ("square", (1.0,))):
-            dom = build_domain(shape, n, *args)
-            res = first_dirichlet_eig(dom, tol=1e-8)
-            out[shape] = gradient_location_check(res, dom)["ratio"]
-        _check_rows_to_csv(
-            os.path.join(outdir, "gradient.csv"),
-            ["shape", "ratio"],
-            [[s, float(v)] for s, v in out.items()],
-        )
-        return {"check": "gradient", "passed": bool(all(v > 0.2 for v in out.values())),
-                **{f"ratio_{s}": v for s, v in out.items()}}
-    raise ConfigError(f"unknown check {name!r}")
+    header, rows, summary = _CHECKS[name]({**_CHECK_DEFAULTS, **params})
+    _write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
+    return {"check": name, **summary, "passed": bool(summary["passed"])}
 
 
 def cmd_verify(cfg: dict, verbose: bool = False) -> int:
@@ -428,9 +430,7 @@ def cmd_verify(cfg: dict, verbose: bool = False) -> int:
     checks = cfg["checks"]
     results = [_run_check(name, params, outdir) for name in checks]
     summary = {"checks": results, "passed": all(r["passed"] for r in results)}
-    spio.atomic_write_text(
-        os.path.join(outdir, "verify.json"), json.dumps(summary, sort_keys=True) + "\n"
-    )
+    _write_json(outdir, "verify.json", summary)
     for r in results:
         print(f"{r['check']}: {'pass' if r['passed'] else 'FAIL'}")
     _log(outdir, f"verify done passed={summary['passed']}", verbose)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
+from scipy.ndimage import find_objects
 from scipy.ndimage import label as nd_label
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
@@ -167,9 +168,11 @@ def first_dirichlet_eig(
     is the component with the lowest eigenvalue (the lowest label on an
     exact tie); the field is zero on every other component, sign-normalized
     nonnegative and L2-normalized (h-weighted).  ``iterations`` counts the
-    solves on the returned component.  Raises ``ConvergenceError`` with the
-    last residual if a component hits ``max_iter`` solves before
-    ``residual <= tol``.
+    solves on the returned component.  A component whose bounding-box
+    eigenvalue already exceeds the best lambda found is not solved, so a
+    nearly degenerate component that cannot win does not stall the solve.
+    Raises ``ConvergenceError`` with the last residual if a solved component
+    hits ``max_iter`` solves before ``residual <= tol``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -184,13 +187,25 @@ def first_dirichlet_eig(
     bounds = np.searchsorted(row_label[order], np.arange(1, nlab + 2))
     A = A[order][:, order]
 
+    # lambda_1 of each component's bounding lattice box bounds the
+    # component's own from below (its block is a principal submatrix of the
+    # box's: Cauchy interlacing), so components are solved in ascending
+    # bound and those whose bound exceeds the best lambda by more than
+    # rounding are never solved
+    floors = np.array([
+        sum(math.sin(math.pi / (2 * (sl.stop - sl.start + 1))) ** 2 for sl in box)
+        for box in find_objects(labels)
+    ]) * (4.0 / domain.h**2)
     best = None
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    for c in np.argsort(floors, kind="stable"):
+        if best is not None and floors[c] > best[0] * (1 + 1e-9):
+            break  # this component and all later ones cannot win
+        start, stop = bounds[c], bounds[c + 1]
         block = A[start:stop, start:stop]
         lam, x, res, solves = _block_ground_state(block, tol, max_iter, seed)
-        if best is None or lam < best[0]:
-            best = (lam, x, res, solves, block, order[start:stop])
-    _, x, res, iterations, block, rows = best
+        if best is None or (lam, c) < best[:2]:
+            best = (lam, c, x, res, solves, block, order[start:stop])
+    _, _, x, res, iterations, block, rows = best
 
     if x.sum() < 0:
         x = -x
@@ -316,11 +331,9 @@ def cap_eigenvalue(dim: int, r: float, nodes: int = 4096) -> CapSpectrum:
     diag[0] = 2.0 * (dim - 1) / dt**2 * scale0
     off[0] = -2.0 * (dim - 1) / dt**2 * scale0
     bdiag[0] = scale0
-    for i in range(1, m):
-        diag[i] = (a_half[i - 1] + a_half[i]) / dt**2
-        if i < m - 1:
-            off[i] = -a_half[i] / dt**2
-        bdiag[i] = weight[i]
+    diag[1:] = (a_half[:-1] + a_half[1:]) / dt**2
+    off[1:] = -a_half[1:-1] / dt**2
+    bdiag[1:] = weight[1:]
     # last unknown couples to w(theta_r) = 0 through a_half[m-1]
 
     d_inv_sqrt = 1.0 / np.sqrt(bdiag)

@@ -25,7 +25,6 @@ captured exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +34,6 @@ from scipy.integrate import cumulative_simpson
 from .errors import ConstraintViolationError
 from .eigensolve import _ball_lambda, _first_zero, _radial_phi, exterior_ball_nodes
 from .grid import GridDomain, ScalarField, discrete_gradient
-from .io import atomic_write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,23 +74,6 @@ class MonotonicityReport:
     values: np.ndarray
     max_violation: float
     metadata: dict = field(default_factory=dict)
-
-    def write_csv(self, path: str) -> None:
-        lines = ["r,value"]
-        for r, v in zip(self.radii, self.values):
-            lines.append(f"{float(r)!r},{float(v)!r}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
-
-    def summary(self) -> dict:
-        fitted = {
-            k: v
-            for k, v in self.metadata.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
-        return {"max_violation": self.max_violation, "fitted_constants": fitted}
-
-    def write_summary(self, path: str) -> None:
-        atomic_write_text(path, json.dumps(self.summary(), sort_keys=True) + "\n")
 
 
 def _consecutive_decrease(values: np.ndarray) -> float:
@@ -227,7 +208,6 @@ def mean_value_check(
     center: tuple[float, float],
     radii,
     profile: RadialProfile,
-    subsolution_tol: float | None = None,
 ) -> MonotonicityReport:
     """Normalized ball averages of a nonnegative eigen-subsolution.
 
@@ -267,9 +247,7 @@ def mean_value_check(
     # skip the outermost ring, where the stencil reaches outside the region
     inner = region & (rho <= rmax - dom.h)
     defect = (-lapv - lam * v.values)[inner]
-    tol = subsolution_tol
-    if tol is None:
-        tol = 1e-9 * max(1.0, lam * float(v.values.max()))
+    tol = 1e-9 * max(1.0, lam * float(v.values.max()))
     if defect.size and float(defect.max()) > tol:
         raise ConstraintViolationError(
             f"field is not a lambda-subsolution on the sampled balls "

@@ -40,7 +40,7 @@ domain alive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +63,9 @@ from .grid import (
     rayleigh_quotient,
 )
 
+_MAX_OUTER = 50  # block passes per optimize run
+_RESTARTS = 3  # cold-start restarts per optimize call
+
 
 @dataclass(frozen=True, eq=False)
 class PartitionProblem:
@@ -74,7 +77,6 @@ class PartitionProblem:
     seed: int = 0
     tol_outer: float = 1e-6
     tol_eig: float = 1e-8
-    max_outer: int = 50
     tau: float = 1e-3
 
     def __post_init__(self):
@@ -88,10 +90,7 @@ class PartitionProblem:
             raise InfeasibleError("infeasible r")
 
     def with_r(self, r: float) -> "PartitionProblem":
-        return PartitionProblem(
-            self.domain, self.k, r, self.seed, self.tol_outer,
-            self.tol_eig, self.max_outer, self.tau,
-        )
+        return replace(self, r=r)
 
 
 @dataclass(eq=False)
@@ -262,7 +261,6 @@ def _solve_component(
 def init_partition(
     prob: PartitionProblem,
     sites: list[tuple[int, int]] | None = None,
-    lloyd: bool | None = None,
     seed: int | None = None,
     *,
     memo: SolveMemo | None = None,
@@ -277,8 +275,6 @@ def init_partition(
     flat_mask = np.flatnonzero(domain.mask.ravel())
     margin = prob.r / 2.0 + domain.h
     explicit = sites is not None
-    if lloyd is None:
-        lloyd = not explicit
     cells = None
     for _ in range(50):
         if not explicit:
@@ -286,7 +282,7 @@ def init_partition(
                 raise InfeasibleError("infeasible r")
             picks = rng.choice(flat_mask, size=prob.k, replace=False)
             sites = [tuple(np.unravel_index(p, domain.mask.shape)) for p in picks]
-        trial_sites = _lloyd_sites(domain, sites) if lloyd else sites
+        trial_sites = sites if explicit else _lloyd_sites(domain, sites)
         trial = voronoi_cells(domain, trial_sites)
         eroded = [erode(Mask(domain, c), margin).nodes for c in trial]
         if all(e.any() for e in eroded):
@@ -376,7 +372,7 @@ def _optimize_from(
     quiet = 0
     stalled = False
     passes = 0
-    for passes in range(1, prob.max_outer + 1):
+    for passes in range(1, _MAX_OUTER + 1):
         new = relax_step(state, prob, memo=memo)
         drop = (state.c - new.c) / max(abs(state.c), 1e-300)
         if new.c < best.c:
@@ -404,16 +400,15 @@ def optimize(
     prob: PartitionProblem,
     initial: PartitionState | None = None,
     sites: list[tuple[int, int]] | None = None,
-    restarts: int = 3,
     *,
     memo: SolveMemo | None = None,
 ) -> PartitionState:
     """Iterate block passes until the relative energy decrease stays below
     tol_outer for three consecutive passes, a pass returns its input
-    supports and eigenvalues unchanged, or max_outer passes have run;
+    supports and eigenvalues unchanged, or 50 passes have run;
     returns the best state seen.  Deterministic for a fixed problem and seed.
 
-    Cold starts run a few deterministic restarts (sub-seeds derived from the
+    Cold starts run three deterministic restarts (sub-seeds derived from the
     problem seed) and keep the lowest energy: the centroidal initialization
     has more than one stable basin (a 2:1 rectangle also supports the
     stacked-strips tessellation) and block passes cannot leave a basin.
@@ -430,7 +425,7 @@ def optimize(
         best = _optimize_from(prob, initial, memo)
     else:
         best = None
-        for j in range(max(restarts, 1)):
+        for j in range(_RESTARTS):
             start = init_partition(prob, seed=prob.seed + 9176 * j, memo=memo)
             out = _optimize_from(prob, start, memo)
             out.metadata["restart"] = j

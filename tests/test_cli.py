@@ -59,6 +59,16 @@ class TestConfigValidation:
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 2
 
+    def test_repeated_check_name(self, tmp_path, capsys):
+        cfg = {
+            "schema": 1,
+            "checks": ["gamma", "cap", "gamma"],
+            "output": {"dir": os.path.join(tmp_path, "o")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 2
+        assert "config error: checks must not repeat" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output"]["dir"])
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -112,11 +122,20 @@ class TestConfigValidation:
             ("problem", "r_values", [0.1, -1.0, 0.0]),
             ("problem", "r_values", [True, 0.0]),
             ("problem", "r_values", "0.1"),
+            ("problem", "r_values", [0.1, 0.1, 0.0]),
+            ("problem", "r_values", [0.1, 0, 0.0]),
+            ("domain", "params", [True, 1.0]),
+            ("domain", "params", ["2", 1.0]),
+            ("domain", "params", [2.0, 0.0]),
+            ("domain", "params", [2.0, float("nan")]),
+            ("domain", "params", 2.0),
         ],
         ids=["n-one", "n-float", "eig-nan", "eig-inf", "eig-list", "eig-zero", "eig-bool", "outer-nan",
              "outer-negative", "k-list", "k-float", "k-zero", "k-bool", "seed-bool",
              "seed-negative", "seed-float", "r-negative", "r-nan", "r-str", "r-bool",
-             "r_values-nan", "r_values-negative", "r_values-bool", "r_values-str"],
+             "r_values-nan", "r_values-negative", "r_values-bool", "r_values-str",
+             "r_values-repeated", "r_values-repeated-zero", "params-bool", "params-str",
+             "params-zero", "params-nan", "params-scalar"],
     )
     def test_bad_problem_and_tolerance_values_exit_2(self, tmp_path, capsys, section,
                                                      key, value):
@@ -302,7 +321,40 @@ class TestSweep:
         assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
 
 
+# each check's CSV header and the fields of its verify.json entry
+CHECK_OUTPUTS = {
+    "cap": ("r,lambda", {"lambda0_error", "slope_at_0"}),
+    "psi": ("r,psi", {"fitted_C", "doubling_drift"}),
+    "gamma": ("t,gamma", {"gamma_at_Nm1", "dgamma_at_Nm1"}),
+    "mean_value": ("r,average", {"max_violation"}),
+    "acf": ("r,value", {"max_violation", "C"}),
+    "cjk": ("r,value", {"max_min_ratio"}),
+    "poincare": ("r,ratio", {"max_ratio"}),
+    "gradient": ("shape,ratio", {"ratio_disk", "ratio_square"}),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("name", cli.KNOWN_CHECKS)
+    def test_check_writes_its_csv_and_summary(self, tmp_path, capsys, name):
+        header, fields = CHECK_OUTPUTS[name]
+        outdir = os.path.join(tmp_path, "v")
+        cfg = {
+            "schema": 1,
+            "checks": [name],
+            "check_params": {"n": 32, "theta_nodes": 64, "samples": 512},
+            "output": {"dir": outdir},
+        }
+        code = cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)])
+        assert sorted(os.listdir(outdir)) == sorted([f"{name}.csv", "run.log", "verify.json"])
+        lines = open(os.path.join(outdir, f"{name}.csv")).read().splitlines()
+        assert lines[0] == header and len(lines) > 1
+        assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+        (entry,) = json.load(open(os.path.join(outdir, "verify.json")))["checks"]
+        assert set(entry) == {"check", "passed"} | fields
+        assert entry["check"] == name and entry["passed"] is (code == 0)
+        assert capsys.readouterr().out == f"{name}: {'pass' if code == 0 else 'FAIL'}\n"
+
     def test_gamma_and_cap_checks_pass(self, tmp_path, capsys):
         cfg = {
             "schema": 1,

@@ -6,11 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.ndimage
 import scipy.optimize
 import scipy.special
 from scipy.linalg import eigh_tridiagonal
 
 import segpart
+from segpart import eigensolve
 from segpart.errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from segpart.eigensolve import (
     _dot,
@@ -109,6 +111,46 @@ class TestMaskedEig:
         assert a.lam == b.lam and a.residual == b.residual
         assert a.iterations == b.iterations
         assert np.array_equal(a.field.values, b.field.values)
+
+    def test_components_that_cannot_win_are_not_solved(self, monkeypatch):
+        # single nodes have lambda 4/h^2, their box bound exactly; the square
+        # block is far below it, so only the square is ever solved
+        dom = build_domain("square", 16, 1.0)
+        nodes = np.zeros(dom.mask.shape, dtype=bool)
+        nodes[2:9, 2:9] = True
+        nodes[12, 12] = nodes[14, 3] = nodes[3, 14] = True
+        calls = []
+        real = eigensolve._block_ground_state
+        monkeypatch.setattr(
+            eigensolve, "_block_ground_state",
+            lambda block, *args: calls.append(block.shape[0]) or real(block, *args),
+        )
+        res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+        assert calls == [49]
+        assert res.lam == pytest.approx(2 * 4 / dom.h**2 * math.sin(math.pi / 16) ** 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_skipping_matches_solving_every_component(self, seed):
+        # many components on a sparse random mask: the result is bit for bit
+        # the best of the components solved one at a time, and each
+        # component's bounding-box bound stays below its own lambda
+        rng = np.random.default_rng(seed)
+        dom = build_domain("square", 20, 1.0)
+        nodes = dom.mask & (rng.random(dom.mask.shape) < 0.55)
+        labels, nlab = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        solo = []
+        for c, box in enumerate(scipy.ndimage.find_objects(labels)):
+            r = first_dirichlet_eig(dom, Mask(dom, labels == c + 1), tol=1e-9)
+            floor = 4 / dom.h**2 * sum(
+                math.sin(math.pi / (2 * (sl.stop - sl.start + 1))) ** 2 for sl in box
+            )
+            assert floor <= r.lam * (1 + 1e-12)
+            solo.append(r)
+        best = min(solo, key=lambda r: r.lam)
+        res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+        assert nlab > 5
+        assert res.lam == best.lam and res.iterations == best.iterations
+        assert np.array_equal(res.field.values, best.field.values)
 
     def test_factor_fill_stays_low(self):
         # the fill sets the factor's memory; COLAMD gives about 1.19e6 here

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ import segpart as sp
 from segpart.errors import ConstraintViolationError
 from segpart.grid import ScalarField, build_domain, discrete_gradient
 from segpart.monotonicity import (
-    MonotonicityReport,
     acf_psi_functional,
     ball_sum,
     build_radial_profile,
@@ -291,21 +289,3 @@ class TestCjk:
         pos = ScalarField.from_values(dom, np.clip(x - 0.5, 0, None))
         with pytest.raises(ConstraintViolationError):
             cjk_product(neg, pos, (0.5, 0.5), [0.1])
-
-
-class TestReportSerialization:
-    def test_csv_and_summary(self, tmp_path):
-        rep = MonotonicityReport(
-            np.array([0.1, 0.2]), np.array([1.0, 2.0]), 0.0,
-            metadata={"C": 1.5, "variant": "planar"},
-        )
-        csv_path = str(tmp_path / "rep.csv")
-        rep.write_csv(csv_path)
-        lines = open(csv_path).read().strip().splitlines()
-        assert lines[0] == "r,value"
-        assert lines[1].startswith("0.1,")
-        json_path = str(tmp_path / "rep.json")
-        rep.write_summary(json_path)
-        out = json.load(open(json_path))
-        assert out["max_violation"] == 0.0
-        assert out["fitted_constants"]["C"] == 1.5
