@@ -3,13 +3,16 @@
 The 2-D solver works per 4-connected component of the allowed node set.  The
 5-point Laplacian is block-diagonal over components, so each component's
 ground state is an eigenpair of the whole set.  On each component it factors
-the diagonal block once (SuperLU, a symmetric minimum-degree ordering, no
-pivoting: the block is SPD) and runs zero-shift inverse iteration.  Within a
-connected component the ground state is simple and the error contracts by
-lambda_1 / lambda_2 per solve, a ratio that near-degenerate clusters on
-different components would push towards 1 on the whole set.  The loop's dot
-products and norms are plain numpy reductions that never call BLAS, so the
-results do not depend on the BLAS thread count.
+the diagonal block shifted by sigma = 0.99 * floor once (SuperLU, a symmetric
+minimum-degree ordering, no pivoting) and runs shifted inverse iteration.
+The floor is lambda_1 of the component's bounding lattice box, a lower bound
+on the component's own lambda_1 by Cauchy interlacing, so the shifted block
+stays SPD.  Within a connected component the ground state is simple and the
+error contracts by (lambda_1 - sigma) / (lambda_2 - sigma) per solve, always
+below the zero-shift ratio lambda_1 / lambda_2, which near-degenerate
+clusters on different components would push towards 1 on the whole set.
+The loop's dot products and norms are plain numpy reductions that never
+call BLAS, so the results do not depend on the BLAS thread count.
 
 The 1-D references: first zeros of Bessel J_nu (scipy's jv and brentq in
 a classical bracket), the radial ground state of a ball in dimension N in
@@ -36,6 +39,9 @@ from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from .grid import GridDomain, Mask, ScalarField, gradient_magnitude
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+# inverse-iteration shift as a fraction of the component's eigenvalue floor:
+# the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
+_SHIFT = 0.99
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,16 +98,21 @@ def masked_laplacian(domain: GridDomain, allowed: np.ndarray):
     return A, idx_flat
 
 
-def _factor(block: sparse.spmatrix):
-    """SuperLU factor of one SPD diagonal block of ``masked_laplacian``.
+def _factor(block: sparse.spmatrix, shift: float = 0.0):
+    """SuperLU factor of ``block - shift * I`` for one SPD diagonal block of
+    ``masked_laplacian`` and a shift below its smallest eigenvalue.
 
-    The block is SPD, so diagonal pivots are safe.  Minimum degree on
+    The shifted block is SPD, so diagonal pivots are safe.  The shift goes
+    onto the diagonal of the CSC copy, whose pattern already holds every
+    diagonal entry, so no second matrix is built.  Minimum degree on
     A^T + A without supernode relaxation gives about half the fill of the
     default COLAMD ordering (L + U about 6.5e5 nonzeros on the full n=128
     square, against 1.2e6), and the fill sets the factor's memory.
     """
+    csc = block.tocsc(copy=True)
+    csc.setdiag(csc.diagonal() - shift)
     return splu(
-        block.tocsc(),
+        csc,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         relax=1,
@@ -122,11 +133,16 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _block_ground_state(block: sparse.csr_matrix, tol: float, max_iter: int, seed: int):
+def _block_ground_state(
+    block: sparse.csr_matrix, floor: float, tol: float, max_iter: int, seed: int
+):
     """(lam, x, residual, solves) on one connected block, ``x`` unit l2.
 
-    A start vector that already meets ``tol`` (a single node does) is
-    returned without a factor or a solve.
+    Inverse iteration with ``block - _SHIFT * floor * I``, where ``floor``
+    is a lower bound on the block's smallest eigenvalue; the Rayleigh
+    quotient and the residual are taken on the unshifted block.  A start
+    vector that already meets ``tol`` (a single node does) is returned
+    without a factor or a solve.
     """
     rng = np.random.default_rng(seed)
     x = 1.0 + 0.01 * rng.random(block.shape[0])
@@ -140,7 +156,7 @@ def _block_ground_state(block: sparse.csr_matrix, tol: float, max_iter: int, see
         if solves >= max_iter:
             raise ConvergenceError("eigensolver did not converge", res)
         if lu is None:
-            lu = _factor(block)
+            lu = _factor(block, _SHIFT * floor)
         solves += 1
         y = lu.solve(x)
         ny_ = _norm(y)
@@ -163,8 +179,11 @@ def first_dirichlet_eig(
     """Smallest eigenpair of the 5-point Laplacian on the allowed nodes.
 
     Each 4-connected component of the allowed set is solved on its own: one
-    sparse LU factor of its block, then zero-shift inverse iteration from a
-    start vector drawn with ``seed`` until ``residual <= tol``.  The result
+    sparse LU factor of its block shifted by 0.99 times its bounding-box
+    eigenvalue floor, then shifted inverse iteration from a start vector
+    drawn with ``seed`` until ``residual <= tol``; each solve contracts the
+    error by (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma,
+    and the residual is that of the unshifted block.  The result
     is the component with the lowest eigenvalue (the lowest label on an
     exact tie); the field is zero on every other component, sign-normalized
     nonnegative and L2-normalized (h-weighted).  ``iterations`` counts the
@@ -190,8 +209,8 @@ def first_dirichlet_eig(
     # lambda_1 of each component's bounding lattice box bounds the
     # component's own from below (its block is a principal submatrix of the
     # box's: Cauchy interlacing), so components are solved in ascending
-    # bound and those whose bound exceeds the best lambda by more than
-    # rounding are never solved
+    # bound, those whose bound exceeds the best lambda by more than
+    # rounding are never solved, and the bound sets each solve's shift
     floors = np.array([
         sum(math.sin(math.pi / (2 * (sl.stop - sl.start + 1))) ** 2 for sl in box)
         for box in find_objects(labels)
@@ -202,7 +221,7 @@ def first_dirichlet_eig(
             break  # this component and all later ones cannot win
         start, stop = bounds[c], bounds[c + 1]
         block = A[start:stop, start:stop]
-        lam, x, res, solves = _block_ground_state(block, tol, max_iter, seed)
+        lam, x, res, solves = _block_ground_state(block, floors[c], tol, max_iter, seed)
         if best is None or (lam, c) < best[:2]:
             best = (lam, c, x, res, solves, block, order[start:stop])
     _, _, x, res, iterations, block, rows = best

@@ -174,6 +174,18 @@ class TestEig:
         assert code == 2
         assert "empty domain" in capsys.readouterr().err
 
+    def test_residual_and_solves_reach_the_log_only(self, tmp_path, capsys):
+        cfg = eig_config(tmp_path)
+        assert cli.main(["eig", "--config", write_config(tmp_path, "c.json", cfg), "-v"]) == 0
+        outdir = cfg["output"]["dir"]
+        sidecar = json.load(open(os.path.join(outdir, "eigenresult.json")))
+        line = f"residual={sidecar['residual']!r} solves={sidecar['iterations']}"
+        assert line in capsys.readouterr().err
+        assert line in open(os.path.join(outdir, "run.log")).read()
+        for name in os.listdir(outdir):
+            if name != "run.log":
+                assert b"solves" not in open(os.path.join(outdir, name), "rb").read()
+
     def test_output_dir_created(self, tmp_path):
         cfg = eig_config(tmp_path, outname="deep/nested/dir")
         code = cli.main(["eig", "--config", write_config(tmp_path, "c.json", cfg)])
@@ -415,6 +427,29 @@ class TestVerify:
         psi_rows = open(os.path.join(cfg["output"]["dir"], "psi.csv")).read().splitlines()
         first = psi_rows[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+
+    @pytest.mark.parametrize("name, n", [("acf", 32), ("cjk", 16)])
+    def test_check_fails_when_radii_collapse(self, tmp_path, capsys, name, n):
+        # the smallest radius, 4h, reaches the largest: acf's 0.5 at h = 4/32,
+        # cjk's 0.25 at h = 1/16, and the ball would be compared with itself
+        cfg = {
+            "schema": 1,
+            "checks": [name],
+            "check_params": {"n": n, "seed": 5},
+            "output": {"dir": os.path.join(tmp_path, "vr")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 1
+        assert capsys.readouterr().out == f"{name}: FAIL\n"
+
+    def test_all_checks_pass_at_n48(self, tmp_path, capsys):
+        cfg = {
+            "schema": 1,
+            "checks": list(cli.KNOWN_CHECKS),
+            "check_params": {"n": 48, "seed": 11},
+            "output": {"dir": os.path.join(tmp_path, "va")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
+        assert capsys.readouterr().out.count(": pass\n") == len(cli.KNOWN_CHECKS)
 
     def test_failed_check_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.ndimage
 import scipy.optimize
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import segpart
@@ -223,6 +226,39 @@ class TestMaskedEig:
             ).stdout
             runs.append(json.loads(out.splitlines()[-1]))
         assert runs[0] == runs[1]
+
+    def test_shift_cuts_the_solve_count(self, square_eig_128, disk_eig_128):
+        # zero-shift inverse iteration takes 16 and 15 solves at tol 1e-9
+        assert square_eig_128[1].iterations <= 6
+        assert disk_eig_128[1].iterations <= 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 20),
+        density=st.floats(0.2, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_eigvalsh_above_the_shift(self, n, density, seed):
+        dom = build_domain("square", n, 1.0)
+        nodes = dom.mask & (np.random.default_rng(seed).random(dom.mask.shape) < density)
+        assume(nodes.any())
+        solved = []
+        real = eigensolve._block_ground_state
+
+        def spy(block, floor, *args):
+            out = real(block, floor, *args)
+            solved.append((floor, out[0]))
+            return out
+
+        with mock.patch.object(eigensolve, "_block_ground_state", spy):
+            res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+        labels, _ = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        carrier = labels == labels.flat[np.argmax(res.field.values)]
+        block, _ = masked_laplacian(dom, carrier)
+        assert res.lam == pytest.approx(np.linalg.eigvalsh(block.toarray())[0], rel=1e-8)
+        assert np.all(res.field.values[~carrier] == 0.0)
+        # every shifted block stayed SPD: the shift sat below each lambda
+        assert all(eigensolve._SHIFT * floor < lam for floor, lam in solved)
 
 
 class TestBesselZero:
