@@ -1,7 +1,8 @@
 """First Dirichlet eigenpairs of the masked Laplacian and 1-D reference solvers.
 
-The 2-D solver works per 4-connected component of the allowed node set.  The
-5-point Laplacian is block-diagonal over components, so each component's
+The 2-D solver works per 4-connected component of the allowed node set,
+found by scipy's csgraph from the 5-point Laplacian's own sparsity pattern.
+The Laplacian is block-diagonal over components, so each component's
 ground state is an eigenpair of the whole set.  On each component it factors
 the diagonal block shifted by sigma = 0.99 * floor once (SuperLU, a symmetric
 minimum-degree ordering, no pivoting) and runs shifted inverse iteration.
@@ -29,16 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.ndimage import find_objects
-from scipy.ndimage import label as nd_label
-from scipy.optimize import brentq
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-from scipy.special import hyp0f1, jv
 
 from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from .grid import GridDomain, Mask, ScalarField, gradient_magnitude
 
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
 _SHIFT = 0.99
@@ -199,21 +196,28 @@ def first_dirichlet_eig(
     if not nodes.any():
         raise EmptyRegionError("empty region")
     A, idx_flat = masked_laplacian(domain, nodes)
-    labels, nlab = nd_label(nodes, structure=_FOUR_CONN)
+    # the off-diagonal pattern is the 4-connectivity; components are numbered
+    # by their lowest row, i.e. in raster order
+    nlab, row_label = connected_components(A, directed=False)
     # group rows by component, keeping flat-index order within each
-    row_label = labels.ravel()[idx_flat]
     order = np.argsort(row_label, kind="stable")
-    bounds = np.searchsorted(row_label[order], np.arange(1, nlab + 2))
+    bounds = np.searchsorted(row_label[order], np.arange(nlab + 1))
     A = A[order][:, order]
 
     # lambda_1 of each component's bounding lattice box bounds the
     # component's own from below (its block is a principal submatrix of the
     # box's: Cauchy interlacing), so components are solved in ascending
     # bound, those whose bound exceeds the best lambda by more than
-    # rounding are never solved, and the bound sets each solve's shift
+    # rounding are never solved, and the bound sets each solve's shift; a box
+    # of m nodes along an axis adds (4/h^2) sin^2(pi / (2 (m + 1)))
+    starts = bounds[:-1]
+    mi, mj = (
+        (np.maximum.reduceat(k, starts) - np.minimum.reduceat(k, starts) + 1).tolist()
+        for k in np.divmod(idx_flat[order], nodes.shape[1])
+    )
     floors = np.array([
-        sum(math.sin(math.pi / (2 * (sl.stop - sl.start + 1))) ** 2 for sl in box)
-        for box in find_objects(labels)
+        math.sin(math.pi / (2 * (a + 1))) ** 2 + math.sin(math.pi / (2 * (b + 1))) ** 2
+        for a, b in zip(mi, mj)
     ]) * (4.0 / domain.h**2)
     best = None
     for c in np.argsort(floors, kind="stable"):
@@ -251,6 +255,12 @@ def _first_zero(nu: float, tol: float = 1e-12) -> float:
     sqrt(nu (nu + 2)) < j_{nu,1} < sqrt(nu + 1) (sqrt(nu + 2) + 1),
     which holds no other zero of J_nu.
     """
+    # imported here, not at module top: scipy.optimize and scipy.special
+    # would add about 0.2 s to every command's start-up, and only verify
+    # calls the 1-D references
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
     lo = math.sqrt(nu * (nu + 2.0))
     hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
     return brentq(lambda x: jv(nu, x), lo, hi, xtol=tol)
@@ -266,6 +276,8 @@ def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
 def _radial_phi(dim: int, lambda_bar: float, s: np.ndarray | float) -> np.ndarray:
     """phi(s) = 0F1(; N/2; -lambda s^2 / 4) = Gamma(nu+1) (2/ks)^nu J_nu(ks),
     nu = N/2 - 1, k = sqrt(lambda): the regular radial solution, phi(0) = 1."""
+    from scipy.special import hyp0f1  # at first use, as in _first_zero
+
     s = np.asarray(s, dtype=float)
     return hyp0f1(dim / 2.0, -0.25 * lambda_bar * s * s)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 
@@ -203,6 +202,10 @@ def _distance_to(true_nodes: np.ndarray, h: float) -> np.ndarray:
     ``distance_transform_edt``): the root of an exact integer squared index
     distance, scaled by ``h``.
     """
+    # imported at first use: scipy.ndimage (and the scipy.special it loads)
+    # costs about 0.1 s of start-up, and eig never computes a distance
+    from scipy.ndimage import distance_transform_edt
+
     if not true_nodes.any():
         raise EmptyRegionError("distance transform of an empty node set")
     return distance_transform_edt(~true_nodes) * h

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import ConstraintViolationError
 from .eigensolve import _ball_lambda, _first_zero, _radial_phi, exterior_ball_nodes
@@ -115,6 +114,10 @@ def gamma_psi_from_phi(
     cumulative Simpson sweep from the outer endpoint in the variable
     u = t^(2-N); psi = s^(N-2) phi^2 Gamma with psi(0) pinned at its limit.
     """
+    # imported at first use: scipy.integrate would add to every command's
+    # start-up, and only verify's psi check gets here
+    from scipy.integrate import cumulative_simpson
+
     if dim < 3:
         raise ValueError("Gamma/psi require dimension at least 3")
     if s[0] != 0.0:
@@ -151,10 +154,13 @@ def gamma_fun(dim: int, t: float) -> float:
     return math.sqrt(half * half + t) - half
 
 
-def gamma_fun_derivative(dim: int, t: float, dt: float = 1e-6) -> float:
-    """Central-difference derivative, exposed for the slope checks."""
-    lo = max(t - dt, 0.0)
-    return (gamma_fun(dim, t + dt) - gamma_fun(dim, lo)) / (t + dt - lo)
+def gamma_fun_derivative(dim: int, t: float) -> float:
+    """gamma'(t) = 1 / (2 sqrt(((N-2)/2)^2 + t)); +inf at N = 2, t = 0."""
+    if t < 0:
+        raise ValueError(f"argument must be nonnegative, got {t}")
+    half = (dim - 2) / 2.0
+    root = math.sqrt(half * half + t)
+    return math.inf if root == 0.0 else 0.5 / root
 
 
 # ---------------------------------------------------------------------------

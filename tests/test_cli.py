@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import segpart
 from segpart import cli, partition
 from segpart.eigensolve import cap_eigenvalue
 from segpart.grid import Mask
@@ -185,6 +188,25 @@ class TestEig:
         for name in os.listdir(outdir):
             if name != "run.log":
                 assert b"solves" not in open(os.path.join(outdir, name), "rb").read()
+
+    def test_loads_only_what_it_calls(self, tmp_path):
+        # a subprocess, since this test module's neighbours import
+        # scipy.ndimage themselves; eig needs none of the four
+        deferred = ("scipy.ndimage", "scipy.special", "scipy.optimize", "scipy.integrate")
+        check = f"print([m for m in {deferred!r} if m in sys.modules])"
+        path = write_config(tmp_path, "c.json", eig_config(tmp_path, grid={"n": 32}))
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for body in (
+            "import segpart, segpart.cli, sys",
+            f"import sys\nfrom segpart import cli\nassert cli.main(['eig', '--config', {path!r}]) == 0",
+        ):
+            out = subprocess.run(
+                [sys.executable, "-c", f"{body}\n{check}"], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout
+            assert out.splitlines()[-1] == "[]"
 
     def test_output_dir_created(self, tmp_path):
         cfg = eig_config(tmp_path, outname="deep/nested/dir")
@@ -428,10 +450,11 @@ class TestVerify:
         first = psi_rows[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
 
-    @pytest.mark.parametrize("name, n", [("acf", 32), ("cjk", 16)])
+    @pytest.mark.parametrize("name, n", [("acf", 32), ("cjk", 16), ("acf", 33), ("cjk", 17)])
     def test_check_fails_when_radii_collapse(self, tmp_path, capsys, name, n):
         # the smallest radius, 4h, reaches the largest: acf's 0.5 at h = 4/32,
-        # cjk's 0.25 at h = 1/16, and the ball would be compared with itself
+        # cjk's 0.25 at h = 1/16, and the ball would be compared with itself;
+        # at n = 33 and 17 the radii span less than h (0.485-0.5, 0.235-0.25)
         cfg = {
             "schema": 1,
             "checks": [name],

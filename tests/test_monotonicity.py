@@ -34,6 +34,21 @@ class TestGammaFun:
         assert gamma_fun_derivative(5, 4.0) == pytest.approx(0.2, abs=1e-6)
         assert gamma_fun_derivative(3, 2.0) == pytest.approx(1 / 3, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "dim, t, expected",
+        [(3, 2.0, 1 / 3), (5, 4.0, 0.2), (6, 5.0, 1 / 6), (3, 0.0, 1.0), (6, 0.0, 0.25)],
+    )
+    def test_derivative_closed_form(self, dim, t, expected):
+        assert gamma_fun_derivative(dim, t) == pytest.approx(expected, rel=1e-15)
+
+    def test_derivative_infinite_at_origin_in_the_plane(self):
+        assert gamma_fun_derivative(2, 0.0) == math.inf
+        assert gamma_fun_derivative(2, 1.0) == 0.5
+
+    def test_derivative_negative_argument_rejected(self):
+        with pytest.raises(ValueError):
+            gamma_fun_derivative(3, -0.5)
+
     def test_concave_increasing(self):
         t = np.linspace(0.0, 12.0, 1000)
         vals = np.array([gamma_fun(4, float(x)) for x in t])
