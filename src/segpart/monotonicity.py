@@ -17,10 +17,16 @@ the two-phase product its weight-1 form.  The mean-value comparison
 (ball averages of a subsolution controlled by phi(R)) and the exponent
 function gamma(t) = sqrt(((N-2)/2)^2 + t) - (N-2)/2 live here as well.
 
-Quadrature note: Gamma's integrand blows up like s^(1-N) at the origin, so
-the cumulative Simpson sweep from the outer endpoint runs in the variable
-u = s^(2-N), where the integrand is smooth and the power-law divergence is
-captured exactly.
+Gamma in closed form: with k = sqrt(lambda_bar) and nu = N/2 - 1,
+phi(s) = Gamma(nu+1) (2/ks)^nu J_nu(ks), so the integrand is
+k^(N-2) / (4^nu Gamma(nu+1)^2) * 1 / (s J_nu(ks)^2).  The Wronskian
+W(J_nu, Y_nu)(x) = 2/(pi x) (DLMF 10.5.2) makes 1/(x J_nu(x)^2) the exact
+derivative of (pi/2) Y_nu(x)/J_nu(x), hence
+
+    Gamma(r) = (N-2) (pi/2) k^(N-2) / (4^nu Gamma(nu+1)^2) * [Y_nu/J_nu]
+               taken from x = kr to x = 3kR/2,
+
+with no quadrature; Gamma(3R/2) = 0 and psi(0) = 1 hold exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolationError
-from .eigensolve import _ball_lambda, _first_zero, _radial_phi, exterior_ball_nodes
+from .eigensolve import _first_zero, _radial_phi, exterior_ball_nodes, masked_laplacian
 from .grid import GridDomain, ScalarField, discrete_gradient
 
 
@@ -84,66 +90,52 @@ def _consecutive_decrease(values: np.ndarray) -> float:
 
 
 def build_radial_profile(dim: int, R_bar: float, samples: int = 1024) -> RadialProfile:
-    """Sample phi on [0, 3R/2] and integrate Gamma inward from 3R/2.
-
-    The composite Simpson sweep runs in u = s^(2-N) so the divergence of the
-    integrand at the origin costs no accuracy; psi(0) is set to its
-    continuity limit 1.
-    """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
+    """Profile of the ball B_{2R}: lambda_bar = (j_{nu,1} / 2R)^2."""
     if R_bar <= 0:
         raise ValueError(f"R_bar must be positive, got {R_bar}")
-    if samples < 256:
-        raise ValueError(f"need at least 256 samples, got {samples}")
-    lam = _ball_lambda(dim, R_bar)
-    s = np.linspace(0.0, 1.5 * R_bar, samples)
-    phi = _radial_phi(dim, lam, s)
-    if dim == 2:
-        return RadialProfile(dim, R_bar, lam, s, phi, None, None)
-    gamma_phi, psi = gamma_psi_from_phi(s, phi, dim)
-    return RadialProfile(dim, R_bar, lam, s, phi, gamma_phi, psi)
-
-
-def gamma_psi_from_phi(
-    s: np.ndarray, phi: np.ndarray, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma and psi from a sampled phi on a grid [0, 3R/2], dim >= 3.
-
-    Gamma(s_i) = (N-2) int_{s_i}^{3R/2} t^(1-N) / phi(t)^2 dt, computed as a
-    cumulative Simpson sweep from the outer endpoint in the variable
-    u = t^(2-N); psi = s^(N-2) phi^2 Gamma with psi(0) pinned at its limit.
-    """
-    # imported at first use: scipy.integrate would add to every command's
-    # start-up, and only verify's psi check gets here
-    from scipy.integrate import cumulative_simpson
-
-    if dim < 3:
-        raise ValueError("Gamma/psi require dimension at least 3")
-    if s[0] != 0.0:
-        raise ValueError("the sample grid must start at 0")
-    s_pos = s[1:]
-    u = s_pos ** (2.0 - dim)
-    g = 1.0 / phi[1:] ** 2
-    u_rev = u[::-1]          # increasing: from u(3R/2) up to u(s_1)
-    g_rev = g[::-1]
-    gam_rev = cumulative_simpson(g_rev, x=u_rev, initial=0.0)
-    gamma_phi = np.empty_like(s)
-    gamma_phi[1:] = gam_rev[::-1]
-    gamma_phi[0] = np.inf
-    psi = np.empty_like(s)
-    psi[1:] = s_pos ** (dim - 2) * phi[1:] ** 2 * gamma_phi[1:]
-    psi[0] = 1.0
-    return gamma_phi, psi
+    return _sample_profile(dim, R_bar, (_phi_zero(dim) / (2.0 * R_bar)) ** 2, samples)
 
 
 def profile_for_lambda(dim: int, lambda_bar: float, samples: int = 1024) -> RadialProfile:
     """Profile whose reference ball B_{2R} has first eigenvalue lambda_bar."""
     if lambda_bar <= 0:
         raise ValueError(f"lambda_bar must be positive, got {lambda_bar}")
-    j = _first_zero(dim / 2.0 - 1.0)
-    two_R = j / math.sqrt(lambda_bar)
-    return build_radial_profile(dim, two_R / 2.0, samples)
+    R_bar = _phi_zero(dim) / (2.0 * math.sqrt(lambda_bar))
+    return _sample_profile(dim, R_bar, lambda_bar, samples)
+
+
+def _phi_zero(dim: int) -> float:
+    """j_{nu,1}, nu = N/2 - 1: phi's first zero sits at s = j_{nu,1} / sqrt(lambda_bar)."""
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    return _first_zero(dim / 2.0 - 1.0)
+
+
+def _sample_profile(dim: int, R_bar: float, lam: float, samples: int) -> RadialProfile:
+    """phi, and for dim >= 3 Gamma_phi and psi, on ``samples`` points of [0, 3R/2].
+
+    Gamma is the Wronskian closed form of the module docstring; at s = 0 it
+    is +inf and psi takes its continuity limit 1.
+    """
+    from scipy.special import jv, yv  # at first use, as in _radial_phi
+
+    if samples < 256:
+        raise ValueError(f"need at least 256 samples, got {samples}")
+    s = np.linspace(0.0, 1.5 * R_bar, samples)
+    phi = _radial_phi(dim, lam, s)
+    if dim == 2:
+        return RadialProfile(dim, R_bar, lam, s, phi, None, None)
+    nu, k = dim / 2.0 - 1.0, math.sqrt(lam)
+    x = k * s[1:]
+    ratio = yv(nu, x) / jv(nu, x)
+    scale = (dim - 2) * (math.pi / 2.0) * k ** (dim - 2) / (4.0**nu * math.gamma(nu + 1.0) ** 2)
+    gamma_phi = np.empty_like(s)
+    gamma_phi[0] = np.inf
+    gamma_phi[1:] = scale * (ratio[-1] - ratio)
+    psi = np.empty_like(s)
+    psi[0] = 1.0
+    psi[1:] = s[1:] ** (dim - 2) * phi[1:] ** 2 * gamma_phi[1:]
+    return RadialProfile(dim, R_bar, lam, s, phi, gamma_phi, psi)
 
 
 def gamma_fun(dim: int, t: float) -> float:
@@ -196,18 +188,6 @@ def ball_sum(
     return total
 
 
-def _laplacian_values(f: ScalarField) -> np.ndarray:
-    """5-point lap_h f with the off-mask zero-extension convention."""
-    v = f.values
-    h2 = f.domain.h**2
-    out = -4.0 * v.copy()
-    out[1:, :] += v[:-1, :]
-    out[:-1, :] += v[1:, :]
-    out[:, 1:] += v[:, :-1]
-    out[:, :-1] += v[:, 1:]
-    return out / h2
-
-
 def mean_value_check(
     v: ScalarField,
     lam: float,
@@ -247,12 +227,13 @@ def mean_value_check(
             f"radius {rmax} exceeds the inscribed distance {inscribed:.6g}"
         )
 
-    # nodewise subsolution check on the sampled balls (discrete slack)
-    lapv = _laplacian_values(v)
-    region = (rho <= rmax) & dom.mask
+    # nodewise subsolution check on the sampled balls (discrete slack);
+    # the field is zero off the mask, so A @ v is -lap_h v on the mask
+    A, flat = masked_laplacian(dom, dom.mask)
+    v_in = v.values.ravel()[flat]
     # skip the outermost ring, where the stencil reaches outside the region
-    inner = region & (rho <= rmax - dom.h)
-    defect = (-lapv - lam * v.values)[inner]
+    inner = (rho <= rmax - dom.h).ravel()[flat]
+    defect = (A @ v_in - lam * v_in)[inner]
     tol = 1e-9 * max(1.0, lam * float(v.values.max()))
     if defect.size and float(defect.max()) > tol:
         raise ConstraintViolationError(

@@ -19,6 +19,23 @@ def write_config(tmp_path, name, cfg):
     return path
 
 
+def modules_loaded(body, modules):
+    """Which of ``modules`` a fresh interpreter holds after running ``body``.
+
+    A subprocess, since this test module's neighbours import scipy's
+    submodules themselves.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    check = f"import sys\nprint([m for m in {modules!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", f"{body}\n{check}"], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    return out.splitlines()[-1]
+
+
 def eig_config(tmp_path, outname="out", **overrides):
     cfg = {
         "schema": 1,
@@ -190,23 +207,14 @@ class TestEig:
                 assert b"solves" not in open(os.path.join(outdir, name), "rb").read()
 
     def test_loads_only_what_it_calls(self, tmp_path):
-        # a subprocess, since this test module's neighbours import
-        # scipy.ndimage themselves; eig needs none of the four
+        # eig needs none of the four
         deferred = ("scipy.ndimage", "scipy.special", "scipy.optimize", "scipy.integrate")
-        check = f"print([m for m in {deferred!r} if m in sys.modules])"
         path = write_config(tmp_path, "c.json", eig_config(tmp_path, grid={"n": 32}))
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for body in (
-            "import segpart, segpart.cli, sys",
-            f"import sys\nfrom segpart import cli\nassert cli.main(['eig', '--config', {path!r}]) == 0",
+            "import segpart, segpart.cli",
+            f"from segpart import cli\nassert cli.main(['eig', '--config', {path!r}]) == 0",
         ):
-            out = subprocess.run(
-                [sys.executable, "-c", f"{body}\n{check}"], env=env, capture_output=True,
-                text=True, check=True,
-            ).stdout
-            assert out.splitlines()[-1] == "[]"
+            assert modules_loaded(body, deferred) == "[]"
 
     def test_output_dir_created(self, tmp_path):
         cfg = eig_config(tmp_path, outname="deep/nested/dir")
@@ -463,6 +471,35 @@ class TestVerify:
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 1
         assert capsys.readouterr().out == f"{name}: FAIL\n"
+
+    def test_acf_fails_where_its_ball_reaches_phis_zero(self, tmp_path, capsys):
+        # at n = 17 the working ball of every radius reaches the zero of
+        # phi; the check fails and the checks after it still run
+        cfg = {
+            "schema": 1,
+            "checks": ["acf", "cjk"],
+            "check_params": {"n": 17, "seed": 5},
+            "output": {"dir": os.path.join(tmp_path, "vz")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 1
+        assert capsys.readouterr().out == "acf: FAIL\ncjk: FAIL\n"
+        outdir = cfg["output"]["dir"]
+        acf, cjk = json.load(open(os.path.join(outdir, "verify.json")))["checks"]
+        assert (acf["check"], cjk["check"]) == ("acf", "cjk")
+        assert acf["passed"] is False and set(acf) == {"check", "passed"} | CHECK_OUTPUTS["acf"][1]
+        lines = open(os.path.join(outdir, "acf.csv")).read().splitlines()
+        assert lines[0] == "r,value" and len(lines) == 1 + 12
+
+    def test_psi_check_loads_no_quadrature(self, tmp_path):
+        cfg = {
+            "schema": 1,
+            "checks": ["psi"],
+            "check_params": {"N": 3, "samples": 512},
+            "output": {"dir": os.path.join(tmp_path, "vq")},
+        }
+        path = write_config(tmp_path, "v.json", cfg)
+        body = f"from segpart import cli\nassert cli.main(['verify', '--config', {path!r}]) == 0"
+        assert modules_loaded(body, ("scipy.integrate",)) == "[]"
 
     def test_all_checks_pass_at_n48(self, tmp_path, capsys):
         cfg = {

@@ -15,7 +15,6 @@ from segpart.monotonicity import (
     cjk_product,
     gamma_fun,
     gamma_fun_derivative,
-    gamma_psi_from_phi,
     mean_value_check,
     profile_for_lambda,
 )
@@ -73,16 +72,17 @@ class TestRadialProfile:
         sel = prof.s <= prof.R_bar
         assert np.all(prof.psi[sel] > 0)
 
-    def test_phi_one_closed_form(self):
-        # with phi substituted by 1, psi(r) = 1 - (2r/(3R))^(N-2) exactly
-        for dim in (3, 4, 5):
-            R = 1.0
-            s = np.linspace(0.0, 1.5 * R, 700)
-            gamma, psi = gamma_psi_from_phi(s, np.ones_like(s), dim)
-            expected = 1.0 - (s[1:] / (1.5 * R)) ** (dim - 2)
-            assert np.allclose(psi[1:], expected, atol=5e-7)
-            assert gamma[-1] == 0.0
-            assert psi[0] == 1.0
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_gamma_matches_quadrature(self, dim, R):
+        prof = build_radial_profile(dim, R, 1024)
+        for i in (1, 100, 400, 800):
+            r = prof.s[i]
+            expect, _ = scipy.integrate.quad(
+                lambda t: (dim - 2) * t ** (1 - dim) / float(prof.phi_at(t)) ** 2,
+                r, 1.5 * R, epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            assert prof.gamma_phi[i] == pytest.approx(expect, rel=1e-10)
 
     def test_psi_linear_bound_constant_stable(self):
         prof1 = build_radial_profile(3, 1.0, 512)
@@ -97,8 +97,12 @@ class TestRadialProfile:
         assert abs(c2 - c1) / c1 <= 0.10
 
     def test_profile_for_lambda_inverts_radius(self):
-        prof = profile_for_lambda(2, 5.0, 512)
-        assert prof.lambda_bar == pytest.approx(5.0, rel=1e-6)
+        for dim, lam in ((2, 5.0), (3, 7.3), (5, 0.1)):
+            prof = profile_for_lambda(dim, lam, 512)
+            assert prof.lambda_bar == lam
+            # the ball it places has lambda_bar as its first eigenvalue
+            ball = build_radial_profile(dim, prof.R_bar, 512)
+            assert ball.lambda_bar == pytest.approx(lam, rel=1e-14)
 
     def test_planar_profile_has_no_gamma(self):
         prof = build_radial_profile(2, 1.0, 512)
