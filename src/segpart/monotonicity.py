@@ -17,6 +17,10 @@ the two-phase product its weight-1 form.  The mean-value comparison
 (ball averages of a subsolution controlled by phi(R)) and the exponent
 function gamma(t) = sqrt(((N-2)/2)^2 + t) - (N-2)/2 live here as well.
 
+Every ball integral is nodal quadrature with weight 1: ``ball_sum`` builds
+the radius map |x - center| once and integrates one field over all the
+radii of a functional in that pass.
+
 Gamma in closed form: with k = sqrt(lambda_bar) and nu = N/2 - 1,
 phi(s) = Gamma(nu+1) (2/ks)^nu J_nu(ks), so the integrand is
 k^(N-2) / (4^nu Gamma(nu+1)^2) * 1 / (s J_nu(ks)^2).  The Wronskian
@@ -160,32 +164,34 @@ def gamma_fun_derivative(dim: int, t: float) -> float:
 
 
 def ball_sum(
-    domain: GridDomain,
-    values: np.ndarray,
-    center: tuple[float, float],
-    r: float,
-    weight_exponent: float = 0.0,
-) -> float:
-    """Integral over B_r(center) with optional |x - center|^(-e) weight.
+    domain: GridDomain, values: np.ndarray, center: tuple[float, float], radii
+) -> np.ndarray:
+    """Integrals of ``values`` over the balls B_r(center), one per radius.
 
-    For e > 0 the singular center cell contributes through the analytic
-    integral of the weight over the disk of radius h/2 times the center
-    value, which keeps the quadrature O(h^2)-consistent; plain nodal
-    quadrature diverges there.
+    Nodal quadrature with weight 1 (every planar functional's weight):
+    h^2 times the sum over the nodes with |x - center| <= r.  The radius
+    map is built once for all the radii.
     """
     x, y = domain.coords()
     rho = np.hypot(x - center[0], y - center[1])
-    ball = rho <= r
     h = domain.h
-    if weight_exponent == 0.0:
-        return float(values[ball].sum()) * h * h
-    at_center = ball & (rho < h * 1e-9)
-    rest = ball & ~at_center
-    total = float((values[rest] * rho[rest] ** (-weight_exponent)).sum()) * h * h
-    if at_center.any() and weight_exponent < 2.0:
-        cell = 2.0 * math.pi * (h / 2.0) ** (2.0 - weight_exponent) / (2.0 - weight_exponent)
-        total += cell * float(values[at_center].sum())
-    return total
+    return np.array([float(values[rho <= r].sum()) * h * h for r in radii])
+
+
+def _ball_averages(sums: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """r^-2 int_{B_r}, per radius from its ball integral.
+
+    Scalar arithmetic per radius, as in ``_psi_values``: numpy's array
+    ``radii**2`` multiplies, the scalar ``r**2`` calls pow, and the two can
+    differ in the last bit.
+    """
+    return np.array([s / r**2 for r, s in zip(radii, sums)])
+
+
+def _psi_values(sums: np.ndarray, radii: np.ndarray, C: float) -> np.ndarray:
+    """Psi(r) = e^(Cr) r^-2 int_{B_r} phi^2 |grad(u/phi)|^2, per radius from
+    the C-free ball integrals."""
+    return np.array([math.exp(C * r) / r**2 * s for r, s in zip(radii, sums)])
 
 
 def mean_value_check(
@@ -241,7 +247,7 @@ def mean_value_check(
             f"(worst defect {float(defect.max()):.3e} > tol {tol:.3e})"
         )
 
-    averages = np.array([ball_sum(dom, v.values, center, r) / r**2 for r in radii])
+    averages = _ball_averages(ball_sum(dom, v.values, center, radii), radii)
     phi_r = np.asarray(profile.phi_at(radii))
     bounds = averages / phi_r
     worst = 0.0
@@ -253,9 +259,7 @@ def mean_value_check(
     near = rho <= rmax + 1e-12
     phi_vals[near] = np.asarray(profile.phi_at(rho[near]))
     weighted = np.where(near, v.values / phi_vals, 0.0)
-    phi_averages = np.array(
-        [ball_sum(dom, weighted, center, r) / r**2 for r in radii]
-    )
+    phi_averages = _ball_averages(ball_sum(dom, weighted, center, radii), radii)
     return MonotonicityReport(
         radii,
         averages,
@@ -267,24 +271,6 @@ def mean_value_check(
             "phi_bounds": bounds,
         },
     )
-
-
-def _prepare_quotient_gradient(
-    u: ScalarField, profile: RadialProfile, center: tuple[float, float], rmax: float
-):
-    """|grad(u/phi)|^2 nodewise on the working ball."""
-    dom = u.domain
-    x, y = dom.coords()
-    rho = np.hypot(x - center[0], y - center[1])
-    reach = rmax + 2.5 * dom.h
-    if reach >= 2.0 * profile.R_bar:
-        raise ValueError("radii reach the zero of phi; shrink them below R_bar")
-    inv_phi = np.zeros_like(rho)
-    near = rho <= reach
-    inv_phi[near] = 1.0 / np.asarray(profile.phi_at(rho[near]))
-    w = ScalarField.from_values(dom, u.values * inv_phi)
-    gx, gy = discrete_gradient(w)
-    return rho, gx.values**2 + gy.values**2
 
 
 def acf_psi_functional(
@@ -301,7 +287,9 @@ def acf_psi_functional(
     Psi(r) = e^(Cr) r^-2 int_{B_r} phi^2 |grad(u/phi)|^2 (the Gamma weight
     degenerates in 2-D).  ``max_violation`` is the largest relative decrease
     between consecutive radii; metadata carries the plain gradient averages
-    r^-2 int |grad u|^2 for the two-sided comparison with Psi.
+    r^-2 int |grad u|^2 for the two-sided comparison with Psi, and the
+    C-free ball integrals int_{B_r} phi^2 |grad(u/phi)|^2 (``ball_integrals``)
+    that give Psi for any other C.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
     if radii.size < 2:
@@ -322,18 +310,16 @@ def acf_psi_functional(
     if leak.any():
         raise ValueError("center too close to the outer boundary for these radii")
 
-    rho, grad_sq = _prepare_quotient_gradient(u, profile, center, rmax)
-    phi_vals = np.ones_like(rho)
-    near = rho <= rmax + 1e-12
-    phi_vals[near] = np.asarray(profile.phi_at(rho[near]))
-    integrand = phi_vals**2 * grad_sq
-
-    values = np.empty(radii.size)
-    grad_avg = np.empty(radii.size)
-    gsq_plain = _plain_gradient_sq(u)
-    for k, r in enumerate(radii):
-        values[k] = math.exp(C * r) / r**2 * ball_sum(dom, integrand, center, r)
-        grad_avg[k] = ball_sum(dom, gsq_plain, center, r) / r**2
+    # phi on the working ball, which reaches past rmax by the gradient stencil
+    reach = rmax + 2.5 * dom.h
+    if reach >= 2.0 * profile.R_bar:
+        raise ValueError("radii reach the zero of phi; shrink them below R_bar")
+    near = rho <= reach
+    phi = np.ones_like(rho)
+    phi[near] = np.asarray(profile.phi_at(rho[near]))
+    quotient = ScalarField.from_values(dom, u.values * np.where(near, 1.0 / phi, 0.0))
+    sums = ball_sum(dom, phi**2 * _plain_gradient_sq(quotient), center, radii)
+    values = _psi_values(sums, radii, C)
     return MonotonicityReport(
         radii,
         values,
@@ -341,7 +327,10 @@ def acf_psi_functional(
         metadata={
             "C": C,
             "variant": "planar (phi^2 weight, Gamma dropped)",
-            "gradient_averages": grad_avg,
+            "gradient_averages": _ball_averages(
+                ball_sum(dom, _plain_gradient_sq(u), center, radii), radii
+            ),
+            "ball_integrals": sums,
         },
     )
 
@@ -369,10 +358,8 @@ def cjk_product(
     if np.any((u1.values != 0) & (u2.values != 0)):
         raise ConstraintViolationError("overlapping supports")
     dom = u1.domain
-    g1 = _plain_gradient_sq(u1)
-    g2 = _plain_gradient_sq(u2)
-    f1 = np.array([ball_sum(dom, g1, center, r) / r**2 for r in radii])
-    f2 = np.array([ball_sum(dom, g2, center, r) / r**2 for r in radii])
+    f1 = _ball_averages(ball_sum(dom, _plain_gradient_sq(u1), center, radii), radii)
+    f2 = _ball_averages(ball_sum(dom, _plain_gradient_sq(u2), center, radii), radii)
     values = f1 * f2
     return MonotonicityReport(
         radii,

@@ -101,7 +101,6 @@ class PartitionState:
     supports: list[Mask]
     lambdas: np.ndarray
     c: float
-    outer_iterations: int = 0
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -352,9 +351,7 @@ def _block_pass(
             supports[i] = supp
             lambdas[i] = lam
     return PartitionState(
-        fields, supports, lambdas, float(lambdas.sum()),
-        outer_iterations=state.outer_iterations + 1,
-        metadata=dict(state.metadata),
+        fields, supports, lambdas, float(lambdas.sum()), metadata=dict(state.metadata)
     )
 
 
@@ -392,7 +389,6 @@ def _optimize_from(
     best.metadata.update(
         {"passes": passes, "stalled": stalled, "pass_style": "gauss-seidel"}
     )
-    best.outer_iterations = passes
     return best
 
 
@@ -600,7 +596,6 @@ def _state_from_supports(
         [Mask(prob.domain, c) for c in cells],
         np.full(prob.k, np.inf),
         math.inf,
-        outer_iterations=-1,  # the rebuild pass is not an outer iteration
         metadata={"seed": prob.seed, "pass_style": "gauss-seidel"},
     )
     return _block_pass(seed, prob, memo=memo)

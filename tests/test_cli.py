@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import segpart
 from segpart import cli, partition
-from segpart.eigensolve import cap_eigenvalue
-from segpart.grid import Mask
+from segpart.eigensolve import cap_eigenvalue, first_dirichlet_eig
+from segpart.grid import Mask, build_domain
+from segpart.monotonicity import acf_psi_functional, profile_for_lambda
 from segpart.partition import SweepReport
 
 
@@ -510,6 +512,32 @@ class TestVerify:
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
         assert capsys.readouterr().out.count(": pass\n") == len(cli.KNOWN_CHECKS)
+
+    def test_acf_check_scores_one_functional_for_every_constant(self, monkeypatch):
+        # one functional call at C = 0; each ladder constant is scored on its
+        # C-free ball integrals and gives what a direct call at that C gives
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return acf_psi_functional(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "acf_psi_functional", counted)
+        header, rows, summary = cli._check_acf({**cli._CHECK_DEFAULTS, "n": 48})
+        assert calls == [0.0]
+        dom = build_domain("disk_minus_ball", 48, 2.0, 1.0)
+        res = first_dirichlet_eig(dom, tol=1e-8)
+        prof = profile_for_lambda(2, res.lam, 1024)
+        radii = list(np.linspace(4 * dom.h, 0.5, 12))
+        best = min(
+            (acf_psi_functional(res.field, prof, (0.0, 0.0), radii, cc / prof.R_bar)
+             for cc in (0.0, 1.0, 2.0, 4.0, 8.0)),
+            key=lambda q: q.max_violation,
+        )
+        assert header == ["r", "value"]
+        assert summary["C"] == best.metadata["C"]
+        assert summary["max_violation"] == best.max_violation
+        assert [tuple(row) for row in rows] == list(zip(best.radii, best.values))
 
     def test_failed_check_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ import segpart as sp
 from segpart.errors import EmptyRegionError, InfeasibleError, SqueezedOutError
 from segpart import partition
 from segpart.eigensolve import first_dirichlet_eig
-from segpart.grid import Mask, build_domain
+from segpart.grid import Mask, build_domain, gradient_magnitude
 from segpart.partition import (
     PartitionProblem,
     SolveMemo,
@@ -247,6 +249,36 @@ def base_state():
     dom = build_domain("rectangle", 64, 2.0, 1.0)
     prob = PartitionProblem(dom, k=2, r=0.0, seed=7, tol_eig=1e-8)
     return dom, prob, optimize(prob)
+
+
+class TestTwoRectangleOracle:
+    """Cold ``optimize`` on rectangle(2,1), k = 2, against the two-rectangle
+    partition [0, w] x [0, 1] and its mirror, w = 1 - r/2: it is feasible
+    for every r, so C(r) = 2 pi^2 (1 + w^-2) bounds c_r from above (the
+    optimum at r = 0), and its ground states (2/sqrt(w)) sin(pi x/w) sin(pi y)
+    give Lip = 2 pi w^(-3/2) and L-inf = 2 w^(-1/2)."""
+
+    @pytest.mark.parametrize("r", [0.125, 0.0])
+    def test_first_order_convergence_to_the_closed_form(self, r):
+        w = 1.0 - r / 2.0
+        exact = np.array([
+            2.0 * math.pi**2 * (1.0 + w**-2), 2.0 * math.pi * w**-1.5, 2.0 * w**-0.5,
+        ])
+        c = {}
+        err = {}
+        for n in (64, 128):
+            dom = build_domain("rectangle", n, 2.0, 1.0)
+            state = optimize(PartitionProblem(dom, k=2, r=r, seed=11))
+            lip = max(float(gradient_magnitude(f).values.max()) for f in state.fields)
+            linf = max(float(np.abs(f.values).max()) for f in state.fields)
+            c[n] = state.c
+            err[n] = np.array([state.c, lip, linf]) - exact
+        # the lattice optimum sits below C, and every error halves with h
+        assert err[64][0] < 0 and err[128][0] < 0
+        ratios = err[64] / err[128]
+        assert np.all((ratios >= 1.6) & (ratios <= 2.4)), ratios
+        richardson = 2.0 * c[128] - c[64]
+        assert abs(richardson - exact[0]) <= 0.0025 * exact[0]
 
 
 class TestCutoff:
