@@ -3,15 +3,21 @@
 The 2-D solver works per 4-connected component of the allowed node set,
 found by scipy's csgraph from the 5-point Laplacian's own sparsity pattern.
 The Laplacian is block-diagonal over components, so each component's
-ground state is an eigenpair of the whole set.  On each component it factors
-the diagonal block shifted by sigma = 0.99 * floor once (SuperLU, a symmetric
-minimum-degree ordering, no pivoting) and runs shifted inverse iteration.
-The floor is lambda_1 of the component's bounding lattice box, a lower bound
-on the component's own lambda_1 by Cauchy interlacing, so the shifted block
-stays SPD.  Within a connected component the ground state is simple and the
-error contracts by (lambda_1 - sigma) / (lambda_2 - sigma) per solve, always
-below the zero-shift ratio lambda_1 / lambda_2, which near-degenerate
-clusters on different components would push towards 1 on the whole set.
+ground state is an eigenpair of the whole set.  Each component starts from
+the discrete ground state of its bounding lattice box, sin x sin in closed
+form, taken on the component's nodes: it is positive, so it is never
+orthogonal to the component's positive ground state, and when the component
+fills its box it is that ground state and the solve ends before any factor
+(``iterations == 0``).  Otherwise the solver factors the diagonal block
+shifted by sigma = 0.99 * floor once (SuperLU, a symmetric minimum-degree
+ordering, no pivoting) and runs shifted inverse iteration.  The floor is
+lambda_1 of the same box, a lower bound on the component's own lambda_1 by
+Cauchy interlacing, so the shifted block stays SPD.  Within a connected
+component the ground state is simple and the error contracts by
+(lambda_1 - sigma) / (lambda_2 - sigma) per solve, always below the
+zero-shift ratio lambda_1 / lambda_2, which near-degenerate clusters on
+different components would push towards 1 on the whole set.  No step is
+random, so a result depends only on the domain, the allowed set and ``tol``.
 The loop's dot products and norms are plain numpy reductions that never
 call BLAS, so the results do not depend on the BLAS thread count.
 
@@ -34,7 +40,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
-from .grid import GridDomain, Mask, ScalarField, gradient_magnitude
+from .grid import GridDomain, Mask, ScalarField, _in_excluded_ball, gradient_magnitude
 
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
@@ -131,19 +137,17 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _block_ground_state(
-    block: sparse.csr_matrix, floor: float, tol: float, max_iter: int, seed: int
+    block: sparse.csr_matrix, floor: float, tol: float, max_iter: int, x: np.ndarray
 ):
     """(lam, x, residual, solves) on one connected block, ``x`` unit l2.
 
-    Inverse iteration with ``block - _SHIFT * floor * I``, where ``floor``
-    is a lower bound on the block's smallest eigenvalue; the Rayleigh
-    quotient and the residual are taken on the unshifted block.  A start
-    vector that already meets ``tol`` (a single node does) is returned
-    without a factor or a solve.
+    Inverse iteration from the start vector ``x`` with
+    ``block - _SHIFT * floor * I``, where ``floor`` is a lower bound on the
+    block's smallest eigenvalue; the Rayleigh quotient and the residual are
+    taken on the unshifted block.  A start vector that already meets ``tol``
+    is returned without a factor or a solve.
     """
-    rng = np.random.default_rng(seed)
-    x = 1.0 + 0.01 * rng.random(block.shape[0])
-    x /= _norm(x)
+    x = x / _norm(x)
     ax = block @ x
     lam = _dot(x, ax)
     res = _norm(ax - lam * x)
@@ -175,16 +179,21 @@ def first_dirichlet_eig(
 ) -> EigenResult:
     """Smallest eigenpair of the 5-point Laplacian on the allowed nodes.
 
-    Each 4-connected component of the allowed set is solved on its own: one
-    sparse LU factor of its block shifted by 0.99 times its bounding-box
-    eigenvalue floor, then shifted inverse iteration from a start vector
-    drawn with ``seed`` until ``residual <= tol``; each solve contracts the
+    Each 4-connected component of the allowed set is solved on its own,
+    from the ground state of its bounding lattice box on its nodes,
+    sin(pi a / (m_i + 1)) sin(pi b / (m_j + 1)) for 1-based box indices
+    (a, b) and box sides of m_i x m_j nodes.  If that start already meets
+    ``residual <= tol`` (it does when the component fills its box) it is
+    returned with ``iterations == 0``; otherwise one sparse LU factor of the
+    block shifted by 0.99 times the box's eigenvalue floor, then shifted
+    inverse iteration until ``residual <= tol``; each solve contracts the
     error by (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma,
     and the residual is that of the unshifted block.  The result
     is the component with the lowest eigenvalue (the lowest label on an
     exact tie); the field is zero on every other component, sign-normalized
     nonnegative and L2-normalized (h-weighted).  ``iterations`` counts the
-    solves on the returned component.  A component whose bounding-box
+    solves on the returned component.  ``seed`` has no effect on the result:
+    no step is random.  A component whose bounding-box
     eigenvalue already exceeds the best lambda found is not solved, so a
     nearly degenerate component that cannot win does not stall the solve.
     Raises ``ConvergenceError`` with the last residual if a solved component
@@ -211,10 +220,10 @@ def first_dirichlet_eig(
     # rounding are never solved, and the bound sets each solve's shift; a box
     # of m nodes along an axis adds (4/h^2) sin^2(pi / (2 (m + 1)))
     starts = bounds[:-1]
-    mi, mj = (
-        (np.maximum.reduceat(k, starts) - np.minimum.reduceat(k, starts) + 1).tolist()
-        for k in np.divmod(idx_flat[order], nodes.shape[1])
-    )
+    ii, jj = np.divmod(idx_flat[order], nodes.shape[1])
+    lo_i, lo_j = np.minimum.reduceat(ii, starts), np.minimum.reduceat(jj, starts)
+    mi = (np.maximum.reduceat(ii, starts) - lo_i + 1).tolist()
+    mj = (np.maximum.reduceat(jj, starts) - lo_j + 1).tolist()
     floors = np.array([
         math.sin(math.pi / (2 * (a + 1))) ** 2 + math.sin(math.pi / (2 * (b + 1))) ** 2
         for a, b in zip(mi, mj)
@@ -225,7 +234,12 @@ def first_dirichlet_eig(
             break  # this component and all later ones cannot win
         start, stop = bounds[c], bounds[c + 1]
         block = A[start:stop, start:stop]
-        lam, x, res, solves = _block_ground_state(block, floors[c], tol, max_iter, seed)
+        # start: the box's ground state on the component's nodes, 1-based
+        # box indices
+        x0 = np.sin(math.pi / (mi[c] + 1) * (ii[start:stop] - lo_i[c] + 1)) * np.sin(
+            math.pi / (mj[c] + 1) * (jj[start:stop] - lo_j[c] + 1)
+        )
+        lam, x, res, solves = _block_ground_state(block, floors[c], tol, max_iter, x0)
         if best is None or (lam, c) < best[:2]:
             best = (lam, c, x, res, solves, block, order[start:stop])
     _, _, x, res, iterations, block, rows = best
@@ -395,8 +409,7 @@ def exterior_ball_nodes(domain: GridDomain) -> np.ndarray:
             f"exterior-ball geometry requires a disk_minus_ball domain, got {domain.shape!r}"
         )
     _, r0 = domain.params
-    x, y = domain.coords()
-    return (x + r0) ** 2 + y**2 <= r0 * r0 * (1 + 1e-12)
+    return _in_excluded_ball(*domain.coords(), r0)
 
 
 def poincare_check(

@@ -136,6 +136,18 @@ class ScalarField:
         return cls(domain, np.zeros_like(domain.mask, dtype=float))
 
 
+def _in_excluded_ball(x: np.ndarray, y: np.ndarray, r0: float) -> np.ndarray:
+    """Nodes in the closed excluded ball of a disk_minus_ball domain.
+
+    The ball has radius r0 and is centered at (-r0, 0), so its boundary
+    passes through the origin, the contact point of the exterior sphere.
+    The relative slack counts nodes on the circle up to rounding as inside,
+    so the domain mask and ``eigensolve.exterior_ball_nodes`` never share a
+    node.
+    """
+    return (x + r0) ** 2 + y**2 <= r0 * r0 * (1 + 1e-12)
+
+
 def build_domain(shape: str, n: int, *params: float) -> GridDomain:
     """Lattice domain for one of the supported shapes.
 
@@ -186,11 +198,7 @@ def build_domain(shape: str, n: int, *params: float) -> GridDomain:
         h = 2.0 * radius / n
         ax = -radius + h * np.arange(n + 1)
         x, y = np.meshgrid(ax, ax, indexing="ij")
-        # excluded ball is centered at (-r0, 0) so its boundary passes through
-        # the origin: the origin is the contact point of the exterior sphere
-        mask = (x * x + y * y < radius * radius) & (
-            (x + r0) ** 2 + y * y > r0 * r0
-        )
+        mask = (x * x + y * y < radius * radius) & ~_in_excluded_ball(x, y, r0)
         dom = GridDomain(n + 1, n + 1, h, mask, (-radius, -radius), shape, p)
     return dom
 

@@ -30,8 +30,9 @@ restarts, and a public call given none makes a fresh one.  Within a run the
 same allowed set recurs often: the pass that confirms a fixed point
 re-poses every block unchanged, restarts reach the same cells, and levels
 whose slack r - h adds no lattice node pose the same discrete problem.  The
-key is (domain, tol_eig, seed, allowed-node bytes): :func:`first_dirichlet_eig`
-is deterministic in exactly these inputs (``max_iter`` stays at its
+key is (domain, tol_eig, allowed-node bytes): :func:`first_dirichlet_eig`
+is deterministic in exactly these inputs (its start vector is the bounding
+box's ground state, not a random draw, and ``max_iter`` stays at its
 default), so a hit returns the very result a fresh solve would compute, bit
 for bit.  Domains compare by identity, and each cached field holds its
 domain alive.
@@ -246,11 +247,11 @@ class SolveMemo(dict):
 def _solve_component(
     allowed: np.ndarray, prob: PartitionProblem, memo: SolveMemo
 ) -> EigenResult:
-    key = (prob.domain, prob.tol_eig, prob.seed, allowed.tobytes())
+    key = (prob.domain, prob.tol_eig, allowed.tobytes())
     res = memo.get(key)
     if res is None:
         res = memo[key] = first_dirichlet_eig(
-            prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig, seed=prob.seed
+            prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig
         )
     else:
         memo.hits += 1

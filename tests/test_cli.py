@@ -269,7 +269,7 @@ class TestPartition:
 def solve_every_time(allowed, prob, memo):
     """A block solve that never consults the run's memo."""
     return partition.first_dirichlet_eig(
-        prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig, seed=prob.seed
+        prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig
     )
 
 
@@ -433,6 +433,18 @@ class TestVerify:
         ) / 0.01
         assert abs(slope - quotient) <= 1e-9
         assert abs(slope + 1.4895) <= 1e-4
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_poincare_check_passes_where_the_mask_met_the_excluded_ball(self, tmp_path, n):
+        # at these n the excluded circle passes through lattice nodes up to
+        # rounding; a field that is nonzero there exits 3, "constraint violated"
+        cfg = {
+            "schema": 1,
+            "checks": ["poincare"],
+            "check_params": {"n": n},
+            "output": {"dir": os.path.join(tmp_path, "vp")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
 
     def test_mean_value_check_passes(self, tmp_path):
         cfg = {

@@ -41,6 +41,14 @@ def tridiag_unit_interval_eigmin(n: int) -> float:
     return float(w[0])
 
 
+def box_oracle(h: float, mi: int, mj: int) -> float:
+    """Closed-form lambda_1 of the 5-point Laplacian on an mi x mj node box:
+    the tensor product of two 1-D Dirichlet chains."""
+    return 4.0 / h**2 * (
+        math.sin(math.pi / (2 * (mi + 1))) ** 2 + math.sin(math.pi / (2 * (mj + 1))) ** 2
+    )
+
+
 class TestMaskedEig:
     def test_square_matches_tensor_oracle(self):
         n = 64
@@ -189,6 +197,47 @@ class TestMaskedEig:
         assert a.lam == b.lam
         assert np.array_equal(a.field.values, b.field.values)
 
+    def test_seed_has_no_effect(self):
+        # the l_shape does not fill its box, so the solve iterates
+        dom = build_domain("l_shape", 24, 1.0)
+        a = first_dirichlet_eig(dom, tol=1e-9, seed=0)
+        b = first_dirichlet_eig(dom, tol=1e-9, seed=5)
+        assert a.iterations > 0
+        assert (a.lam, a.residual, a.iterations) == (b.lam, b.residual, b.iterations)
+        assert np.array_equal(a.field.values, b.field.values)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("shape, params", [("square", (1.0,)), ("rectangle", (2.0, 1.0))])
+    def test_full_box_starts_at_its_ground_state(self, shape, params, n):
+        # the box start is the exact eigenvector: no factor and no solve
+        dom = build_domain(shape, n, *params)
+        res = first_dirichlet_eig(dom, tol=1e-9)
+        assert res.iterations == 0
+        assert res.residual <= 1e-9
+        expected = box_oracle(dom.h, dom.nx - 2, dom.ny - 2)
+        assert res.lam == pytest.approx(expected, rel=1e-13)
+
+    def box_in_disk(self, dom, i0, j0):
+        nodes = np.zeros(dom.mask.shape, dtype=bool)
+        nodes[i0 : i0 + 12, j0 : j0 + 7] = True
+        assert not np.any(nodes & ~dom.mask)
+        return Mask(dom, nodes)
+
+    def test_box_allowed_set_in_a_disk_needs_no_solve(self):
+        dom = build_domain("disk", 48, 1.0)
+        res = first_dirichlet_eig(dom, self.box_in_disk(dom, 14, 20), tol=1e-9)
+        assert res.iterations == 0
+        assert res.residual <= 1e-9
+        assert res.lam == pytest.approx(box_oracle(dom.h, 12, 7), rel=1e-13)
+
+    def test_translated_boxes_give_translated_fields(self):
+        dom = build_domain("disk", 48, 1.0)
+        a = first_dirichlet_eig(dom, self.box_in_disk(dom, 14, 20), tol=1e-9)
+        b = first_dirichlet_eig(dom, self.box_in_disk(dom, 19, 17), tol=1e-9)
+        assert a.lam == b.lam and a.residual == b.residual
+        assert np.array_equal(a.field.values[14:26, 20:27], b.field.values[19:31, 17:24])
+        assert a.field.values.sum() == b.field.values.sum()
+
     @pytest.mark.parametrize("size", [1, 100, 20_000])
     def test_reductions_match_blas(self, size):
         # summation order differs from BLAS; positive terms keep it to a few ulps
@@ -228,7 +277,8 @@ class TestMaskedEig:
         assert runs[0] == runs[1]
 
     def test_shift_cuts_the_solve_count(self, square_eig_128, disk_eig_128):
-        # zero-shift inverse iteration takes 16 and 15 solves at tol 1e-9
+        # zero-shift inverse iteration from a random start takes 16 and 15
+        # solves at tol 1e-9; the square starts at its ground state
         assert square_eig_128[1].iterations <= 6
         assert disk_eig_128[1].iterations <= 8
 

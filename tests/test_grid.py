@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segpart.eigensolve import exterior_ball_nodes
 from segpart.errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 from segpart.grid import (
     GridDomain,
@@ -121,6 +122,18 @@ class TestBuildDomain:
         assert not dom.mask[i, j]
         i2, j2 = dom.nearest_node((1.0, 0.0))
         assert dom.mask[i2, j2]
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [(20, 225), (30, 518), (40, 929), (48, 1349), (80, 3757), (128, 9641), (160, 15045)],
+    )
+    def test_disk_minus_ball_mask_misses_the_excluded_ball(self, n, count):
+        # nodes on the excluded circle up to rounding (n = 20, 30, 40, 80,
+        # 160) belong to the ball, not the mask; n = 48 and 128 are the
+        # verify grids, whose node counts must not move
+        dom = build_domain("disk_minus_ball", n, 2.0, 1.0)
+        assert not np.any(exterior_ball_nodes(dom) & dom.mask)
+        assert dom.interior_count() == count
 
     def test_empty_domain_raises(self):
         with pytest.raises(EmptyDomainError, match="empty domain"):
