@@ -8,18 +8,27 @@ the discrete ground state of its bounding lattice box, sin x sin in closed
 form, taken on the component's nodes: it is positive, so it is never
 orthogonal to the component's positive ground state, and when the component
 fills its box it is that ground state and the solve ends before any factor
-(``iterations == 0``).  Otherwise the solver factors the diagonal block
-shifted by sigma = 0.99 * floor once (SuperLU, a symmetric minimum-degree
-ordering, no pivoting) and runs shifted inverse iteration.  The floor is
-lambda_1 of the same box, a lower bound on the component's own lambda_1 by
-Cauchy interlacing, so the shifted block stays SPD.  Within a connected
-component the ground state is simple and the error contracts by
-(lambda_1 - sigma) / (lambda_2 - sigma) per solve, always below the
-zero-shift ratio lambda_1 / lambda_2, which near-degenerate clusters on
-different components would push towards 1 on the whole set.  No step is
-random, so a result depends only on the domain, the allowed set and ``tol``.
-The loop's dot products and norms are plain numpy reductions that never
-call BLAS, so the results do not depend on the BLAS thread count.
+(``iterations == 0``).  Otherwise the component is folded onto the orbits
+of its lattice mirror symmetries (the two axis mirrors of its bounding box
+and, on a square box, the diagonal), if it has any: its ground state is
+simple, so every symmetry of the block fixes it, and the solve runs on
+P^T A P for the orthonormal orbit basis P, which has up to 8 times fewer
+rows (Bossavit, Symmetry, groups, and boundary value problems, CMAME 1986).
+The solver factors that block, or the whole block of a component without a
+mirror, shifted by sigma = 0.99 * floor once (SuperLU, a symmetric
+minimum-degree ordering, no pivoting) and runs shifted inverse iteration.
+The floor is the larger of two lower bounds on the component's lambda_1:
+lambda_1 of its bounding box (Cauchy interlacing) and Gershgorin's
+smallest (4 - neighbours) / h^2 over its nodes, so the shifted block stays
+SPD.  Within a connected component the ground state is simple and the
+error contracts by (lambda_1 - sigma) / (lambda_2' - sigma) per solve,
+lambda_2' >= lambda_2 the second eigenvalue among mirror-invariant vectors,
+always below the zero-shift ratio lambda_1 / lambda_2, which
+near-degenerate clusters on different components would push towards 1 on
+the whole set.  No step is random, so a result depends only on the domain,
+the allowed set and ``tol``.  The loop's dot products and norms are plain
+numpy reductions that never call BLAS, so the results do not depend on the
+BLAS thread count.
 
 The 1-D references: first zeros of Bessel J_nu (scipy's jv and brentq in
 a classical bracket), the radial ground state of a ball in dimension N in
@@ -51,8 +60,11 @@ _SHIFT = 0.99
 class EigenResult:
     """First eigenpair of the masked Dirichlet Laplacian.
 
-    ``field`` is L2-normalized (h-weighted) and nonnegative; ``residual`` is
-    the l2 norm of ``lap(field) + lam * field``.
+    ``field`` is L2-normalized (h-weighted) and nonnegative.  ``residual``
+    is the l2 norm of ``A x - lam x`` for the solver's unit-l2 coefficient
+    vector x = h * field on the carrying component (A the matrix of
+    ``masked_laplacian``), as the solve ended, before the sign fix; the
+    same norm of ``field`` is 1/h times larger.
     """
 
     lam: float
@@ -72,32 +84,27 @@ def masked_laplacian(domain: GridDomain, allowed: np.ndarray):
     """Sparse SPD matrix of -lap_h on the allowed nodes (zero Dirichlet off).
 
     Returns (A, flat_indices) where flat_indices maps matrix rows to
-    positions in the raveled (nx, ny) lattice.
+    positions in the raveled (nx, ny) lattice.  Rows are numbered in raster
+    order and each row's columns are sorted.
     """
     idx_flat = np.flatnonzero(allowed.ravel())
     n = idx_flat.size
-    lut = -np.ones(allowed.size, dtype=np.intp)
-    lut[idx_flat] = np.arange(n)
-    h2 = domain.h * domain.h
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0 / h2)]
     nx, ny = allowed.shape
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        shifted = np.zeros_like(allowed)
-        src = allowed[max(0, -di) : nx - max(0, di), max(0, -dj) : ny - max(0, dj)]
-        shifted[max(0, di) : nx + min(0, di), max(0, dj) : ny + min(0, dj)] = src
-        pair = allowed & shifted
-        pi, pj = np.nonzero(pair)
-        a = lut[pi * ny + pj]
-        b = lut[(pi - di) * ny + (pj - dj)]
-        rows.append(a)
-        cols.append(b)
-        vals.append(np.full(a.size, -1.0 / h2))
-    A = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    # row numbers on the lattice padded by one excluded ring, so every node
+    # has four neighbours in the table; raster offsets -W, -1, 0, +1, +W
+    # visit a row's columns in ascending order (gathered offset-major, which
+    # numpy broadcasts far faster than node-major)
+    w = ny + 2
+    lut = np.full((nx + 2, w), -1, dtype=np.intp)
+    lut[1:-1, 1:-1][allowed] = np.arange(n)
+    centre = idx_flat + 2 * (idx_flat // ny) + w + 1
+    table = lut.ravel()[np.array([-w, -1, 0, 1, w])[:, None] + centre].T
+    keep = table >= 0
+    h2 = domain.h * domain.h
+    data = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / h2, table.shape)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    A = sparse.csr_matrix((data[keep], table[keep], indptr), shape=(n, n))
     return A, idx_flat
 
 
@@ -170,6 +177,53 @@ def _block_ground_state(
     return lam, x, res, solves
 
 
+def _mirror_fold(block: sparse.csr_matrix, a: np.ndarray, b: np.ndarray):
+    """(P^T block P, P) for a component with a lattice mirror symmetry, or
+    None if it has none.
+
+    ``a`` and ``b`` are the nodes' 0-based indices in the component's
+    bounding box.  The mirrors tried are a -> m_i - 1 - a, b -> m_j - 1 - b
+    and, on a square box, the diagonal (a, b) -> (b, a).  P has one column
+    per orbit of the group they generate (1, 2, 4 or 8 nodes), with entries
+    1/sqrt(|orbit|) on the orbit's nodes, so its columns are orthonormal and
+    span the mirror-invariant vectors, which hold the simple, positive
+    ground state.  ``block`` maps that span into itself, so block P z =
+    P (P^T block P) z, and the folded residual of z is the block's residual
+    of P z.
+    """
+    mi, mj = int(a.max()) + 1, int(b.max()) + 1
+    box = np.zeros((mi, mj), dtype=bool)
+    box[a, b] = True
+    flip_i = np.array_equal(box, box[::-1])
+    flip_j = np.array_equal(box, box[:, ::-1])
+    diagonal = mi == mj and np.array_equal(box, box.T)
+    if not (flip_i or flip_j or diagonal):
+        return None
+    # name each node's orbit by its first image in box raster order.  The
+    # diagonal goes last: it conjugates one axis mirror into the other, so
+    # with it either both axis mirrors are present or neither is
+    first = np.arange(mi * mj).reshape(mi, mj)
+    if flip_i:
+        first = np.minimum(first, first[::-1])
+    if flip_j:
+        first = np.minimum(first, first[:, ::-1])
+    if diagonal:
+        first = np.minimum(first, first.T)
+    key = first[a, b]
+    reps = np.flatnonzero(key == a * mj + b)  # one node per orbit, in orbit order
+    orbit = np.searchsorted(key[reps], key)
+    size = np.bincount(orbit)
+    P = sparse.csr_matrix(
+        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
+    )
+    # every node of an orbit has its representative's row up to a mirror,
+    # so row o of P^T block P is sqrt|o| times the representative's row of
+    # block P
+    folded = block[reps] @ P
+    folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
+    return folded, P
+
+
 def first_dirichlet_eig(
     domain: GridDomain,
     allowed: Mask | None = None,
@@ -184,20 +238,27 @@ def first_dirichlet_eig(
     sin(pi a / (m_i + 1)) sin(pi b / (m_j + 1)) for 1-based box indices
     (a, b) and box sides of m_i x m_j nodes.  If that start already meets
     ``residual <= tol`` (it does when the component fills its box) it is
-    returned with ``iterations == 0``; otherwise one sparse LU factor of the
-    block shifted by 0.99 times the box's eigenvalue floor, then shifted
-    inverse iteration until ``residual <= tol``; each solve contracts the
-    error by (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma,
-    and the residual is that of the unshifted block.  The result
-    is the component with the lowest eigenvalue (the lowest label on an
-    exact tie); the field is zero on every other component, sign-normalized
-    nonnegative and L2-normalized (h-weighted).  ``iterations`` counts the
-    solves on the returned component.  ``seed`` has no effect on the result:
-    no step is random.  A component whose bounding-box
-    eigenvalue already exceeds the best lambda found is not solved, so a
-    nearly degenerate component that cannot win does not stall the solve.
-    Raises ``ConvergenceError`` with the last residual if a solved component
-    hits ``max_iter`` solves before ``residual <= tol``.
+    returned with ``iterations == 0``.  Otherwise a component that is
+    mirror-symmetric in its box (a -> m_i + 1 - a, b -> m_j + 1 - b, or
+    (a, b) -> (b, a) when m_i == m_j) is folded onto the orbits of its
+    mirrors, and one sparse LU factor of the folded block, or of the whole
+    block when there is no mirror, shifted by 0.99 times the component's
+    eigenvalue floor, drives shifted inverse iteration until
+    ``residual <= tol``; each solve contracts the error by
+    (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma.  The folded
+    residual equals the block's residual of the unfolded vector.  The floor
+    is the larger of the bounding box's lambda_1 and the Gershgorin bound,
+    the smallest (4 - neighbours) / h^2 over the component's nodes.  The
+    result is the component with the lowest eigenvalue (the lowest label on
+    an exact tie); the field is zero on every other component,
+    sign-normalized nonnegative and L2-normalized (h-weighted), and exactly
+    invariant under the mirrors it was folded by.  ``iterations`` counts the
+    solves on the returned component, on its folded block if it was folded.
+    ``seed`` has no effect on the result: no step is random.  A component
+    whose floor already exceeds the best lambda found is not solved, so a
+    component that cannot win, such as a long one-node wire, does not stall
+    the solve.  Raises ``ConvergenceError`` with the last residual if a
+    solved component hits ``max_iter`` solves before ``residual <= tol``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -205,41 +266,53 @@ def first_dirichlet_eig(
     if not nodes.any():
         raise EmptyRegionError("empty region")
     A, idx_flat = masked_laplacian(domain, nodes)
-    # the off-diagonal pattern is the 4-connectivity; components are numbered
-    # by their lowest row, i.e. in raster order
-    nlab, row_label = connected_components(A, directed=False)
+    # the off-diagonal pattern is the 4-connectivity, symmetric, so its
+    # strong components are the connected ones and no transpose is built;
+    # components are numbered by their lowest row, i.e. in raster order
+    nlab, row_label = connected_components(A, directed=True, connection="strong")
     # group rows by component, keeping flat-index order within each
     order = np.argsort(row_label, kind="stable")
     bounds = np.searchsorted(row_label[order], np.arange(nlab + 1))
     A = A[order][:, order]
 
-    # lambda_1 of each component's bounding lattice box bounds the
-    # component's own from below (its block is a principal submatrix of the
-    # box's: Cauchy interlacing), so components are solved in ascending
-    # bound, those whose bound exceeds the best lambda by more than
-    # rounding are never solved, and the bound sets each solve's shift; a box
-    # of m nodes along an axis adds (4/h^2) sin^2(pi / (2 (m + 1)))
+    # two lower bounds on each component's lambda_1: that of its bounding
+    # lattice box (its block is a principal submatrix of the box's: Cauchy
+    # interlacing), where a box of m nodes along an axis adds
+    # (4/h^2) sin^2(pi / (2 (m + 1))), and Gershgorin's, the smallest
+    # (4 - neighbours)/h^2 over its nodes, which lifts a thin component
+    # that spans a large box (2/h^2 on a wire).  Components are solved in
+    # ascending floor, those whose floor exceeds the best lambda by more
+    # than rounding are never solved, and the floor sets each solve's shift
     starts = bounds[:-1]
     ii, jj = np.divmod(idx_flat[order], nodes.shape[1])
     lo_i, lo_j = np.minimum.reduceat(ii, starts), np.minimum.reduceat(jj, starts)
     mi = (np.maximum.reduceat(ii, starts) - lo_i + 1).tolist()
     mj = (np.maximum.reduceat(jj, starts) - lo_j + 1).tolist()
-    floors = np.array([
+    box_floors = np.array([
         math.sin(math.pi / (2 * (a + 1))) ** 2 + math.sin(math.pi / (2 * (b + 1))) ** 2
         for a, b in zip(mi, mj)
     ]) * (4.0 / domain.h**2)
+    degree = np.diff(A.indptr) - 1
+    floors = np.maximum(box_floors, np.minimum.reduceat(4 - degree, starts) / domain.h**2)
     best = None
     for c in np.argsort(floors, kind="stable"):
         if best is not None and floors[c] > best[0] * (1 + 1e-9):
             break  # this component and all later ones cannot win
         start, stop = bounds[c], bounds[c + 1]
         block = A[start:stop, start:stop]
+        a, b = ii[start:stop] - lo_i[c], jj[start:stop] - lo_j[c]
         # start: the box's ground state on the component's nodes, 1-based
         # box indices
-        x0 = np.sin(math.pi / (mi[c] + 1) * (ii[start:stop] - lo_i[c] + 1)) * np.sin(
-            math.pi / (mj[c] + 1) * (jj[start:stop] - lo_j[c] + 1)
-        )
-        lam, x, res, solves = _block_ground_state(block, floors[c], tol, max_iter, x0)
+        x0 = np.sin(math.pi / (mi[c] + 1) * (a + 1)) * np.sin(math.pi / (mj[c] + 1) * (b + 1))
+        # a component that fills its box starts at its ground state, so
+        # only the others are worth folding
+        fold = None if stop - start == mi[c] * mj[c] else _mirror_fold(block, a, b)
+        if fold is None:
+            lam, x, res, solves = _block_ground_state(block, floors[c], tol, max_iter, x0)
+        else:
+            folded, P = fold
+            lam, z, res, solves = _block_ground_state(folded, floors[c], tol, max_iter, P.T @ x0)
+            x = P @ z
         if best is None or (lam, c) < best[:2]:
             best = (lam, c, x, res, solves, block, order[start:stop])
     _, _, x, res, iterations, block, rows = best

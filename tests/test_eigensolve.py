@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.ndimage
 import scipy.optimize
+import scipy.sparse
 import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.csgraph import connected_components
 
 import segpart
 from segpart import eigensolve
@@ -309,6 +311,294 @@ class TestMaskedEig:
         assert np.all(res.field.values[~carrier] == 0.0)
         # every shifted block stayed SPD: the shift sat below each lambda
         assert all(eigensolve._SHIFT * floor < lam for floor, lam in solved)
+
+
+def coo_laplacian(domain: GridDomain, allowed: np.ndarray):
+    """Reference assembly of ``masked_laplacian``: one COO entry per node and
+    per allowed neighbour pair, direction by direction."""
+    idx_flat = np.flatnonzero(allowed.ravel())
+    n = idx_flat.size
+    lut = -np.ones(allowed.size, dtype=np.intp)
+    lut[idx_flat] = np.arange(n)
+    h2 = domain.h * domain.h
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 / h2)]
+    nx, ny = allowed.shape
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        shifted = np.zeros_like(allowed)
+        src = allowed[max(0, -di) : nx - max(0, di), max(0, -dj) : ny - max(0, dj)]
+        shifted[max(0, di) : nx + min(0, di), max(0, dj) : ny + min(0, dj)] = src
+        pi, pj = np.nonzero(allowed & shifted)
+        rows.append(lut[pi * ny + pj])
+        cols.append(lut[(pi - di) * ny + (pj - dj)])
+        vals.append(np.full(pi.size, -1.0 / h2))
+    A = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return A, idx_flat
+
+
+@st.composite
+def random_masks(draw):
+    """A random node set on a free lattice (every node allowed, edges
+    included) or inside a square domain."""
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dom = GridDomain.raw(nx, ny, draw(st.floats(0.01, 1.0)))
+    else:
+        dom = build_domain("square", max(nx, 2), 1.0)
+    nodes = dom.mask & (rng.random(dom.mask.shape) < draw(st.floats(0.05, 1.0)))
+    assume(nodes.any())
+    return dom, nodes
+
+
+class TestAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_masks())
+    def test_matches_coo_assembly(self, case):
+        # the neighbour-table build is the COO build's matrix, array for array
+        dom, nodes = case
+        (A, idx), (B, ref) = masked_laplacian(dom, nodes), coo_laplacian(dom, nodes)
+        assert np.array_equal(idx, ref) and idx.dtype == ref.dtype
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(B, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=random_masks())
+    def test_strong_components_number_as_undirected(self, case):
+        # the pattern is symmetric: its strong components are the connected
+        # ones, in the same raster numbering the tie rule relies on
+        A, _ = masked_laplacian(*case)
+        nlab, labels = connected_components(A, directed=False)
+        strong, strong_labels = connected_components(A, directed=True, connection="strong")
+        assert strong == nlab and np.array_equal(strong_labels, labels)
+
+
+def spied_floors(dom, nodes, **kw):
+    """first_dirichlet_eig with the (floor, lambda, block size) of every
+    solved component."""
+    solved = []
+    real = eigensolve._block_ground_state
+
+    def spy(block, floor, *args):
+        out = real(block, floor, *args)
+        solved.append((floor, out[0], block.shape[0]))
+        return out
+
+    with mock.patch.object(eigensolve, "_block_ground_state", spy):
+        res = first_dirichlet_eig(dom, Mask(dom, nodes), **kw)
+    return res, solved
+
+
+def walled_wire(n: int, walls: int) -> np.ndarray:
+    """The centre block [n/3, 2n/3)^2 of square(1) plus a one-node wire on
+    the walls: columns j = 1 and j = n - 1, then row i = 1, then row
+    i = n - 1 stopping two nodes short of column n - 1, so the wire stays
+    one open path."""
+    nodes = np.zeros((n + 1, n + 1), dtype=bool)
+    nodes[n // 3 : 2 * n // 3, n // 3 : 2 * n // 3] = True
+    for wall in [(slice(1, n), 1), (slice(1, n), n - 1), (1, slice(1, n)),
+                 (n - 1, slice(1, n - 2))][:walls]:
+        nodes[wall] = True
+    return nodes
+
+
+@st.composite
+def thin_masks(draw):
+    """Adversarial node sets on square(1), n <= 24: one-node wires along the
+    walls, combs, and two equal blocks joined by a one-node bridge, each
+    beside a fat block or alone."""
+    n = draw(st.integers(8, 24))
+    nodes = np.zeros((n + 1, n + 1), dtype=bool)
+    kind = draw(st.sampled_from(["wire", "comb", "dumbbell"]))
+    if kind == "wire":
+        walls = [(slice(1, n), 1), (1, slice(1, n)), (slice(1, n), n - 1), (n - 1, slice(1, n))]
+        for wall in walls[: draw(st.integers(1, 4))]:
+            nodes[wall] = True
+        if draw(st.booleans()):
+            nodes[n - 1, n - 2] = False  # open the ring into a path
+    elif kind == "comb":
+        spine = draw(st.integers(1, n - 1))
+        nodes[spine, 1:n] = True
+        for j in range(1, n, draw(st.integers(2, 4))):
+            tooth = draw(st.integers(0, n - 1 - spine))
+            nodes[spine : spine + tooth + 1, j] = True
+    else:
+        side = draw(st.integers(2, max(2, n // 3)))
+        row = draw(st.integers(1, n - side))
+        nodes[row : row + side, 1 : 1 + side] = True
+        nodes[row : row + side, n - side : n] = True
+        nodes[row + draw(st.integers(0, side - 1)), 1:n] = True
+    if draw(st.booleans()):
+        lo = draw(st.integers(2, n // 2))
+        hi = draw(st.integers(lo + 1, n - 2))
+        fat = np.zeros_like(nodes)
+        fat[lo:hi, lo:hi] = True
+        # beside the thin set, not touching it: a block hung on a dumbbell
+        # breaks its mirror and leaves lambda_1 and lambda_2 nearly equal
+        if not (scipy.ndimage.binary_dilation(fat) & nodes).any():
+            nodes |= fat
+    return build_domain("square", n, 1.0), nodes
+
+
+class TestGershgorinFloor:
+    @pytest.mark.parametrize("n, walls", [(48, 4), (64, 3), (64, 4)])
+    def test_walled_wire_is_never_solved(self, n, walls):
+        # the wire spans the whole box, so its box floor sits far below its
+        # lambda, about 2/h^2; solved first from that shift, it stalled
+        # inverse iteration into ConvergenceError
+        dom = build_domain("square", n, 1.0)
+        block = (2 * n // 3 - n // 3) ** 2
+        res, solved = spied_floors(dom, walled_wire(n, walls), tol=1e-8)
+        assert [size for _, _, size in solved] == [block]
+        assert res.iterations == 0
+        assert res.lam == pytest.approx(box_oracle(dom.h, 2 * n // 3 - n // 3,
+                                                   2 * n // 3 - n // 3), rel=1e-13)
+
+    def test_wire_alone_converges_above_its_floor(self):
+        dom = build_domain("square", 48, 1.0)
+        wire = walled_wire(48, 4)
+        wire[16:32, 16:32] = False
+        res, [(floor, lam, _)] = spied_floors(dom, wire, tol=1e-8)
+        assert floor == 2 / dom.h**2 < lam
+        A, _ = masked_laplacian(dom, wire)
+        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=thin_masks())
+    def test_thin_sets_match_dense_eigvalsh(self, case):
+        dom, nodes = case
+        res, solved = spied_floors(dom, nodes, tol=1e-9)
+        A, _ = masked_laplacian(dom, nodes)
+        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-8)
+        # each solved block's floor, hence its shift, sat below its lambda
+        assert all(floor <= lam * (1 + 1e-12) for floor, lam, _ in solved)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=thin_masks())
+    def test_every_floor_is_below_its_lambda(self, case):
+        # solved one at a time, each component passes its own floor
+        dom, nodes = case
+        labels, nlab = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        for c in range(1, nlab + 1):
+            part = labels == c
+            _, [(floor, lam, _)] = spied_floors(dom, part, tol=1e-9)
+            A, _ = masked_laplacian(dom, part)
+            dense = np.linalg.eigvalsh(A.toarray())[0]
+            assert floor <= dense * (1 + 1e-12)
+            assert lam == pytest.approx(dense, rel=1e-8)
+
+
+def unfolded(fn, *args, **kw):
+    """``fn`` with every component solved on its whole block."""
+    with mock.patch.object(eigensolve, "_mirror_fold", lambda *a: None):
+        return fn(*args, **kw)
+
+
+@st.composite
+def mirrored_masks(draw):
+    """Node sets with lattice mirrors: a random quarter reflected across one
+    or both axes, box sides odd or even, or a random square made symmetric
+    about its diagonal; a one-node cross through the middle keeps most nodes
+    on one symmetric component."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.4, 1.0))
+    kind = draw(st.sampled_from(["i", "j", "both", "diagonal"]))
+    p, q = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    if kind == "diagonal":
+        half = np.triu(rng.random((p + q, p + q)) < density)
+        box = half | half.T
+    else:
+        box = rng.random((p, q)) < density
+        odd_i, odd_j = draw(st.booleans()), draw(st.booleans())
+        if kind in ("i", "both"):
+            box = np.concatenate([box, box[::-1][odd_i:]])
+        if kind in ("j", "both"):
+            box = np.concatenate([box, box[:, ::-1][:, odd_j:]], axis=1)
+    box[box.shape[0] // 2, :] = box[:, box.shape[1] // 2] = True
+    box[(box.shape[0] - 1) // 2, :] = box[:, (box.shape[1] - 1) // 2] = True
+    n = max(box.shape) + 3
+    dom = build_domain("square", n, 1.0)
+    nodes = np.zeros(dom.mask.shape, dtype=bool)
+    nodes[2 : 2 + box.shape[0], 2 : 2 + box.shape[1]] = box
+    return dom, nodes
+
+
+class TestMirrorFold:
+    @settings(max_examples=60, deadline=None)
+    @given(case=mirrored_masks())
+    def test_folded_solve_matches_dense_and_unfolded(self, case):
+        dom, nodes = case
+        res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-11)
+        full = unfolded(first_dirichlet_eig, dom, Mask(dom, nodes), tol=1e-11)
+        A, _ = masked_laplacian(dom, nodes)
+        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-10)
+        assert res.lam == pytest.approx(full.lam, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mirrored_masks())
+    def test_folded_block_is_the_invariant_restriction(self, case):
+        # P has orthonormal columns, and block P = P (P^T block P) on the
+        # carrying component
+        dom, nodes = case
+        labels, _ = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        part = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+        block, idx = masked_laplacian(dom, part)
+        ii, jj = np.divmod(idx, part.shape[1])
+        fold = eigensolve._mirror_fold(block, ii - ii.min(), jj - jj.min())
+        assume(fold is not None)
+        folded, P = fold
+        assert abs(P.T @ P - scipy.sparse.identity(P.shape[1])).max() <= 1e-15
+        gap = (block @ P - P @ folded).toarray()
+        assert np.abs(gap).max() <= 1e-12 * abs(block).max()
+        assert P.shape[0] <= 8 * P.shape[1]
+
+    @pytest.mark.parametrize("n", [48, 128])
+    def test_fields_are_exactly_mirror_symmetric(self, n):
+        disk = first_dirichlet_eig(build_domain("disk", n, 1.0), tol=1e-9)
+        f = disk.field.values
+        assert np.array_equal(f, f[::-1]) and np.array_equal(f, f[:, ::-1])
+        assert np.array_equal(f, f.T)
+        lune = first_dirichlet_eig(build_domain("disk_minus_ball", n, 2.0, 1.0), tol=1e-9)
+        assert np.array_equal(lune.field.values, lune.field.values[:, ::-1])
+
+    @pytest.mark.parametrize("shape, params", [("disk", (1.0,)), ("disk_minus_ball", (2.0, 1.0)),
+                                               ("l_shape", (1.0,))])
+    def test_full_block_residual_is_the_reported_one(self, shape, params):
+        # the unit-l2 coefficient vector is field * h
+        dom = build_domain(shape, 64, *params)
+        res = first_dirichlet_eig(dom, tol=1e-9)
+        assert res.iterations > 0
+        A, idx = masked_laplacian(dom, dom.mask)
+        x = res.field.values.ravel()[idx] * dom.h
+        full = np.linalg.norm(A @ x - res.lam * x)
+        assert full <= 1e-9
+        assert abs(full - res.residual) <= 1e-12
+
+    def test_component_without_mirror_takes_the_unfolded_path(self):
+        dom = build_domain("square", 32, 1.0)
+        nodes = dom.mask.copy()
+        nodes[:10, :6] = False  # a corner notch breaks every mirror
+        folds = []
+        real = eigensolve._mirror_fold
+        with mock.patch.object(eigensolve, "_mirror_fold",
+                               lambda *a: folds.append(real(*a)) or folds[-1]):
+            res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+        assert folds == [None] and res.iterations > 0
+        ref = unfolded(first_dirichlet_eig, dom, Mask(dom, nodes), tol=1e-9)
+        assert (res.lam, res.residual, res.iterations) == (ref.lam, ref.residual, ref.iterations)
+        assert np.array_equal(res.field.values, ref.field.values)
+
+    def test_disk_folds_eightfold(self):
+        dom = build_domain("disk", 64, 1.0)
+        sizes = []
+        real = eigensolve._block_ground_state
+        with mock.patch.object(eigensolve, "_block_ground_state",
+                               lambda block, *a: sizes.append(block.shape[0]) or real(block, *a)):
+            res = first_dirichlet_eig(dom, tol=1e-9)
+        assert 7 * sizes[0] <= dom.mask.sum() <= 8 * sizes[0]
+        assert res.iterations == unfolded(first_dirichlet_eig, dom, tol=1e-9).iterations
 
 
 class TestBesselZero:
