@@ -178,6 +178,15 @@ def ball_sum(
     return np.array([float(values[rho <= r].sum()) * h * h for r in radii])
 
 
+def _sorted_radii(radii) -> np.ndarray:
+    """The radii in increasing order; ValueError unless each is finite and
+    positive (an empty ball would average to 0 or divide by r = 0)."""
+    out = np.asarray(sorted(float(r) for r in radii))
+    if not np.all(np.isfinite(out) & (out > 0)):
+        raise ValueError(f"radii must be finite and positive, got {out.tolist()}")
+    return out
+
+
 def _ball_averages(sums: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """r^-2 int_{B_r}, per radius from its ball integral.
 
@@ -209,7 +218,7 @@ def mean_value_check(
     metadata carries the phi-weighted averages (1/r^2) int v/phi, which are
     nondecreasing in exact arithmetic.
     """
-    radii = np.asarray(sorted(float(r) for r in radii))
+    radii = _sorted_radii(radii)
     if radii.size < 2:
         raise ValueError("need at least two radii")
     if lam > profile.lambda_bar * (1 + 1e-9):
@@ -291,7 +300,7 @@ def acf_psi_functional(
     C-free ball integrals int_{B_r} phi^2 |grad(u/phi)|^2 (``ball_integrals``)
     that give Psi for any other C.
     """
-    radii = np.asarray(sorted(float(r) for r in radii))
+    radii = _sorted_radii(radii)
     if radii.size < 2:
         raise ValueError("need at least two radii")
     dom = u.domain
@@ -352,7 +361,7 @@ def cjk_product(
     weight 1 (the |x|^(2-N) kernel is trivial for N = 2), which is recorded
     in the metadata.
     """
-    radii = np.asarray(sorted(float(r) for r in radii))
+    radii = _sorted_radii(radii)
     if np.any(u1.values < 0) or np.any(u2.values < 0):
         raise ConstraintViolationError("fields must be nonnegative")
     if np.any((u1.values != 0) & (u2.values != 0)):

@@ -571,19 +571,14 @@ def match_components(state: PartitionState, ref: PartitionState) -> list[int]:
 def _restore_feasibility(
     supports: list[Mask], prob: PartitionProblem
 ) -> list[np.ndarray]:
-    """Erode warm-start supports until they satisfy the new separation."""
-    nodes = [s.nodes.copy() for s in supports]
-    need = prob.r - prob.domain.h
-    for _ in range(8):
-        d = _pairwise_node_distances(nodes, prob.domain.h)
-        worst = float(np.max(need - d, initial=0.0))
-        if worst <= 0:
-            return nodes
-        shrink = worst / 2.0 + prob.domain.h
-        nodes = [erode(Mask(prob.domain, m), shrink).nodes for m in nodes]
-        if not all(m.any() for m in nodes):
-            raise InfeasibleError("infeasible r")
-    raise InfeasibleError("infeasible r")
+    """The warm-start supports' node arrays, already feasible at ``prob.r``.
+
+    The previous level's supports are at least r_prev - h apart (every
+    block pass excludes the others' (r - h)-dilation, and the eroded
+    Voronoi start is farther apart still), and a sweep's r descends, so
+    r_prev - h >= prob.r - h and no erosion is ever needed.
+    """
+    return [s.nodes.copy() for s in supports]
 
 
 def _state_from_supports(

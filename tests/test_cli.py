@@ -64,6 +64,12 @@ class TestConfigValidation:
         cfg["schema"] = 2
         assert cli.main(["eig", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
 
+    @pytest.mark.parametrize("schema", [True, 1.0], ids=["bool", "float"])
+    def test_schema_equal_to_one_but_not_the_integer_rejected(self, tmp_path, capsys, schema):
+        cfg = eig_config(tmp_path, schema=schema)
+        assert cli.main(["eig", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        assert "config error: schema must be the integer 1" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         path = os.path.join(tmp_path, "bad.json")
         with open(path, "w") as fh:
@@ -151,13 +157,20 @@ class TestConfigValidation:
             ("domain", "params", [2.0, 0.0]),
             ("domain", "params", [2.0, float("nan")]),
             ("domain", "params", 2.0),
+            ("domain", "shape", ["disk"]),
+            ("output", "dir", 5),
+            ("output", "dir", ["a"]),
+            ("output", "dir", ""),
+            # a directory under the config file, a regular file
+            ("output", "dir", lambda tmp_path: os.path.join(tmp_path, "s.json", "o")),
         ],
         ids=["n-one", "n-float", "eig-nan", "eig-inf", "eig-list", "eig-zero", "eig-bool", "outer-nan",
              "outer-negative", "k-list", "k-float", "k-zero", "k-bool", "seed-bool",
              "seed-negative", "seed-float", "r-negative", "r-nan", "r-str", "r-bool",
              "r_values-nan", "r_values-negative", "r_values-bool", "r_values-str",
              "r_values-repeated", "r_values-repeated-zero", "params-bool", "params-str",
-             "params-zero", "params-nan", "params-scalar"],
+             "params-zero", "params-nan", "params-scalar", "shape-list", "dir-int",
+             "dir-list", "dir-empty", "dir-under-file"],
     )
     def test_bad_problem_and_tolerance_values_exit_2(self, tmp_path, capsys, section,
                                                      key, value):
@@ -169,7 +182,7 @@ class TestConfigValidation:
             "tolerances": {"eig": 1e-7, "outer": 1e-6},
             "output": {"dir": os.path.join(tmp_path, "o")},
         }
-        cfg[section][key] = value
+        cfg[section][key] = value(tmp_path) if callable(value) else value
         assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
         assert f"config error: {section}.{key}" in capsys.readouterr().err
 
@@ -485,6 +498,18 @@ class TestVerify:
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 1
         assert capsys.readouterr().out == f"{name}: FAIL\n"
+
+    @pytest.mark.parametrize("name, n", [("acf", 40), ("cjk", 20)])
+    def test_check_passes_when_radii_span_h_up_to_rounding(self, tmp_path, capsys, name, n):
+        # 0.5 - 4 * 0.1 and 0.25 - 4 * 0.05 fall short of h in the last bit
+        cfg = {
+            "schema": 1,
+            "checks": [name],
+            "check_params": {"n": n, "seed": 5},
+            "output": {"dir": os.path.join(tmp_path, "vt")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
+        assert capsys.readouterr().out == f"{name}: pass\n"
 
     def test_acf_fails_where_its_ball_reaches_phis_zero(self, tmp_path, capsys):
         # at n = 17 the working ball of every radius reaches the zero of

@@ -78,6 +78,55 @@ def random_values(nx: int, ny: int, kind: str, seed: int) -> np.ndarray:
     return noise if kind == "mixed" else np.cumsum(np.cumsum(noise, 0), 1)
 
 
+def shifted_copy_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Reference gradient from explicitly shifted copies of values and mask:
+    centered where both axis neighbours are in the mask, one-sided where one
+    is, zero elsewhere."""
+    h, v, m = f.domain.h, f.values, f.domain.mask
+
+    def axis_grad(axis: int) -> np.ndarray:
+        g = np.zeros_like(v)
+        plus = np.zeros_like(m)
+        minus = np.zeros_like(m)
+        vp = np.zeros_like(v)
+        vm = np.zeros_like(v)
+        if axis == 0:
+            plus[:-1, :] = m[1:, :]
+            minus[1:, :] = m[:-1, :]
+            vp[:-1, :] = v[1:, :]
+            vm[1:, :] = v[:-1, :]
+        else:
+            plus[:, :-1] = m[:, 1:]
+            minus[:, 1:] = m[:, :-1]
+            vp[:, :-1] = v[:, 1:]
+            vm[:, 1:] = v[:, :-1]
+        both = m & plus & minus
+        only_p = m & plus & ~minus
+        only_m = m & ~plus & minus
+        g[both] = (vp[both] - vm[both]) / (2 * h)
+        g[only_p] = (vp[only_p] - v[only_p]) / h
+        g[only_m] = (v[only_m] - vm[only_m]) / h
+        return g
+
+    return axis_grad(0), axis_grad(1)
+
+
+def random_field(nx: int, ny: int, density: float, seed: int, h: float = 0.1) -> ScalarField:
+    """Signed noise on a random mask of an nx x ny lattice: mask nodes on
+    the lattice edge and isolated mask nodes both occur."""
+    dom = GridDomain(nx, ny, h, random_nodes(nx, ny, density, seed), (0.0, 0.0))
+    values = np.random.default_rng(seed + 1).standard_normal((nx, ny))
+    return ScalarField.from_values(dom, values)
+
+
+SHAPES = [
+    ("disk", (1.0,)),
+    ("square", (1.0,)),
+    ("rectangle", (2.0, 1.0)),
+    ("l_shape", (1.0,)),
+    ("disk_minus_ball", (2.0, 1.0)),
+]
+
 # 3..80 nodes a side covers lattices on both sides of 64^2 nodes
 sides = st.integers(3, 80)
 densities = st.floats(0.001, 0.95)
@@ -341,6 +390,27 @@ class TestGradient:
         g = gradient_magnitude(f)
         assert abs(g.values.max() - np.pi) <= 0.02 * np.pi
 
+    @settings(max_examples=100, deadline=None)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 40), density=st.floats(0.001, 1.0),
+           seed=seeds)
+    def test_matches_shifted_copies_on_random_masks(self, nx, ny, density, seed):
+        f = random_field(nx, ny, density, seed)
+        gx, gy = discrete_gradient(f)
+        want_x, want_y = shifted_copy_gradient(f)
+        assert np.array_equal(gx.values, want_x)
+        assert np.array_equal(gy.values, want_y)
+
+    @pytest.mark.parametrize("shape, params", SHAPES)
+    def test_matches_shifted_copies_on_shapes(self, shape, params):
+        dom = build_domain(shape, 32, *params)
+        values = np.random.default_rng(4).standard_normal(dom.mask.shape)
+        f = ScalarField.from_values(dom, values)
+        gx, gy = discrete_gradient(f)
+        want_x, want_y = shifted_copy_gradient(f)
+        assert np.array_equal(gx.values, want_x)
+        assert np.array_equal(gy.values, want_y)
+        assert np.array_equal(gradient_magnitude(f).values, np.hypot(want_x, want_y))
+
 
 class TestNorms:
     def test_zero_field_all_zero(self):
@@ -436,8 +506,17 @@ class TestFieldInvariants:
 
         dom = build_domain("l_shape", 16, 1.0)
         rng = np.random.default_rng(2)
-        f = ScalarField.from_values(dom, rng.standard_normal(dom.mask.shape))
-        A, idx = masked_laplacian(dom, dom.mask)
-        vec = f.values.ravel()[idx]
-        quad = float(vec @ (A @ vec)) * dom.h**2
-        assert dirichlet_energy(f) == pytest.approx(quad, rel=1e-12)
+        fields = [
+            ScalarField.from_values(dom, rng.standard_normal(dom.mask.shape)),
+            ScalarField(GridDomain.raw(9, 5, 0.3), rng.standard_normal((9, 5))),
+        ]
+        # random masks on raw lattices: a single node, one row, sparse
+        # (isolated nodes), half and dense masks reaching the lattice edge
+        for lattice in [(1, 1, 0.9, 3), (1, 30, 0.5, 4), (17, 23, 0.05, 5),
+                        (40, 31, 0.6, 6), (64, 64, 0.95, 7)]:
+            fields.append(random_field(*lattice))
+        for f in fields:
+            A, idx = masked_laplacian(f.domain, f.domain.mask)
+            vec = f.values.ravel()[idx]
+            quad = float(vec @ (A @ vec)) * f.domain.h**2
+            assert dirichlet_energy(f) == pytest.approx(quad, rel=1e-12)

@@ -304,3 +304,36 @@ class TestCjk:
         pos = ScalarField.from_values(dom, np.clip(x - 0.5, 0, None))
         with pytest.raises(ConstraintViolationError):
             cjk_product(neg, pos, (0.5, 0.5), [0.1])
+
+
+class TestRadiiValidation:
+    @pytest.fixture(scope="class")
+    def functionals(self):
+        disk = build_domain("disk", 32, 1.0)
+        res = sp.first_dirichlet_eig(disk, tol=1e-9)
+        prof = profile_for_lambda(2, res.lam, 512)
+        lune = build_domain("disk_minus_ball", 48, 2.0, 1.0)
+        lune_res = sp.first_dirichlet_eig(lune, tol=1e-8)
+        lune_prof = profile_for_lambda(2, lune_res.lam, 512)
+        square = build_domain("square", 32, 1.0)
+        x, _ = square.coords()
+        u1 = ScalarField.from_values(square, np.clip(0.5 - x, 0, None))
+        u2 = ScalarField.from_values(square, np.clip(x - 0.5, 0, None))
+        return {
+            "mean_value": lambda radii: mean_value_check(
+                res.field, res.lam, (0.0, 0.0), radii, prof
+            ),
+            "acf": lambda radii: acf_psi_functional(
+                lune_res.field, lune_prof, (0.0, 0.0), radii, 0.0
+            ),
+            "cjk": lambda radii: cjk_product(u1, u2, (0.5, 0.5), radii),
+        }
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("name", ["mean_value", "acf", "cjk"])
+    def test_radius_not_finite_and_positive_rejected(self, functionals, name, bad):
+        # an empty ball averages to 0 and r = 0 divides by zero: either would
+        # make the report vacuous or non-finite instead of failing
+        assert np.all(np.isfinite(functionals[name]([0.1, 0.3]).values))
+        with pytest.raises(ValueError, match="finite and positive"):
+            functionals[name]([bad, 0.3])
