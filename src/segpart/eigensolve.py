@@ -49,7 +49,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
-from .grid import GridDomain, Mask, ScalarField, _in_excluded_ball, gradient_magnitude
+from .grid import GridDomain, Mask, ScalarField, _in_excluded_ball, _stencil_gradient
 
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
@@ -485,6 +485,61 @@ def exterior_ball_nodes(domain: GridDomain) -> np.ndarray:
     return _in_excluded_ball(*domain.coords(), r0)
 
 
+def _ball_box(
+    domain: GridDomain, r: float, center: tuple[float, float]
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The bounding box of the lattice nodes of the closed ball B_r(center),
+    grown by one node and clamped to the lattice, and |x - center| on it."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"radius must be finite and positive, got {r}")
+    x, y = domain.coords()
+    rho = np.hypot(x - center[0], y - center[1])
+    ball = rho <= r
+    if not ball.any():
+        raise ValueError(f"the ball of radius {r} holds no lattice node")
+    box = tuple(
+        slice(max(int(i[0]) - 1, 0), int(i[-1]) + 2)
+        for i in (np.flatnonzero(ball.any(axis=1)), np.flatnonzero(ball.any(axis=0)))
+    )
+    return box, rho[box]
+
+
+def _poincare_quotients(
+    domain: GridDomain,
+    values: np.ndarray,
+    r: float,
+    center: tuple[float, float],
+    excluded: np.ndarray,
+) -> np.ndarray:
+    """The Poincare quotient of each field of a ``(k, nx, ny)`` stack that
+    vanishes off the domain mask, as an array of k floats.
+
+    Only the fields' values on the ball's box (:func:`_ball_box`) are read.
+    That crop is exact: the gradient at a ball node reads only its four
+    neighbours, which lie in the box or past the lattice edge.  Each field's
+    sums are taken on its own row, so every quotient has the bits of a
+    one-field stack.
+    """
+    box, rho = _ball_box(domain, r, center)
+    v, mask, ball = values[(slice(None), *box)], domain.mask[box], rho <= r
+    if np.any(v[:, ball & excluded[box]] != 0.0):
+        raise ConstraintViolationError("constraint violated")
+    on_ball = v[:, ball]
+    if not np.all(np.any(on_ball != 0.0, axis=1)):
+        raise ValueError("field vanishes identically on the ball")
+    h = domain.h
+    ring = ball & (rho > r - h)
+    gx, gy = _stencil_gradient(v, mask, h)
+    grad_on_ball = np.hypot(gx, gy)[:, ball]
+    out = np.empty(len(v))
+    for k, rows in enumerate(zip(v[:, ring], on_ball, grad_on_ball)):
+        boundary, interior, grad = (float((row**2).sum()) for row in rows)
+        out[k] = math.inf if grad == 0.0 else (
+            (boundary * h / r + interior * h * h / (r * r)) / (grad * h * h)
+        )
+    return out
+
+
 def poincare_check(
     f: ScalarField,
     r: float,
@@ -494,26 +549,11 @@ def poincare_check(
     """Quotient ((1/r) * boundary L2 + (1/r^2) * interior L2) / Dirichlet term
     over the ball B_r(center), for fields vanishing on the excluded ball.
 
-    The boundary integral is the outermost node ring scaled by h.
+    The boundary integral is the outermost node ring scaled by h.  The
+    radius must be finite and positive and the ball must hold a lattice
+    node at which the field is nonzero (ValueError otherwise).
     """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
     dom = f.domain
     if excluded is None:
         excluded = exterior_ball_nodes(dom)
-    x, y = dom.coords()
-    rho = np.hypot(x - center[0], y - center[1])
-    ball = rho <= r
-    if np.any(f.values[ball & excluded] != 0.0):
-        raise ConstraintViolationError("constraint violated")
-    if not np.any(f.values[ball] != 0.0):
-        raise ValueError("field vanishes identically on the ball")
-    h = dom.h
-    ring = ball & (rho > r - h)
-    g = gradient_magnitude(f)
-    boundary = float((f.values[ring] ** 2).sum()) * h
-    interior = float((f.values[ball] ** 2).sum()) * h * h
-    grad = float((g.values[ball] ** 2).sum()) * h * h
-    if grad == 0.0:
-        return math.inf
-    return (boundary / r + interior / (r * r)) / grad
+    return float(_poincare_quotients(dom, f.values[None], r, center, excluded)[0])

@@ -252,17 +252,31 @@ def erode(m: Mask, r: float) -> Mask:
 
 
 def _padded(a: np.ndarray) -> np.ndarray:
-    """``a`` inside one ring of zeros (``False`` for a mask), so every node
-    has all four 5-point neighbours."""
-    return np.pad(a, 1)
+    """``a`` inside one ring of zeros (``False`` for a mask) on its last two
+    axes, so every node has all four 5-point neighbours."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)])
 
 
-# (minus, plus) neighbours of every node along axis 0 and along axis 1, as
-# slices of a padded array
+# (minus, plus) neighbours of every node along the lattice's first and
+# second axis, as slices of a padded array's last two axes
 _NEIGHBOURS = (
-    ((slice(None, -2), slice(1, -1)), (slice(2, None), slice(1, -1))),
-    ((slice(1, -1), slice(None, -2)), (slice(1, -1), slice(2, None))),
+    ((..., slice(None, -2), slice(1, -1)), (..., slice(2, None), slice(1, -1))),
+    ((..., slice(1, -1), slice(None, -2)), (..., slice(1, -1), slice(2, None))),
 )
+
+
+def _stencil_gradient(
+    values: np.ndarray, mask: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two gradient components of a ``(..., nx, ny)`` stack of fields
+    that vanish off the ``(nx, ny)`` mask, as arrays of the stack's shape."""
+    vpad, mpad = _padded(values), _padded(mask)
+    comps = []
+    for lo, hi in _NEIGHBOURS:
+        minus, plus = mask & mpad[lo], mask & mpad[hi]
+        diff = np.where(plus, vpad[hi], values) - np.where(minus, vpad[lo], values)
+        comps.append(diff / np.where(plus & minus, 2 * h, h))
+    return comps[0], comps[1]
 
 
 def discrete_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
@@ -273,15 +287,8 @@ def discrete_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     Components are zero at off-mask nodes and at mask nodes isolated along
     an axis.
     """
-    h = f.domain.h
-    v, m = f.values, f.domain.mask
-    vpad, mpad = _padded(v), _padded(m)
-    comps = []
-    for lo, hi in _NEIGHBOURS:
-        minus, plus = m & mpad[lo], m & mpad[hi]
-        diff = np.where(plus, vpad[hi], v) - np.where(minus, vpad[lo], v)
-        comps.append(ScalarField(f.domain, diff / np.where(plus & minus, 2 * h, h)))
-    return comps[0], comps[1]
+    gx, gy = _stencil_gradient(f.values, f.domain.mask, f.domain.h)
+    return ScalarField(f.domain, gx), ScalarField(f.domain, gy)
 
 
 def gradient_magnitude(f: ScalarField) -> ScalarField:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import pytest
 
 import segpart
 from segpart import cli, partition
-from segpart.eigensolve import cap_eigenvalue, first_dirichlet_eig
-from segpart.grid import Mask, build_domain
+from segpart.eigensolve import cap_eigenvalue, exterior_ball_nodes, first_dirichlet_eig
+from segpart.grid import Mask, ScalarField, build_domain, gradient_magnitude
 from segpart.monotonicity import acf_psi_functional, profile_for_lambda
 from segpart.partition import SweepReport
 
@@ -391,6 +392,40 @@ CHECK_OUTPUTS = {
 }
 
 
+def per_field_poincare_rows(p: dict) -> list:
+    """Reference for the poincare check's rows: one validated field and one
+    full-lattice quotient (coordinates, |x|, ball, ring and gradient all
+    rebuilt) per draw of six coefficients."""
+    dom = build_domain("disk_minus_ball", p["n"], 2.0, 1.0)
+    rng = np.random.default_rng(p["seed"])
+    x, y = dom.coords()
+    excluded = exterior_ball_nodes(dom)
+    h = dom.h
+    rows = []
+    for r in (0.25, 0.5, 1.0):
+        for _ in range(40):
+            coef = rng.standard_normal(6)
+            vals = (
+                coef[0]
+                + coef[1] * x + coef[2] * y
+                + coef[3] * np.sin(2 * x) + coef[4] * np.cos(2 * y)
+                + coef[5] * x * y
+            )
+            f = ScalarField.from_values(dom, vals)
+            rho = np.hypot(x, y)
+            ball = rho <= r
+            assert not np.any(f.values[ball & excluded] != 0.0)
+            assert np.any(f.values[ball] != 0.0)
+            ring = ball & (rho > r - h)
+            g = gradient_magnitude(f)
+            boundary = float((f.values[ring] ** 2).sum()) * h
+            interior = float((f.values[ball] ** 2).sum()) * h * h
+            grad = float((g.values[ball] ** 2).sum()) * h * h
+            q = math.inf if grad == 0.0 else (boundary / r + interior / (r * r)) / grad
+            rows.append([r, q])
+    return rows
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", cli.KNOWN_CHECKS)
     def test_check_writes_its_csv_and_summary(self, tmp_path, capsys, name):
@@ -458,6 +493,36 @@ class TestVerify:
             "output": {"dir": os.path.join(tmp_path, "vp")},
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("n", [16, 40, 48, 80, 128])
+    def test_poincare_rows_match_the_per_field_reference(self, n, seed):
+        header, rows, summary = cli._check_poincare({"n": n, "seed": seed})
+        want = per_field_poincare_rows({"n": n, "seed": seed})
+        assert header == ["r", "ratio"]
+        assert [repr(v) for row in rows for v in row] == [repr(v) for row in want for v in row]
+        assert repr(summary["max_ratio"]) == repr(max(q for _, q in want))
+        assert summary["passed"] is True
+
+    @pytest.mark.parametrize("n, code", [(12, 1), (13, 0), (14, 1), (15, 0), (16, 0)])
+    def test_poincare_on_a_coarse_grid_fails_without_aborting(self, tmp_path, n, code):
+        # at n = 12 and 14 the r = 0.25 ball holds no mask node, so every
+        # field vanishes there: that radius gets NaN rows and the check fails
+        outdir = os.path.join(tmp_path, "vp")
+        cfg = {
+            "schema": 1,
+            "checks": ["poincare", "gamma"],
+            "check_params": {"n": n},
+            "output": {"dir": outdir},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == code
+        poincare, gamma = json.load(open(os.path.join(outdir, "verify.json")))["checks"]
+        assert poincare["passed"] is (code == 0) and gamma["passed"] is True
+        rows = [line.split(",") for line in open(os.path.join(outdir, "poincare.csv"))][1:]
+        assert len(rows) == 120
+        nan_radii = {float(r) for r, q in rows if math.isnan(float(q))}
+        assert nan_radii == ({0.25} if code else set())
+        assert math.isfinite(poincare["max_ratio"])
 
     def test_mean_value_check_passes(self, tmp_path):
         cfg = {

@@ -23,8 +23,10 @@ from segpart.eigensolve import (
     _dot,
     _factor,
     _norm,
+    _poincare_quotients,
     bessel_first_zero,
     cap_eigenvalue,
+    exterior_ball_nodes,
     first_dirichlet_eig,
     masked_laplacian,
     poincare_check,
@@ -761,19 +763,33 @@ class TestPoincare:
             poincare_check(g, 1.0, excluded=(np.hypot(*np.meshgrid(
                 lune.xs() + 1.0, lune.ys(), indexing="ij")) <= 1.0))
 
+    @pytest.mark.parametrize("r", [0.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, lune, r):
+        f = ScalarField.from_values(lune, np.ones(lune.mask.shape))
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            poincare_check(f, r)
+
+    @pytest.mark.parametrize("center, r", [((10.0, 10.0), 1.0), ((0.01, 0.01), 0.005)])
+    def test_ball_without_a_lattice_node_rejected(self, lune, center, r):
+        f = ScalarField.from_values(lune, np.ones(lune.mask.shape))
+        with pytest.raises(ValueError, match="holds no lattice node"):
+            poincare_check(f, r, center=center)
+
     def test_uniformly_bounded_over_seeded_fields(self, lune):
-        # a single constant works for all r <= R: freeze an empirical bound
+        # a single constant works for all r <= R: freeze an empirical bound;
+        # one stack of the 334 fields, drawn as 334 draws of 6 coefficients
         rng = np.random.default_rng(20240117)
         x, y = lune.coords()
-        worst = 0.0
-        for _ in range(334):
-            c = rng.standard_normal(6)
-            vals = (
-                c[0] + c[1] * x + c[2] * y
-                + c[3] * np.sin(2 * x) + c[4] * np.cos(2 * y) + c[5] * x * y
-            )
-            f = ScalarField.from_values(lune, vals)
-            for r in (0.25, 0.5, 1.0):
-                worst = max(worst, poincare_check(f, r))
+        c = rng.standard_normal((334, 6))[:, :, None, None]
+        vals = (
+            c[:, 0] + c[:, 1] * x + c[:, 2] * y
+            + c[:, 3] * np.sin(2 * x) + c[:, 4] * np.cos(2 * y) + c[:, 5] * x * y
+        )
+        stack = np.where(lune.mask, vals, 0.0)
+        excluded = exterior_ball_nodes(lune)
+        worst = max(
+            _poincare_quotients(lune, stack, r, (0.0, 0.0), excluded).max()
+            for r in (0.25, 0.5, 1.0)
+        )
         assert math.isfinite(worst)
         assert worst <= 1.0e4

@@ -13,6 +13,7 @@ from segpart.grid import (
     ScalarField,
     _distance_to,
     _holder_seminorm,
+    _stencil_gradient,
     build_domain,
     dilate,
     dirichlet_energy,
@@ -399,6 +400,20 @@ class TestGradient:
         want_x, want_y = shifted_copy_gradient(f)
         assert np.array_equal(gx.values, want_x)
         assert np.array_equal(gy.values, want_y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.integers(1, 30), ny=st.integers(1, 30), density=st.floats(0.001, 1.0),
+           seed=seeds, k=st.sampled_from([1, 2, 5]))
+    def test_stack_matches_field_by_field(self, nx, ny, density, seed, k):
+        dom = random_field(nx, ny, density, seed).domain
+        noise = np.random.default_rng(seed + 2).standard_normal((k, nx, ny))
+        stack = np.where(dom.mask, noise, 0.0)
+        gx, gy = _stencil_gradient(stack, dom.mask, dom.h)
+        assert gx.shape == gy.shape == (k, nx, ny)
+        for i in range(k):
+            want_x, want_y = discrete_gradient(ScalarField(dom, stack[i]))
+            assert np.array_equal(gx[i], want_x.values)
+            assert np.array_equal(gy[i], want_y.values)
 
     @pytest.mark.parametrize("shape, params", SHAPES)
     def test_matches_shifted_copies_on_shapes(self, shape, params):
