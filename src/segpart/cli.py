@@ -425,19 +425,18 @@ def _check_poincare(p: dict):
         # the same draws as one standard_normal(6) per field
         c = rng.standard_normal((40, 6))[:, :, None, None]
         try:
-            # the quotient reads only the ball's box: the fields are built
-            # there and left 0 elsewhere; c5 * x * y is evaluated left to
-            # right, as (c5 * x) * y, since hoisting x * y changes bits
-            box, _ = _ball_box(dom, r, (0.0, 0.0))
+            # the quotient reads only the ball's box, so the fields are
+            # built there alone; c5 * x * y is evaluated left to right, as
+            # (c5 * x) * y, since hoisting x * y changes bits
+            box, rho = _ball_box(dom, r, (0.0, 0.0))
             xb, yb = x[box], y[box]
-            vals = np.zeros((len(c), *dom.mask.shape))
-            vals[(slice(None), *box)] = np.where(dom.mask[box], (
+            vals = np.where(dom.mask[box], (
                 c[:, 0]
                 + c[:, 1] * xb + c[:, 2] * yb
                 + c[:, 3] * np.sin(2 * xb) + c[:, 4] * np.cos(2 * yb)
                 + c[:, 5] * xb * yb
             ), 0.0)
-            ratios = _poincare_quotients(dom, vals, r, (0.0, 0.0), excluded).tolist()
+            ratios = _poincare_quotients(dom, vals, r, box, rho, excluded).tolist()
         except ValueError:
             # on a coarse grid the r = 0.25 ball holds no mask node: the
             # radius gets NaN rows, the check fails and the others still run

@@ -25,16 +25,31 @@ error contracts by (lambda_1 - sigma) / (lambda_2' - sigma) per solve,
 lambda_2' >= lambda_2 the second eigenvalue among mirror-invariant vectors,
 always below the zero-shift ratio lambda_1 / lambda_2, which
 near-degenerate clusters on different components would push towards 1 on
-the whole set.  No step is random, so a result depends only on the domain,
-the allowed set and ``tol``.  The loop's dot products and norms are plain
-numpy reductions that never call BLAS, so the results do not depend on the
-BLAS thread count.
+the whole set.  Within one component a near-degenerate pair (two lobes
+joined by a narrow bridge) still pushes that ratio towards 1, so a block
+that has not met ``tol`` after 100 solves restarts from its iterate in
+ARPACK's shift-invert Lanczos on the same factor, which separates the pair
+in a few dozen solves.  No step is random, so a result depends only on the
+domain, the allowed set and ``tol``.  The loop's dot products and norms are
+plain numpy reductions that never call BLAS, so the results do not depend
+on the BLAS thread count; ARPACK's own reductions do call BLAS, but no
+benchmark block reaches the hand-over.
 
 The 1-D references: first zeros of Bessel J_nu (scipy's jv and brentq in
 a classical bracket), the radial ground state of a ball in dimension N in
 closed form (scipy's 0F1), and the first Laplace-Beltrami eigenvalue of a
 spherical cap through the weighted Sturm-Liouville problem with weight
-sin(theta)^(N-2).
+sin(theta)^(N-2).  Its finite differences give a tridiagonal pencil
+K w = lam B w, K symmetric positive definite and B diagonal.  K is factored
+once as L D L^T (LAPACK's dpttrf) and inverse iteration runs on the pencil
+itself, from the continuous hemisphere profile cos(pi theta / (2 theta_r)),
+until two successive quotients (w^T B w) / (y^T B w) agree to 1e-13
+relative.  The pencil is never symmetrized by B^-1/2: that matrix's norm
+grows like 1.5^(N-2) / dtheta^2, and bisection on it is accurate only to
+ulp times that norm.  The iteration's quotient has positive terms only, so
+lam stays within 1.1e-6 of the hemisphere's N - 1 up to N = 88 at 4096
+nodes; beyond that the weights underflow, K is no longer positive
+definite and the solve raises ValueError.
 """
 
 from __future__ import annotations
@@ -44,9 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from .grid import GridDomain, Mask, ScalarField, _in_excluded_ball, _stencil_gradient
@@ -54,6 +69,11 @@ from .grid import GridDomain, Mask, ScalarField, _in_excluded_ball, _stencil_gra
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
 _SHIFT = 0.99
+# solves of plain inverse iteration before a block hands its factor to
+# shift-invert Lanczos: no benchmark workload's block takes more than 17,
+# while a near-degenerate pair (two lobes joined by a bridge) contracts by
+# 0.998 per solve or slower and can take thousands
+_LANCZOS_AFTER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +172,11 @@ def _block_ground_state(
     ``block - _SHIFT * floor * I``, where ``floor`` is a lower bound on the
     block's smallest eigenvalue; the Rayleigh quotient and the residual are
     taken on the unshifted block.  A start vector that already meets ``tol``
-    is returned without a factor or a solve.
+    is returned without a factor or a solve.  A block still short of ``tol``
+    after ``_LANCZOS_AFTER`` solves restarts from its iterate in ARPACK's
+    shift-invert Lanczos (``eigsh``) on the same factor, which separates
+    lambda_1 from a close lambda_2 in a few dozen solves; every solve counts
+    towards ``max_iter``.
     """
     x = x / _norm(x)
     ax = block @ x
@@ -160,17 +184,30 @@ def _block_ground_state(
     res = _norm(ax - lam * x)
     lu = None
     solves = 0
-    while res > tol:
+
+    def solve(v):
+        nonlocal solves
         if solves >= max_iter:
             raise ConvergenceError("eigensolver did not converge", res)
+        solves += 1
+        return lu.solve(v)
+
+    while res > tol:
         if lu is None:
             lu = _factor(block, _SHIFT * floor)
-        solves += 1
-        y = lu.solve(x)
-        ny_ = _norm(y)
-        if not np.isfinite(ny_) or ny_ == 0.0:
-            raise ConvergenceError("inverse iteration produced a null vector", res)
-        x = y / ny_
+        if solves == _LANCZOS_AFTER:
+            op = LinearOperator(block.shape, matvec=solve, dtype=float)
+            try:
+                _, v = eigsh(block, k=1, sigma=_SHIFT * floor, OPinv=op, v0=x, tol=0)
+            except ArpackNoConvergence:
+                raise ConvergenceError("Lanczos did not converge", res) from None
+            x = v[:, 0]
+        else:
+            y = solve(x)
+            ny_ = _norm(y)
+            if not np.isfinite(ny_) or ny_ == 0.0:
+                raise ConvergenceError("inverse iteration produced a null vector", res)
+            x = y / ny_
         ax = block @ x
         lam = _dot(x, ax)
         res = _norm(ax - lam * x)
@@ -245,7 +282,9 @@ def first_dirichlet_eig(
     block when there is no mirror, shifted by 0.99 times the component's
     eigenvalue floor, drives shifted inverse iteration until
     ``residual <= tol``; each solve contracts the error by
-    (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma.  The folded
+    (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma, and a
+    block still short of ``tol`` after 100 solves finishes in ARPACK's
+    shift-invert Lanczos on the same factor.  The folded
     residual equals the block's residual of the unfolded vector.  The floor
     is the larger of the bounding box's lambda_1 and the Gershgorin bound,
     the smallest (4 - neighbours) / h^2 over the component's nodes.  The
@@ -420,19 +459,15 @@ class CapSpectrum:
     profile: np.ndarray
 
 
-def cap_eigenvalue(dim: int, r: float, nodes: int = 4096) -> CapSpectrum:
-    """Weighted Sturm-Liouville solve for the cap's first eigenvalue.
+# solves of the cap's inverse iteration before ConvergenceError; the solve
+# converges in at most 14 for N up to 200 at 16-16384 nodes, r up to 0.99
+_CAP_MAX_SOLVES = 50
 
-    -( (sin t)^(N-2) w' )' = lam (sin t)^(N-2) w on (0, theta_r) with
-    w'(0) = 0 (ghost node at the axis) and w(theta_r) = 0.  Second-order
-    finite differences on a uniform theta grid; returns w with w(0) = 1.
-    """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"cap parameter must lie in [0, 1), got {r}")
-    if nodes < 16:
-        raise ValueError(f"need at least 16 theta nodes, got {nodes}")
+
+def _cap_pencil(dim: int, r: float, nodes: int):
+    """theta_r, the unknowns' theta nodes and the tridiagonal pencil
+    K w = lam B w of the cap's finite-difference Sturm-Liouville problem:
+    K's diagonal and off-diagonal and B's diagonal."""
     theta_r = math.acos(-r / 2.0)
     m = nodes
     dt = theta_r / m
@@ -453,16 +488,53 @@ def cap_eigenvalue(dim: int, r: float, nodes: int = 4096) -> CapSpectrum:
     off[1:] = -a_half[1:-1] / dt**2
     bdiag[1:] = weight[1:]
     # last unknown couples to w(theta_r) = 0 through a_half[m-1]
+    return theta_r, theta, diag, off, bdiag
 
-    d_inv_sqrt = 1.0 / np.sqrt(bdiag)
-    tdiag = diag * d_inv_sqrt**2
-    toff = off * d_inv_sqrt[:-1] * d_inv_sqrt[1:]
-    w_vals, w_vecs = eigh_tridiagonal(tdiag, toff, select="i", select_range=(0, 0))
-    lam = float(w_vals[0])
-    w = w_vecs[:, 0] * d_inv_sqrt
-    if w[0] < 0:
-        w = -w
-    w = w / w[0]
+
+def cap_eigenvalue(dim: int, r: float, nodes: int = 4096) -> CapSpectrum:
+    """Weighted Sturm-Liouville solve for the cap's first eigenvalue.
+
+    -( (sin t)^(N-2) w' )' = lam (sin t)^(N-2) w on (0, theta_r) with
+    w'(0) = 0 (ghost node at the axis) and w(theta_r) = 0.  Second-order
+    finite differences on a uniform theta grid give the pencil K w = lam B w,
+    K symmetric positive definite tridiagonal and B diagonal and positive.
+    K is factored once as L D L^T (LAPACK's dpttrf), and inverse iteration
+    y = K^-1 B w starts from the continuous hemisphere profile
+    cos(pi theta / (2 theta_r)).  Each solve gives lam = (w^T B w) / (y^T B w),
+    a quotient of positive sums, and w = y / y[0]; the loop stops once two
+    successive lam agree to 1e-13 relative (2-14 solves) and raises
+    ConvergenceError after 50.  Returns w with w(0) = 1.
+
+    The weights near the axis are about (theta_r / nodes)^(N-2); once they
+    underflow K is no longer positive definite and ValueError is raised
+    (from N = 89 at 4096 nodes).  Up to there lam lies within 1.1e-6 of the
+    hemisphere's N - 1 at 4096 nodes.
+    """
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    if not (0.0 <= r < 1.0):
+        raise ValueError(f"cap parameter must lie in [0, 1), got {r}")
+    if nodes < 16:
+        raise ValueError(f"need at least 16 theta nodes, got {nodes}")
+    theta_r, theta, diag, off, bdiag = _cap_pencil(dim, r, nodes)
+    d, e, info = dpttrf(diag, off)
+    if info != 0:
+        raise ValueError(
+            f"cap stiffness matrix is not positive definite at dim={dim}, "
+            f"nodes={nodes}: the weights sin(theta)^(dim-2) underflow near the axis"
+        )
+    w = np.cos(0.5 * math.pi / theta_r * theta)
+    lam, change = math.inf, math.inf
+    for _ in range(_CAP_MAX_SOLVES):
+        bw = bdiag * w
+        y, _ = dpttrs(d, e, bw)
+        new = _dot(w, bw) / _dot(y, bw)
+        w = y / y[0]
+        change, lam = abs(new - lam) / new, new
+        if change <= 1e-13:
+            break
+    else:
+        raise ConvergenceError("cap inverse iteration did not converge", change)
 
     theta_full = np.append(theta, theta_r)
     profile = np.append(w, 0.0)
@@ -508,31 +580,32 @@ def _poincare_quotients(
     domain: GridDomain,
     values: np.ndarray,
     r: float,
-    center: tuple[float, float],
+    box: tuple[slice, slice],
+    rho: np.ndarray,
     excluded: np.ndarray,
 ) -> np.ndarray:
-    """The Poincare quotient of each field of a ``(k, nx, ny)`` stack that
-    vanishes off the domain mask, as an array of k floats.
+    """The Poincare quotient over B_r of each field of a ``(k, bx, by)``
+    stack, the fields' values on the ball's box (``box, rho`` from
+    :func:`_ball_box`), as an array of k floats.  Each field vanishes off
+    the domain mask; ``excluded`` spans the whole lattice.
 
-    Only the fields' values on the ball's box (:func:`_ball_box`) are read.
-    That crop is exact: the gradient at a ball node reads only its four
+    The crop is exact: the gradient at a ball node reads only its four
     neighbours, which lie in the box or past the lattice edge.  Each field's
     sums are taken on its own row, so every quotient has the bits of a
     one-field stack.
     """
-    box, rho = _ball_box(domain, r, center)
-    v, mask, ball = values[(slice(None), *box)], domain.mask[box], rho <= r
-    if np.any(v[:, ball & excluded[box]] != 0.0):
+    mask, ball = domain.mask[box], rho <= r
+    if np.any(values[:, ball & excluded[box]] != 0.0):
         raise ConstraintViolationError("constraint violated")
-    on_ball = v[:, ball]
+    on_ball = values[:, ball]
     if not np.all(np.any(on_ball != 0.0, axis=1)):
         raise ValueError("field vanishes identically on the ball")
     h = domain.h
     ring = ball & (rho > r - h)
-    gx, gy = _stencil_gradient(v, mask, h)
+    gx, gy = _stencil_gradient(values, mask, h)
     grad_on_ball = np.hypot(gx, gy)[:, ball]
-    out = np.empty(len(v))
-    for k, rows in enumerate(zip(v[:, ring], on_ball, grad_on_ball)):
+    out = np.empty(len(values))
+    for k, rows in enumerate(zip(values[:, ring], on_ball, grad_on_ball)):
         boundary, interior, grad = (float((row**2).sum()) for row in rows)
         out[k] = math.inf if grad == 0.0 else (
             (boundary * h / r + interior * h * h / (r * r)) / (grad * h * h)
@@ -556,4 +629,5 @@ def poincare_check(
     dom = f.domain
     if excluded is None:
         excluded = exterior_ball_nodes(dom)
-    return float(_poincare_quotients(dom, f.values[None], r, center, excluded)[0])
+    box, rho = _ball_box(dom, r, center)
+    return float(_poincare_quotients(dom, f.values[box][None], r, box, rho, excluded)[0])

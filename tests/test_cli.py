@@ -482,6 +482,29 @@ class TestVerify:
         assert abs(slope - quotient) <= 1e-9
         assert abs(slope + 1.4895) <= 1e-4
 
+    def test_cap_check_passes_at_high_dimension(self, tmp_path):
+        cfg = {
+            "schema": 1,
+            "checks": ["cap"],
+            "check_params": {"N": 60},
+            "output": {"dir": os.path.join(tmp_path, "vc")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 0
+        (entry,) = json.load(open(os.path.join(cfg["output"]["dir"], "verify.json")))["checks"]
+        assert entry["lambda0_error"] <= 1e-6
+
+    def test_cap_check_beyond_the_representable_dimension_exit_3(self, tmp_path, capsys):
+        cfg = {
+            "schema": 1,
+            "checks": ["cap"],
+            "check_params": {"N": 100},
+            "output": {"dir": os.path.join(tmp_path, "vc")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: cap stiffness matrix is not positive definite" in err
+        assert "dim=100, nodes=4096" in err
+
     @pytest.mark.parametrize("n", [40, 80])
     def test_poincare_check_passes_where_the_mask_met_the_excluded_ball(self, tmp_path, n):
         # at these n the excluded circle passes through lattice nodes up to

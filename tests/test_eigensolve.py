@@ -7,11 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.ndimage
 import scipy.optimize
 import scipy.sparse
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
@@ -20,6 +21,8 @@ import segpart
 from segpart import eigensolve
 from segpart.errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from segpart.eigensolve import (
+    _ball_box,
+    _cap_pencil,
     _dot,
     _factor,
     _norm,
@@ -292,6 +295,9 @@ class TestMaskedEig:
         density=st.floats(0.2, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a find: a 153-node component with lambda_1 = 258.91, lambda_2 = 259.38
+    # and shift 22.07 missed tol 1e-9 after 10000 plain solves
+    @example(n=18, density=0.625, seed=188093)
     def test_matches_dense_eigvalsh_above_the_shift(self, n, density, seed):
         dom = build_domain("square", n, 1.0)
         nodes = dom.mask & (np.random.default_rng(seed).random(dom.mask.shape) < density)
@@ -352,6 +358,39 @@ def random_masks(draw):
     nodes = dom.mask & (rng.random(dom.mask.shape) < draw(st.floats(0.05, 1.0)))
     assume(nodes.any())
     return dom, nodes
+
+
+def bridged_pair(n: int, side: int, hung: int) -> tuple[GridDomain, Mask]:
+    """Two side x side blocks joined along row 5 by a one-node bridge, with
+    node (6, hung) hung on the bridge off its mirror axis: lambda_1 and lambda_2
+    differ by tunnelling through the bridge only, and no fold removes
+    lambda_2's antisymmetric mode."""
+    dom = build_domain("square", n, 1.0)
+    nodes = np.zeros(dom.mask.shape, dtype=bool)
+    nodes[5:5 + side, 1:1 + side] = True
+    nodes[5:5 + side, n - side:n] = True
+    nodes[5, 1:n] = True
+    nodes[6, hung] = True
+    return dom, Mask(dom, nodes & dom.mask)
+
+
+class TestNearDegeneratePair:
+    @pytest.mark.parametrize("n, side, hung", [(13, 3, 6), (20, 4, 9)])
+    def test_converges_through_lanczos(self, n, side, hung):
+        # the plain iteration contracts by 0.998 per solve or slower here
+        dom, allowed = bridged_pair(n, side, hung)
+        res = first_dirichlet_eig(dom, allowed, tol=1e-9)
+        block, _ = masked_laplacian(dom, allowed.nodes)
+        lam1, lam2 = np.linalg.eigvalsh(block.toarray())[:2]
+        assert lam2 - lam1 < 1e-3 * lam1
+        assert res.lam == pytest.approx(lam1, rel=1e-12)
+        assert res.residual <= 1e-9
+        assert eigensolve._LANCZOS_AFTER < res.iterations <= eigensolve._LANCZOS_AFTER + 60
+
+    def test_lanczos_solves_count_towards_max_iter(self):
+        dom, allowed = bridged_pair(13, 3, 6)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            first_dirichlet_eig(dom, allowed, tol=1e-9, max_iter=eigensolve._LANCZOS_AFTER + 5)
 
 
 class TestAssembly:
@@ -680,8 +719,10 @@ class TestRadialGroundState:
 
 
 class TestCapSpectrum:
-    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 10, 20, 30, 40, 50, 60])
     def test_hemisphere_value(self, dim):
+        # the symmetrized bisection missed N - 1 by 8.3e-6 at N = 30 and by
+        # 1.39 at N = 60, since its matrix norm grows like 1.5^(N-2) / dt^2
         cs = cap_eigenvalue(dim, 0.0, 4096)
         assert abs(cs.lambda1 - (dim - 1)) <= 1e-6
 
@@ -707,10 +748,45 @@ class TestCapSpectrum:
         assert (lam_eps - lam0) / 0.01 < 0
 
     def test_profile_positive_inside_zero_at_edge(self):
-        cs = cap_eigenvalue(4, 0.3, 1024)
-        assert cs.profile[-1] == 0.0
-        assert np.all(cs.profile[:-1] > 0)
-        assert cs.profile[0] == 1.0
+        for dim, r, nodes in [(4, 0.3, 1024), (2, 0.0, 16), (5, 0.5, 4096), (60, 0.3, 4096)]:
+            cs = cap_eigenvalue(dim, r, nodes)
+            assert cs.profile[-1] == 0.0
+            assert np.all(cs.profile[:-1] > 0)
+            assert cs.profile[0] == 1.0
+            assert cs.theta[-1] == cs.theta_r
+
+    @pytest.mark.parametrize("dim", [89, 100])
+    def test_underflowing_weights_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dim={dim}, nodes=4096"):
+            cap_eigenvalue(dim, 0.0, 4096)
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_matches_dense_generalized_eigensolve(self, nodes, dim, r):
+        _, _, diag, off, bdiag = _cap_pencil(dim, r, nodes)
+        stiffness = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        (ref,) = scipy.linalg.eigh(
+            stiffness, np.diag(bdiag), eigvals_only=True, subset_by_index=(0, 0)
+        )
+        assert cap_eigenvalue(dim, r, nodes).lambda1 == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_symmetrized_bisection(self, dim):
+        # bisection on B^-1/2 K B^-1/2 is accurate to ulp * |T| only, which
+        # bounds the difference at 4096 nodes and N <= 5
+        for r in np.arange(0.0, 0.51, 0.05):
+            _, _, diag, off, bdiag = _cap_pencil(dim, r, 4096)
+            s = 1.0 / np.sqrt(bdiag)
+            (ref,), _ = eigh_tridiagonal(
+                diag * s * s, off * s[:-1] * s[1:], select="i", select_range=(0, 0)
+            )
+            assert abs(cap_eigenvalue(dim, r, 4096).lambda1 - ref) <= 5e-9
+
+    def test_convergence_error_after_the_solve_cap(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_CAP_MAX_SOLVES", 1)
+        with pytest.raises(ConvergenceError, match="cap inverse iteration"):
+            cap_eigenvalue(3, 0.3, 64)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -787,9 +863,10 @@ class TestPoincare:
         )
         stack = np.where(lune.mask, vals, 0.0)
         excluded = exterior_ball_nodes(lune)
-        worst = max(
-            _poincare_quotients(lune, stack, r, (0.0, 0.0), excluded).max()
-            for r in (0.25, 0.5, 1.0)
-        )
+        worst = 0.0
+        for r in (0.25, 0.5, 1.0):
+            box, rho = _ball_box(lune, r, (0.0, 0.0))
+            quotients = _poincare_quotients(lune, stack[:, box[0], box[1]], r, box, rho, excluded)
+            worst = max(worst, quotients.max())
         assert math.isfinite(worst)
         assert worst <= 1.0e4
