@@ -64,7 +64,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
-from .grid import GridDomain, Mask, ScalarField, _in_excluded_ball, _stencil_gradient
+from .grid import GridDomain, Mask, ScalarField, _ball_box, _in_excluded_ball, _stencil_gradient
 
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
@@ -557,25 +557,6 @@ def exterior_ball_nodes(domain: GridDomain) -> np.ndarray:
     return _in_excluded_ball(*domain.coords(), r0)
 
 
-def _ball_box(
-    domain: GridDomain, r: float, center: tuple[float, float]
-) -> tuple[tuple[slice, slice], np.ndarray]:
-    """The bounding box of the lattice nodes of the closed ball B_r(center),
-    grown by one node and clamped to the lattice, and |x - center| on it."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radius must be finite and positive, got {r}")
-    x, y = domain.coords()
-    rho = np.hypot(x - center[0], y - center[1])
-    ball = rho <= r
-    if not ball.any():
-        raise ValueError(f"the ball of radius {r} holds no lattice node")
-    box = tuple(
-        slice(max(int(i[0]) - 1, 0), int(i[-1]) + 2)
-        for i in (np.flatnonzero(ball.any(axis=1)), np.flatnonzero(ball.any(axis=0)))
-    )
-    return box, rho[box]
-
-
 def _poincare_quotients(
     domain: GridDomain,
     values: np.ndarray,
@@ -585,8 +566,8 @@ def _poincare_quotients(
     excluded: np.ndarray,
 ) -> np.ndarray:
     """The Poincare quotient over B_r of each field of a ``(k, bx, by)``
-    stack, the fields' values on the ball's box (``box, rho`` from
-    :func:`_ball_box`), as an array of k floats.  Each field vanishes off
+    stack, the fields' values on the ball's window (``box, rho`` from
+    ``grid._ball_box``), as an array of k floats.  Each field vanishes off
     the domain mask; ``excluded`` spans the whole lattice.
 
     The crop is exact: the gradient at a ball node reads only its four

@@ -14,6 +14,7 @@ exact Holder) used by the separation sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +278,26 @@ def _stencil_gradient(
         diff = np.where(plus, vpad[hi], values) - np.where(minus, vpad[lo], values)
         comps.append(diff / np.where(plus & minus, 2 * h, h))
     return comps[0], comps[1]
+
+
+def _ball_box(
+    domain: GridDomain, r: float, center: tuple[float, float]
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The bounding box of the lattice nodes of the closed ball B_r(center),
+    grown by one node and clamped to the lattice, and |x - center| on it:
+    the ball's window, which holds every ball node's 5-point neighbours."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"radius must be finite and positive, got {r}")
+    x, y = domain.coords()
+    rho = np.hypot(x - center[0], y - center[1])
+    ball = rho <= r
+    if not ball.any():
+        raise ValueError(f"the ball of radius {r} holds no lattice node")
+    box = tuple(
+        slice(max(int(i[0]) - 1, 0), int(i[-1]) + 2)
+        for i in (np.flatnonzero(ball.any(axis=1)), np.flatnonzero(ball.any(axis=0)))
+    )
+    return box, rho[box]
 
 
 def discrete_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:

@@ -17,9 +17,12 @@ the two-phase product its weight-1 form.  The mean-value comparison
 (ball averages of a subsolution controlled by phi(R)) and the exponent
 function gamma(t) = sqrt(((N-2)/2)^2 + t) - (N-2)/2 live here as well.
 
-Every ball integral is nodal quadrature with weight 1: ``ball_sum`` builds
-the radius map |x - center| once and integrates one field over all the
-radii of a functional in that pass.
+Every ball integral is nodal quadrature with weight 1 on the window of the
+functional's largest ball (``grid._ball_box``, as in the Poincare check),
+where it takes all its gradients in one stacked stencil pass and
+``ball_sum`` integrates each field over all its radii.  The window keeps
+the ball's nodes in raster order, so every sum has the whole lattice's bits.
+A largest ball that holds no lattice node raises ValueError.
 
 Gamma in closed form: with k = sqrt(lambda_bar) and nu = N/2 - 1,
 phi(s) = Gamma(nu+1) (2/ks)^nu J_nu(ks), so the integrand is
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError
 from .eigensolve import _first_zero, _radial_phi, exterior_ball_nodes, masked_laplacian
-from .grid import GridDomain, ScalarField, discrete_gradient
+from .grid import ScalarField, _ball_box, _stencil_gradient
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,27 +166,26 @@ def gamma_fun_derivative(dim: int, t: float) -> float:
 # ball quadrature
 
 
-def ball_sum(
-    domain: GridDomain, values: np.ndarray, center: tuple[float, float], radii
-) -> np.ndarray:
+def ball_sum(values: np.ndarray, rho: np.ndarray, radii, h: float) -> np.ndarray:
     """Integrals of ``values`` over the balls B_r(center), one per radius.
 
-    Nodal quadrature with weight 1 (every planar functional's weight):
-    h^2 times the sum over the nodes with |x - center| <= r.  The radius
-    map is built once for all the radii.
+    ``values`` and ``rho`` = |x - center| are read on one window that holds
+    every ball (``grid._ball_box`` at the largest radius).  Nodal quadrature
+    with weight 1 (every planar functional's weight): h^2 times the sum
+    over the nodes with rho <= r.
     """
-    x, y = domain.coords()
-    rho = np.hypot(x - center[0], y - center[1])
-    h = domain.h
     return np.array([float(values[rho <= r].sum()) * h * h for r in radii])
 
 
 def _sorted_radii(radii) -> np.ndarray:
     """The radii in increasing order; ValueError unless each is finite and
-    positive (an empty ball would average to 0 or divide by r = 0)."""
+    positive (an empty ball would average to 0 or divide by r = 0) and there
+    are at least two (every functional compares balls)."""
     out = np.asarray(sorted(float(r) for r in radii))
     if not np.all(np.isfinite(out) & (out > 0)):
         raise ValueError(f"radii must be finite and positive, got {out.tolist()}")
+    if out.size < 2:
+        raise ValueError("need at least two radii")
     return out
 
 
@@ -219,8 +221,6 @@ def mean_value_check(
     nondecreasing in exact arithmetic.
     """
     radii = _sorted_radii(radii)
-    if radii.size < 2:
-        raise ValueError("need at least two radii")
     if lam > profile.lambda_bar * (1 + 1e-9):
         raise ValueError(
             f"lambda {lam} exceeds the profile's lambda_bar {profile.lambda_bar}"
@@ -231,12 +231,13 @@ def mean_value_check(
         raise ValueError("center is off the domain mask")
     if np.any(v.values < 0):
         raise ConstraintViolationError("field must be nonnegative")
-    x, yy = dom.coords()
-    rho = np.hypot(x - center[0], yy - center[1])
     rmax = float(radii[-1])
+    box, rho = _ball_box(dom, rmax, center)
     if rmax >= 2.0 * profile.R_bar:
         raise ValueError("largest radius reaches the profile's zero")
-    inscribed = float(rho[~dom.mask].min()) if (~dom.mask).any() else math.inf
+    # an off-mask node nearer than rmax, which decides this, is in the window
+    mask, vals = dom.mask[box], v.values[box]
+    inscribed = float(rho[~mask].min()) if (~mask).any() else math.inf
     if rmax > inscribed:
         raise ValueError(
             f"radius {rmax} exceeds the inscribed distance {inscribed:.6g}"
@@ -244,8 +245,8 @@ def mean_value_check(
 
     # nodewise subsolution check on the sampled balls (discrete slack);
     # the field is zero off the mask, so A @ v is -lap_h v on the mask
-    A, flat = masked_laplacian(dom, dom.mask)
-    v_in = v.values.ravel()[flat]
+    A, flat = masked_laplacian(dom, mask)
+    v_in = vals.ravel()[flat]
     # skip the outermost ring, where the stencil reaches outside the region
     inner = (rho <= rmax - dom.h).ravel()[flat]
     defect = (A @ v_in - lam * v_in)[inner]
@@ -256,7 +257,7 @@ def mean_value_check(
             f"(worst defect {float(defect.max()):.3e} > tol {tol:.3e})"
         )
 
-    averages = _ball_averages(ball_sum(dom, v.values, center, radii), radii)
+    averages = _ball_averages(ball_sum(vals, rho, radii, dom.h), radii)
     phi_r = np.asarray(profile.phi_at(radii))
     bounds = averages / phi_r
     worst = 0.0
@@ -264,11 +265,10 @@ def mean_value_check(
         for j in range(i + 1, radii.size):
             scale = max(abs(bounds[j]), 1e-300)
             worst = max(worst, (averages[i] - bounds[j]) / scale)
-    phi_vals = np.ones_like(rho)
-    near = rho <= rmax + 1e-12
-    phi_vals[near] = np.asarray(profile.phi_at(rho[near]))
-    weighted = np.where(near, v.values / phi_vals, 0.0)
-    phi_averages = _ball_averages(ball_sum(dom, weighted, center, radii), radii)
+    ball = rho <= rmax
+    weighted = np.zeros_like(vals)
+    weighted[ball] = vals[ball] / np.asarray(profile.phi_at(rho[ball]))
+    phi_averages = _ball_averages(ball_sum(weighted, rho, radii, dom.h), radii)
     return MonotonicityReport(
         radii,
         averages,
@@ -301,8 +301,6 @@ def acf_psi_functional(
     that give Psi for any other C.
     """
     radii = _sorted_radii(radii)
-    if radii.size < 2:
-        raise ValueError("need at least two radii")
     dom = u.domain
     if np.any(u.values < 0):
         raise ConstraintViolationError("field must be nonnegative")
@@ -310,24 +308,27 @@ def acf_psi_functional(
         excluded = exterior_ball_nodes(dom)
     if np.any(u.values[excluded] != 0.0):
         raise ConstraintViolationError("field does not vanish on the exterior ball")
-    x, y = dom.coords()
-    rho = np.hypot(x - center[0], y - center[1])
-    rmax = float(radii[-1])
+    rmax, h = float(radii[-1]), dom.h
+    box, rho = _ball_box(dom, rmax, center)
+    mask, vals = dom.mask[box], u.values[box]
     # off-mask nodes inside the working ball must belong to the exterior
     # ball; anything else means the ball leaks through the outer boundary
-    leak = ~dom.mask & ~excluded & (rho < rmax - dom.h)
+    leak = ~mask & ~excluded[box] & (rho < rmax - h)
     if leak.any():
         raise ValueError("center too close to the outer boundary for these radii")
 
     # phi on the working ball, which reaches past rmax by the gradient stencil
-    reach = rmax + 2.5 * dom.h
+    reach = rmax + 2.5 * h
     if reach >= 2.0 * profile.R_bar:
         raise ValueError("radii reach the zero of phi; shrink them below R_bar")
     near = rho <= reach
     phi = np.ones_like(rho)
     phi[near] = np.asarray(profile.phi_at(rho[near]))
-    quotient = ScalarField.from_values(dom, u.values * np.where(near, 1.0 / phi, 0.0))
-    sums = ball_sum(dom, phi**2 * _plain_gradient_sq(quotient), center, radii)
+    # the stencil reads no off-mask value, so u/phi needs no zeroing there
+    quotient = vals * np.where(near, 1.0 / phi, 0.0)
+    gx, gy = _stencil_gradient(np.stack([quotient, vals]), mask, h)
+    grad_sq = gx**2 + gy**2
+    sums = ball_sum(phi**2 * grad_sq[0], rho, radii, h)
     values = _psi_values(sums, radii, C)
     return MonotonicityReport(
         radii,
@@ -336,17 +337,10 @@ def acf_psi_functional(
         metadata={
             "C": C,
             "variant": "planar (phi^2 weight, Gamma dropped)",
-            "gradient_averages": _ball_averages(
-                ball_sum(dom, _plain_gradient_sq(u), center, radii), radii
-            ),
+            "gradient_averages": _ball_averages(ball_sum(grad_sq[1], rho, radii, h), radii),
             "ball_integrals": sums,
         },
     )
-
-
-def _plain_gradient_sq(u: ScalarField) -> np.ndarray:
-    gx, gy = discrete_gradient(u)
-    return gx.values**2 + gy.values**2
 
 
 def cjk_product(
@@ -367,8 +361,10 @@ def cjk_product(
     if np.any((u1.values != 0) & (u2.values != 0)):
         raise ConstraintViolationError("overlapping supports")
     dom = u1.domain
-    f1 = _ball_averages(ball_sum(dom, _plain_gradient_sq(u1), center, radii), radii)
-    f2 = _ball_averages(ball_sum(dom, _plain_gradient_sq(u2), center, radii), radii)
+    box, rho = _ball_box(dom, float(radii[-1]), center)
+    stack = np.stack([u1.values[box], u2.values[box]])
+    gx, gy = _stencil_gradient(stack, dom.mask[box], dom.h)
+    f1, f2 = (_ball_averages(ball_sum(g, rho, radii, dom.h), radii) for g in gx**2 + gy**2)
     values = f1 * f2
     return MonotonicityReport(
         radii,

@@ -21,7 +21,6 @@ import segpart
 from segpart import eigensolve
 from segpart.errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
 from segpart.eigensolve import (
-    _ball_box,
     _cap_pencil,
     _dot,
     _factor,
@@ -35,7 +34,14 @@ from segpart.eigensolve import (
     poincare_check,
     radial_ground_state,
 )
-from segpart.grid import GridDomain, Mask, ScalarField, build_domain, dirichlet_energy
+from segpart.grid import (
+    GridDomain,
+    Mask,
+    ScalarField,
+    _ball_box,
+    build_domain,
+    dirichlet_energy,
+)
 
 
 def tridiag_unit_interval_eigmin(n: int) -> float:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,9 +7,15 @@ import scipy.integrate
 import scipy.special
 
 import segpart as sp
+from segpart.eigensolve import exterior_ball_nodes, masked_laplacian
 from segpart.errors import ConstraintViolationError
-from segpart.grid import ScalarField, build_domain, discrete_gradient
+from segpart.grid import GridDomain, ScalarField, _ball_box, build_domain, discrete_gradient
 from segpart.monotonicity import (
+    MonotonicityReport,
+    _ball_averages,
+    _consecutive_decrease,
+    _psi_values,
+    _sorted_radii,
     acf_psi_functional,
     ball_sum,
     build_radial_profile,
@@ -125,7 +132,8 @@ class TestBallSum:
         vals = rng.random(dom.mask.shape)
         # no lattice node lies at distance 0.1, 0.3 or 0.45 from the center
         radii = [0.1, 0.3, 0.45]
-        got = ball_sum(dom, vals, (0.5, 0.5), radii)
+        box, rho = _ball_box(dom, max(radii), (0.5, 0.5))
+        got = ball_sum(vals[box], rho, radii, dom.h)
         assert got.shape == (len(radii),)
         x, y = dom.coords()
         for r, g in zip(radii, got):
@@ -295,7 +303,7 @@ class TestCjk:
         dom = build_domain("square", 16, 1.0)
         f = ScalarField.from_values(dom, np.ones(dom.mask.shape))
         with pytest.raises(ConstraintViolationError, match="overlap"):
-            cjk_product(f, f, (0.5, 0.5), [0.1])
+            cjk_product(f, f, (0.5, 0.5), [0.1, 0.2])
 
     def test_negative_field_rejected(self):
         dom = build_domain("square", 16, 1.0)
@@ -303,7 +311,7 @@ class TestCjk:
         neg = ScalarField.from_values(dom, -np.clip(0.5 - x, 0, None))
         pos = ScalarField.from_values(dom, np.clip(x - 0.5, 0, None))
         with pytest.raises(ConstraintViolationError):
-            cjk_product(neg, pos, (0.5, 0.5), [0.1])
+            cjk_product(neg, pos, (0.5, 0.5), [0.1, 0.2])
 
 
 class TestRadiiValidation:
@@ -337,3 +345,241 @@ class TestRadiiValidation:
         assert np.all(np.isfinite(functionals[name]([0.1, 0.3]).values))
         with pytest.raises(ValueError, match="finite and positive"):
             functionals[name]([bad, 0.3])
+
+    @pytest.mark.parametrize("name", ["mean_value", "acf", "cjk"])
+    def test_single_radius_rejected(self, functionals, name):
+        # one ball has nothing to compare with: cjk_product used to report
+        # max_violation 0.0 for it
+        with pytest.raises(ValueError, match="at least two radii"):
+            functionals[name]([0.3])
+
+
+class TestEmptyBall:
+    """The largest ball about a point off the lattice, smaller than the
+    spacing, holds no node: each functional raises instead of reporting
+    all-zero values (and the mean-value check a vacuous max_violation 0)."""
+
+    def test_mean_value(self):
+        dom = build_domain("disk", 32, 1.0)
+        res = sp.first_dirichlet_eig(dom, tol=1e-10)
+        prof = profile_for_lambda(2, res.lam, 512)
+        h = dom.h
+        with pytest.raises(ValueError, match="holds no lattice node"):
+            mean_value_check(res.field, res.lam, (h / 2, h / 2), [0.1 * h, 0.2 * h], prof)
+
+    def test_acf(self, lune_state):
+        dom, res, prof = lune_state
+        h = dom.h
+        with pytest.raises(ValueError, match="holds no lattice node"):
+            acf_psi_functional(res.field, prof, (h / 2, h / 2), [0.1 * h, 0.2 * h], 0.0)
+
+    def test_cjk(self):
+        dom = build_domain("square", 32, 1.0)
+        x, _ = dom.coords()
+        u1 = ScalarField.from_values(dom, np.clip(0.5 - x, 0, None))
+        u2 = ScalarField.from_values(dom, np.clip(x - 0.5, 0, None))
+        c, h = 0.5 + dom.h / 2, dom.h
+        with pytest.raises(ValueError, match="holds no lattice node"):
+            cjk_product(u1, u2, (c, c), [0.1 * h, 0.2 * h])
+
+
+# The whole-lattice bodies the three functionals had before they read the
+# ball's window: the references the window must match bit for bit.
+
+
+def whole_lattice_ball_sum(domain, values, center, radii):
+    x, y = domain.coords()
+    rho = np.hypot(x - center[0], y - center[1])
+    h = domain.h
+    return np.array([float(values[rho <= r].sum()) * h * h for r in radii])
+
+
+def whole_lattice_gradient_sq(u):
+    gx, gy = discrete_gradient(u)
+    return gx.values**2 + gy.values**2
+
+
+def whole_lattice_mean_value(v, lam, center, radii, profile):
+    radii = _sorted_radii(radii)
+    if lam > profile.lambda_bar * (1 + 1e-9):
+        raise ValueError("lambda exceeds the profile's lambda_bar")
+    dom = v.domain
+    ci, cj = dom.nearest_node(center)
+    if not dom.mask[ci, cj]:
+        raise ValueError("center is off the domain mask")
+    if np.any(v.values < 0):
+        raise ConstraintViolationError("field must be nonnegative")
+    x, yy = dom.coords()
+    rho = np.hypot(x - center[0], yy - center[1])
+    rmax = float(radii[-1])
+    if rmax >= 2.0 * profile.R_bar:
+        raise ValueError("largest radius reaches the profile's zero")
+    inscribed = float(rho[~dom.mask].min()) if (~dom.mask).any() else math.inf
+    if rmax > inscribed:
+        raise ValueError("radius exceeds the inscribed distance")
+    A, flat = masked_laplacian(dom, dom.mask)
+    v_in = v.values.ravel()[flat]
+    inner = (rho <= rmax - dom.h).ravel()[flat]
+    defect = (A @ v_in - lam * v_in)[inner]
+    tol = 1e-9 * max(1.0, lam * float(v.values.max()))
+    if defect.size and float(defect.max()) > tol:
+        raise ConstraintViolationError("field is not a lambda-subsolution")
+    averages = _ball_averages(whole_lattice_ball_sum(dom, v.values, center, radii), radii)
+    phi_r = np.asarray(profile.phi_at(radii))
+    bounds = averages / phi_r
+    worst = 0.0
+    for i in range(radii.size):
+        for j in range(i + 1, radii.size):
+            scale = max(abs(bounds[j]), 1e-300)
+            worst = max(worst, (averages[i] - bounds[j]) / scale)
+    phi_vals = np.ones_like(rho)
+    near = rho <= rmax + 1e-12
+    phi_vals[near] = np.asarray(profile.phi_at(rho[near]))
+    weighted = np.where(near, v.values / phi_vals, 0.0)
+    phi_averages = _ball_averages(whole_lattice_ball_sum(dom, weighted, center, radii), radii)
+    return MonotonicityReport(radii, averages, max(worst, 0.0), metadata={
+        "lambda": lam,
+        "lambda_bar": profile.lambda_bar,
+        "phi_weighted_averages": phi_averages,
+        "phi_bounds": bounds,
+    })
+
+
+def whole_lattice_acf(u, profile, center, radii, C, excluded=None):
+    radii = _sorted_radii(radii)
+    dom = u.domain
+    if np.any(u.values < 0):
+        raise ConstraintViolationError("field must be nonnegative")
+    if excluded is None:
+        excluded = exterior_ball_nodes(dom)
+    if np.any(u.values[excluded] != 0.0):
+        raise ConstraintViolationError("field does not vanish on the exterior ball")
+    x, y = dom.coords()
+    rho = np.hypot(x - center[0], y - center[1])
+    rmax = float(radii[-1])
+    leak = ~dom.mask & ~excluded & (rho < rmax - dom.h)
+    if leak.any():
+        raise ValueError("center too close to the outer boundary for these radii")
+    reach = rmax + 2.5 * dom.h
+    if reach >= 2.0 * profile.R_bar:
+        raise ValueError("radii reach the zero of phi")
+    near = rho <= reach
+    phi = np.ones_like(rho)
+    phi[near] = np.asarray(profile.phi_at(rho[near]))
+    quotient = ScalarField.from_values(dom, u.values * np.where(near, 1.0 / phi, 0.0))
+    sums = whole_lattice_ball_sum(dom, phi**2 * whole_lattice_gradient_sq(quotient), center, radii)
+    values = _psi_values(sums, radii, C)
+    return MonotonicityReport(radii, values, _consecutive_decrease(values), metadata={
+        "C": C,
+        "variant": "planar (phi^2 weight, Gamma dropped)",
+        "gradient_averages": _ball_averages(
+            whole_lattice_ball_sum(dom, whole_lattice_gradient_sq(u), center, radii), radii
+        ),
+        "ball_integrals": sums,
+    })
+
+
+def whole_lattice_cjk(u1, u2, center, radii):
+    radii = _sorted_radii(radii)
+    if np.any(u1.values < 0) or np.any(u2.values < 0):
+        raise ConstraintViolationError("fields must be nonnegative")
+    if np.any((u1.values != 0) & (u2.values != 0)):
+        raise ConstraintViolationError("overlapping supports")
+    dom = u1.domain
+    f1, f2 = (
+        _ball_averages(whole_lattice_ball_sum(dom, g, center, radii), radii)
+        for g in map(whole_lattice_gradient_sq, (u1, u2))
+    )
+    values = f1 * f2
+    return MonotonicityReport(radii, values, _consecutive_decrease(values), metadata={
+        "weight_convention": "planar weight 1 (2-D form of the kernel)",
+        "factors_1": f1,
+        "factors_2": f2,
+    })
+
+
+def report_bits(rep):
+    """Every number of a report by repr, which round-trips a float exactly."""
+    def bits(v):
+        return repr(v.tolist()) if isinstance(v, np.ndarray) else repr(v)
+
+    fields = {"radii": rep.radii, "values": rep.values, "max_violation": rep.max_violation}
+    return {k: bits(v) for k, v in {**fields, **rep.metadata}.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def eig_state(shape, n, *params):
+    res = sp.first_dirichlet_eig(build_domain(shape, n, *params), tol=1e-10)
+    return res, profile_for_lambda(2, res.lam, 1024)
+
+
+@functools.lru_cache(maxsize=None)
+def box_ground_state(n):
+    """The unit square's n x n interior nodes as a raw lattice, every node
+    in the mask, with its exact discrete ground state sin(pi x) sin(pi y):
+    a ball near the lattice edge is clamped there and never leaves the mask."""
+    h = 1.0 / (n + 1)
+    dom = GridDomain.raw(n, n, h, (h, h))
+    x, y = dom.coords()
+    f = ScalarField(dom, np.sin(math.pi * x) * np.sin(math.pi * y))
+    lam = 8.0 / h**2 * math.sin(math.pi * h / 2) ** 2
+    return f, lam, profile_for_lambda(2, lam, 1024)
+
+
+def window_center(dom, where, point):
+    """``point``, the same point moved off the lattice, or a point within
+    2h of the lattice's corner node, whose window the lattice clamps."""
+    h = dom.h
+    if where == "origin":
+        return point
+    if where == "off_lattice":
+        return point[0] + 0.37 * h, point[1] + 0.21 * h
+    return dom.bbox[0] + 1.4 * h, dom.bbox[1] + 0.6 * h
+
+
+def assert_window_clamped(dom, where, radii, center):
+    if where == "edge":
+        box, _ = _ball_box(dom, max(radii), center)
+        assert box[0].start == box[1].start == 0
+
+
+@pytest.mark.parametrize("where", ["origin", "off_lattice", "edge"])
+@pytest.mark.parametrize("n", [17, 33, 48, 64, 128])
+class TestWindowMatchesWholeLattice:
+    def test_mean_value(self, n, where):
+        if where == "edge":
+            f, lam, prof = box_ground_state(n)
+            radii = [0.1, 0.2, 0.3]
+        else:
+            res, prof = eig_state("disk", n, 1.0)
+            f, lam, radii = res.field, res.lam, [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+        center = window_center(f.domain, where, (0.0, 0.0))
+        assert_window_clamped(f.domain, where, radii, center)
+        got = mean_value_check(f, lam, center, radii, prof)
+        want = whole_lattice_mean_value(f, lam, center, radii, prof)
+        assert report_bits(got) == report_bits(want)
+
+    def test_acf(self, n, where):
+        if where == "edge":
+            f, _, prof = box_ground_state(n)
+            excluded = np.zeros(f.domain.mask.shape, dtype=bool)
+            radii = [0.1, 0.2, 0.3]
+        else:
+            res, prof = eig_state("disk_minus_ball", n, 2.0, 1.0)
+            f, excluded, radii = res.field, None, [0.15, 0.3, 0.45, 0.6]
+        center = window_center(f.domain, where, (0.0, 0.0))
+        assert_window_clamped(f.domain, where, radii, center)
+        got = acf_psi_functional(f, prof, center, radii, 1.0, excluded)
+        want = whole_lattice_acf(f, prof, center, radii, 1.0, excluded)
+        assert report_bits(got) == report_bits(want)
+
+    def test_cjk(self, n, where):
+        dom = build_domain("square", n, 1.0)
+        x, y = dom.coords()
+        u1 = ScalarField.from_values(dom, np.clip(0.5 - x, 0, None) * (1 + y))
+        u2 = ScalarField.from_values(dom, np.clip(x - 0.5, 0, None) * (2 - y))
+        radii = [0.2, 0.4, 0.6] if where == "edge" else [0.1, 0.2, 0.3, 0.4]
+        center = window_center(dom, where, (0.5, 0.5))
+        assert_window_clamped(dom, where, radii, center)
+        got = cjk_product(u1, u2, center, radii)
+        assert report_bits(got) == report_bits(whole_lattice_cjk(u1, u2, center, radii))
