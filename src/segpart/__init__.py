@@ -37,7 +37,6 @@ from .eigensolve import (
     RadialGroundState,
     bessel_first_zero,
     cap_eigenvalue,
-    exterior_ball_nodes,
     first_dirichlet_eig,
     poincare_check,
     radial_ground_state,
@@ -48,6 +47,7 @@ from .monotonicity import (
     acf_psi_functional,
     build_radial_profile,
     cjk_product,
+    exterior_ball_nodes,
     gamma_fun,
     gamma_fun_derivative,
     mean_value_check,

@@ -25,19 +25,16 @@ import numpy as np
 from . import io as spio
 from .errors import ConfigError, ConvergenceError, EmptyDomainError, EmptyRegionError
 from .errors import InfeasibleError, SqueezedOutError, ConstraintViolationError
-from .eigensolve import (
-    _poincare_quotients,
-    cap_eigenvalue,
-    exterior_ball_nodes,
-    first_dirichlet_eig,
-)
+from .eigensolve import cap_eigenvalue, first_dirichlet_eig
 from .grid import SHAPE_PARAM_COUNT, Mask, _ball_box, build_domain
 from .monotonicity import (
     _consecutive_decrease,
+    _poincare_quotients,
     _psi_values,
     acf_psi_functional,
     build_radial_profile,
     cjk_product,
+    exterior_ball_nodes,
     gamma_fun,
     gamma_fun_derivative,
     mean_value_check,

@@ -49,7 +49,8 @@ grows like 1.5^(N-2) / dtheta^2, and bisection on it is accurate only to
 ulp times that norm.  The iteration's quotient has positive terms only, so
 lam stays within 1.1e-6 of the hemisphere's N - 1 up to N = 88 at 4096
 nodes; beyond that the weights underflow, K is no longer positive
-definite and the solve raises ValueError.
+definite and the solve raises ValueError.  ``poincare_check`` only
+forwards to the Poincare quotient in ``monotonicity``, with the ball estimates.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .errors import ConstraintViolationError, ConvergenceError, EmptyRegionError
-from .grid import GridDomain, Mask, ScalarField, _ball_box, _in_excluded_ball, _stencil_gradient
+from .errors import ConvergenceError, EmptyRegionError
+from .grid import GridDomain, Mask, ScalarField, _ball_box
 
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
@@ -541,59 +542,6 @@ def cap_eigenvalue(dim: int, r: float, nodes: int = 4096) -> CapSpectrum:
     return CapSpectrum(dim, float(r), theta_r, lam, theta_full, profile)
 
 
-# ---------------------------------------------------------------------------
-# Poincare-type quotient on the exterior-ball geometry
-
-
-def exterior_ball_nodes(domain: GridDomain) -> np.ndarray:
-    """Lattice nodes inside the closed excluded ball of a disk_minus_ball
-    domain (the ball of radius r0 centered at (-r0, 0), tangent to the
-    origin)."""
-    if domain.shape != "disk_minus_ball":
-        raise ValueError(
-            f"exterior-ball geometry requires a disk_minus_ball domain, got {domain.shape!r}"
-        )
-    _, r0 = domain.params
-    return _in_excluded_ball(*domain.coords(), r0)
-
-
-def _poincare_quotients(
-    domain: GridDomain,
-    values: np.ndarray,
-    r: float,
-    box: tuple[slice, slice],
-    rho: np.ndarray,
-    excluded: np.ndarray,
-) -> np.ndarray:
-    """The Poincare quotient over B_r of each field of a ``(k, bx, by)``
-    stack, the fields' values on the ball's window (``box, rho`` from
-    ``grid._ball_box``), as an array of k floats.  Each field vanishes off
-    the domain mask; ``excluded`` spans the whole lattice.
-
-    The crop is exact: the gradient at a ball node reads only its four
-    neighbours, which lie in the box or past the lattice edge.  Each field's
-    sums are taken on its own row, so every quotient has the bits of a
-    one-field stack.
-    """
-    mask, ball = domain.mask[box], rho <= r
-    if np.any(values[:, ball & excluded[box]] != 0.0):
-        raise ConstraintViolationError("constraint violated")
-    on_ball = values[:, ball]
-    if not np.all(np.any(on_ball != 0.0, axis=1)):
-        raise ValueError("field vanishes identically on the ball")
-    h = domain.h
-    ring = ball & (rho > r - h)
-    gx, gy = _stencil_gradient(values, mask, h)
-    grad_on_ball = np.hypot(gx, gy)[:, ball]
-    out = np.empty(len(values))
-    for k, rows in enumerate(zip(values[:, ring], on_ball, grad_on_ball)):
-        boundary, interior, grad = (float((row**2).sum()) for row in rows)
-        out[k] = math.inf if grad == 0.0 else (
-            (boundary * h / r + interior * h * h / (r * r)) / (grad * h * h)
-        )
-    return out
-
-
 def poincare_check(
     f: ScalarField,
     r: float,
@@ -607,6 +555,9 @@ def poincare_check(
     radius must be finite and positive and the ball must hold a lattice
     node at which the field is nonzero (ValueError otherwise).
     """
+    # kept for the benchmark's eigensolve.poincare span (ROADMAP item 8 deletes
+    # both); imported here because monotonicity imports this module
+    from .monotonicity import _poincare_quotients, exterior_ball_nodes
     dom = f.domain
     if excluded is None:
         excluded = exterior_ball_nodes(dom)

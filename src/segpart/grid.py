@@ -79,9 +79,6 @@ class GridDomain:
         j = int(round((point[1] - self.bbox[1]) / self.h))
         return min(max(i, 0), self.nx - 1), min(max(j, 0), self.ny - 1)
 
-    def interior_count(self) -> int:
-        return int(self.mask.sum())
-
     def diameter(self) -> float:
         """Diagonal of the bounding box of mask nodes (diameter upper bound)."""
         ii, jj = np.nonzero(self.mask)
@@ -102,9 +99,6 @@ class Mask:
             raise ValueError("mask must be boolean")
         if np.any(self.nodes & ~self.domain.mask):
             raise ConstraintViolationError("mask is not a subset of the domain mask")
-
-    def count(self) -> int:
-        return int(self.nodes.sum())
 
     def is_empty(self) -> bool:
         return not self.nodes.any()
@@ -143,7 +137,7 @@ def _in_excluded_ball(x: np.ndarray, y: np.ndarray, r0: float) -> np.ndarray:
     The ball has radius r0 and is centered at (-r0, 0), so its boundary
     passes through the origin, the contact point of the exterior sphere.
     The relative slack counts nodes on the circle up to rounding as inside,
-    so the domain mask and ``eigensolve.exterior_ball_nodes`` never share a
+    so the domain mask and ``monotonicity.exterior_ball_nodes`` never share a
     node.
     """
     return (x + r0) ** 2 + y**2 <= r0 * r0 * (1 + 1e-12)
@@ -294,8 +288,8 @@ def _ball_box(
     if not ball.any():
         raise ValueError(f"the ball of radius {r} holds no lattice node")
     box = tuple(
-        slice(max(int(i[0]) - 1, 0), int(i[-1]) + 2)
-        for i in (np.flatnonzero(ball.any(axis=1)), np.flatnonzero(ball.any(axis=0)))
+        slice(max(int(i[0]) - 1, 0), min(int(i[-1]) + 2, n))
+        for i, n in zip(map(np.flatnonzero, (ball.any(1), ball.any(0))), ball.shape)
     )
     return box, rho[box]
 

@@ -14,15 +14,17 @@ which is nondecreasing in r for nonnegative eigen-subsolutions vanishing on
 an exterior tangent ball.  On planar grids (N = 2) the Gamma weight
 degenerates and Psi drops it, keeping only phi^2; the same convention gives
 the two-phase product its weight-1 form.  The mean-value comparison
-(ball averages of a subsolution controlled by phi(R)) and the exponent
-function gamma(t) = sqrt(((N-2)/2)^2 + t) - (N-2)/2 live here as well.
+(ball averages of a subsolution controlled by phi(R)), the Poincare-type
+quotient on the exterior-ball geometry and the exponent function
+gamma(t) = sqrt(((N-2)/2)^2 + t) - (N-2)/2 live here as well.
 
 Every ball integral is nodal quadrature with weight 1 on the window of the
 functional's largest ball (``grid._ball_box``, as in the Poincare check),
 where it takes all its gradients in one stacked stencil pass and
 ``ball_sum`` integrates each field over all its radii.  The window keeps
 the ball's nodes in raster order, so every sum has the whole lattice's bits.
-A largest ball that holds no lattice node raises ValueError.
+A largest ball that holds no lattice node raises ValueError.  The
+mean-value defect is the 5-point stencil on the zero-padded window.
 
 Gamma in closed form: with k = sqrt(lambda_bar) and nu = N/2 - 1,
 phi(s) = Gamma(nu+1) (2/ks)^nu J_nu(ks), so the integrand is
@@ -44,8 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintViolationError
-from .eigensolve import _first_zero, _radial_phi, exterior_ball_nodes, masked_laplacian
-from .grid import ScalarField, _ball_box, _stencil_gradient
+from .eigensolve import _first_zero, _radial_phi
+from .grid import _NEIGHBOURS, GridDomain, ScalarField, _ball_box, _in_excluded_ball
+from .grid import _padded, _stencil_gradient
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,13 +246,15 @@ def mean_value_check(
             f"radius {rmax} exceeds the inscribed distance {inscribed:.6g}"
         )
 
-    # nodewise subsolution check on the sampled balls (discrete slack);
-    # the field is zero off the mask, so A @ v is -lap_h v on the mask
-    A, flat = masked_laplacian(dom, mask)
-    v_in = vals.ravel()[flat]
-    # skip the outermost ring, where the stencil reaches outside the region
-    inner = (rho <= rmax - dom.h).ravel()[flat]
-    defect = (A @ v_in - lam * v_in)[inner]
+    # nodewise subsolution check on the balls but their outermost ring, where
+    # the stencil leaves the region: -lap_h v on the padded window (v is zero
+    # off the mask), summed in a masked_laplacian row's column order (its bits)
+    vpad = _padded(vals)
+    (im, ip), (jm, jp) = _NEIGHBOURS
+    lap, coef = 0.0, np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / (dom.h * dom.h)
+    for c, term in zip(coef, (vpad[im], vpad[jm], vals, vpad[jp], vpad[ip])):
+        lap = lap + c * term
+    defect = (lap - lam * vals)[mask & (rho <= rmax - dom.h)]
     tol = 1e-9 * max(1.0, lam * float(v.values.max()))
     if defect.size and float(defect.max()) > tol:
         raise ConstraintViolationError(
@@ -376,3 +381,56 @@ def cjk_product(
             "factors_2": f2,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# the exterior-ball geometry and its Poincare-type quotient
+
+
+def exterior_ball_nodes(domain: GridDomain) -> np.ndarray:
+    """Lattice nodes inside the closed excluded ball of a disk_minus_ball
+    domain (the ball of radius r0 centered at (-r0, 0), tangent to the
+    origin)."""
+    if domain.shape != "disk_minus_ball":
+        raise ValueError(
+            f"exterior-ball geometry requires a disk_minus_ball domain, got {domain.shape!r}"
+        )
+    _, r0 = domain.params
+    return _in_excluded_ball(*domain.coords(), r0)
+
+
+def _poincare_quotients(
+    domain: GridDomain,
+    values: np.ndarray,
+    r: float,
+    box: tuple[slice, slice],
+    rho: np.ndarray,
+    excluded: np.ndarray,
+) -> np.ndarray:
+    """The Poincare quotient over B_r of each field of a ``(k, bx, by)``
+    stack, the fields' values on the ball's window (``box, rho`` from
+    ``grid._ball_box``), as an array of k floats.  Each field vanishes off
+    the domain mask; ``excluded`` spans the whole lattice.
+
+    The crop is exact: the gradient at a ball node reads only its four
+    neighbours, which lie in the box or past the lattice edge.  Each field's
+    sums are taken on its own row, so every quotient has the bits of a
+    one-field stack.
+    """
+    mask, ball = domain.mask[box], rho <= r
+    if np.any(values[:, ball & excluded[box]] != 0.0):
+        raise ConstraintViolationError("constraint violated")
+    on_ball = values[:, ball]
+    if not np.all(np.any(on_ball != 0.0, axis=1)):
+        raise ValueError("field vanishes identically on the ball")
+    h = domain.h
+    ring = ball & (rho > r - h)
+    gx, gy = _stencil_gradient(values, mask, h)
+    grad_on_ball = np.hypot(gx, gy)[:, ball]
+    out = np.empty(len(values))
+    for k, rows in enumerate(zip(values[:, ring], on_ball, grad_on_ball)):
+        boundary, interior, grad = (float((row**2).sum()) for row in rows)
+        out[k] = math.inf if grad == 0.0 else (
+            (boundary * h / r + interior * h * h / (r * r)) / (grad * h * h)
+        )
+    return out

@@ -9,9 +9,9 @@ import pytest
 
 import segpart
 from segpart import cli, partition
-from segpart.eigensolve import cap_eigenvalue, exterior_ball_nodes, first_dirichlet_eig
+from segpart.eigensolve import cap_eigenvalue, first_dirichlet_eig
 from segpart.grid import Mask, ScalarField, build_domain, gradient_magnitude
-from segpart.monotonicity import acf_psi_functional, profile_for_lambda
+from segpart.monotonicity import acf_psi_functional, exterior_ball_nodes, profile_for_lambda
 from segpart.partition import SweepReport
 
 

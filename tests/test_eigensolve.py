@@ -25,10 +25,8 @@ from segpart.eigensolve import (
     _dot,
     _factor,
     _norm,
-    _poincare_quotients,
     bessel_first_zero,
     cap_eigenvalue,
-    exterior_ball_nodes,
     first_dirichlet_eig,
     masked_laplacian,
     poincare_check,
@@ -42,6 +40,7 @@ from segpart.grid import (
     build_domain,
     dirichlet_energy,
 )
+from segpart.monotonicity import _poincare_quotients, exterior_ball_nodes
 
 
 def tridiag_unit_interval_eigmin(n: int) -> float:

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.special
 
 import segpart as sp
-from segpart.eigensolve import exterior_ball_nodes, masked_laplacian
+from segpart.eigensolve import masked_laplacian
 from segpart.errors import ConstraintViolationError
 from segpart.grid import GridDomain, ScalarField, _ball_box, build_domain, discrete_gradient
 from segpart.monotonicity import (
@@ -20,6 +20,7 @@ from segpart.monotonicity import (
     ball_sum,
     build_radial_profile,
     cjk_product,
+    exterior_ball_nodes,
     gamma_fun,
     gamma_fun_derivative,
     mean_value_check,
@@ -202,6 +203,30 @@ class TestMeanValue:
         prof = profile_for_lambda(2, res.lam / 4.0, 512)  # large reference ball
         with pytest.raises(ValueError, match="inscribed"):
             mean_value_check(res.field, res.lam / 4, (0.0, 0.0), [0.5, 1.4], prof)
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_subsolution_defect_counts_inside_the_outer_ring(self, ring):
+        # a defect above tol at one node with rho <= rmax - h raises; the
+        # same excess on the outer ring rmax - h < rho <= rmax, where the
+        # stencil may reach past the region, is not checked
+        dom = build_domain("disk", 48, 1.0)
+        res = sp.first_dirichlet_eig(dom, tol=1e-10)
+        prof = profile_for_lambda(2, res.lam, 512)
+        radii, rmax, h = [0.3, 0.6], 0.6, dom.h
+        mean_value_check(res.field, res.lam, (0.0, 0.0), radii, prof)
+        node = dom.nearest_node((rmax - (0.5 if ring else 1.5) * h, 0.0))
+        rho = float(np.hypot(*dom.coords())[node])
+        assert (rmax - h < rho <= rmax) == ring and rho <= rmax
+        # raising one value by delta raises that node's defect by
+        # (4/h^2 - lam) delta, about 2e-3 here, and lowers its neighbours'
+        vals = res.field.values.copy()
+        vals[node] += 1e-6
+        bumped = ScalarField(dom, vals)
+        if ring:
+            mean_value_check(bumped, res.lam, (0.0, 0.0), radii, prof)
+        else:
+            with pytest.raises(ConstraintViolationError, match="subsolution"):
+                mean_value_check(bumped, res.lam, (0.0, 0.0), radii, prof)
 
     def test_subsolution_check_trips(self):
         dom = build_domain("disk", 48, 1.0)
@@ -528,26 +553,31 @@ def box_ground_state(n):
 
 def window_center(dom, where, point):
     """``point``, the same point moved off the lattice, or a point within
-    2h of the lattice's corner node, whose window the lattice clamps."""
+    2h of the lattice's first or last corner node, whose window the lattice
+    clamps."""
     h = dom.h
     if where == "origin":
         return point
     if where == "off_lattice":
         return point[0] + 0.37 * h, point[1] + 0.21 * h
+    if where == "far_corner":
+        return dom.bbox[0] + (dom.nx - 2.4) * h, dom.bbox[1] + (dom.ny - 1.6) * h
     return dom.bbox[0] + 1.4 * h, dom.bbox[1] + 0.6 * h
 
 
 def assert_window_clamped(dom, where, radii, center):
+    box, _ = _ball_box(dom, max(radii), center)
     if where == "edge":
-        box, _ = _ball_box(dom, max(radii), center)
         assert box[0].start == box[1].start == 0
+    if where == "far_corner":
+        assert (box[0].stop, box[1].stop) == dom.mask.shape
 
 
-@pytest.mark.parametrize("where", ["origin", "off_lattice", "edge"])
+@pytest.mark.parametrize("where", ["origin", "off_lattice", "edge", "far_corner"])
 @pytest.mark.parametrize("n", [17, 33, 48, 64, 128])
 class TestWindowMatchesWholeLattice:
     def test_mean_value(self, n, where):
-        if where == "edge":
+        if where in ("edge", "far_corner"):
             f, lam, prof = box_ground_state(n)
             radii = [0.1, 0.2, 0.3]
         else:
@@ -560,7 +590,7 @@ class TestWindowMatchesWholeLattice:
         assert report_bits(got) == report_bits(want)
 
     def test_acf(self, n, where):
-        if where == "edge":
+        if where in ("edge", "far_corner"):
             f, _, prof = box_ground_state(n)
             excluded = np.zeros(f.domain.mask.shape, dtype=bool)
             radii = [0.1, 0.2, 0.3]
@@ -578,7 +608,7 @@ class TestWindowMatchesWholeLattice:
         x, y = dom.coords()
         u1 = ScalarField.from_values(dom, np.clip(0.5 - x, 0, None) * (1 + y))
         u2 = ScalarField.from_values(dom, np.clip(x - 0.5, 0, None) * (2 - y))
-        radii = [0.2, 0.4, 0.6] if where == "edge" else [0.1, 0.2, 0.3, 0.4]
+        radii = [0.2, 0.4, 0.6] if where in ("edge", "far_corner") else [0.1, 0.2, 0.3, 0.4]
         center = window_center(dom, where, (0.5, 0.5))
         assert_window_clamped(dom, where, radii, center)
         got = cjk_product(u1, u2, center, radii)
