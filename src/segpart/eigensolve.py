@@ -1,7 +1,8 @@
 """First Dirichlet eigenpairs of the masked Laplacian and 1-D reference solvers.
 
-The 2-D solver works per 4-connected component of the allowed node set,
-found by scipy's csgraph from the 5-point Laplacian's own sparsity pattern.
+The 2-D solver works per 4-connected component of the allowed node set:
+one if its rows are contiguous runs that each share a column with the
+next, else as found by scipy's csgraph from the Laplacian's pattern.
 The Laplacian is block-diagonal over components, so each component's
 ground state is an eigenpair of the whole set.  Each component starts from
 the discrete ground state of its bounding lattice box, sin x sin in closed
@@ -113,19 +114,24 @@ def masked_laplacian(domain: GridDomain, allowed: np.ndarray):
     nx, ny = allowed.shape
     # row numbers on the lattice padded by one excluded ring, so every node
     # has four neighbours in the table; raster offsets -W, -1, 0, +1, +W
-    # visit a row's columns in ascending order (gathered offset-major, which
-    # numpy broadcasts far faster than node-major)
+    # visit a row's columns in ascending order.  The (n, 5) table is gathered
+    # node-major in the index dtype scipy picks, so its kept entries are A's
+    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.intp
     w = ny + 2
-    lut = np.full((nx + 2, w), -1, dtype=np.intp)
+    lut = np.full((nx + 2, w), -1, dtype=itype)
     lut[1:-1, 1:-1][allowed] = np.arange(n)
     centre = idx_flat + 2 * (idx_flat // ny) + w + 1
-    table = lut.ravel()[np.array([-w, -1, 0, 1, w])[:, None] + centre].T
+    table = lut.ravel()[centre[:, None] + np.array([-w, -1, 0, 1, w])]
     keep = table >= 0
+    indices = table[keep]
+    indptr = np.zeros(n + 1, dtype=itype)
+    k = keep.view(np.int8)  # column adds: a bool sum over the short axis is slow
+    np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
     h2 = domain.h * domain.h
-    data = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / h2, table.shape)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    A = sparse.csr_matrix((data[keep], table[keep], indptr), shape=(n, n))
+    data = np.full(indices.size, -1.0 / h2)
+    # each row's diagonal follows its kept -W and -1 neighbours
+    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = 4.0 / h2
+    A = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     return A, idx_flat
 
 
@@ -133,15 +139,16 @@ def _factor(block: sparse.spmatrix, shift: float = 0.0):
     """SuperLU factor of ``block - shift * I`` for one SPD diagonal block of
     ``masked_laplacian`` and a shift below its smallest eigenvalue.
 
-    The shifted block is SPD, so diagonal pivots are safe.  The shift goes
-    onto the diagonal of the CSC copy, whose pattern already holds every
-    diagonal entry, so no second matrix is built.  Minimum degree on
+    The shifted block is SPD, so diagonal pivots are safe.  The shift is
+    subtracted in place from the CSC copy's diagonal entries, those whose
+    row is their column, so no second matrix is built.  Minimum degree on
     A^T + A without supernode relaxation gives about half the fill of the
     default COLAMD ordering (L + U about 6.5e5 nonzeros on the full n=128
     square, against 1.2e6), and the fill sets the factor's memory.
     """
     csc = block.tocsc(copy=True)
-    csc.setdiag(csc.diagonal() - shift)
+    column = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
+    csc.data[csc.indices == column] -= shift
     return splu(
         csc,
         permc_spec="MMD_AT_PLUS_A",
@@ -249,7 +256,9 @@ def _mirror_fold(block: sparse.csr_matrix, a: np.ndarray, b: np.ndarray):
         first = np.minimum(first, first.T)
     key = first[a, b]
     reps = np.flatnonzero(key == a * mj + b)  # one node per orbit, in orbit order
-    orbit = np.searchsorted(key[reps], key)
+    lut = np.empty(mi * mj, dtype=np.intp)
+    lut[key[reps]] = np.arange(reps.size)
+    orbit = lut[key]  # every key is the key of its orbit's representative
     size = np.bincount(orbit)
     P = sparse.csr_matrix(
         (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
@@ -260,6 +269,23 @@ def _mirror_fold(block: sparse.csr_matrix, a: np.ndarray, b: np.ndarray):
     folded = block[reps] @ P
     folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
     return folded, P
+
+
+def _rows_connected(ii: np.ndarray, jj: np.ndarray) -> bool:
+    """True if the raster-ordered nodes (ii, jj) are certainly 4-connected: their
+    rows are contiguous, each one run of columns that shares a column with the
+    next row's run.  False proves nothing."""
+    ends = np.flatnonzero((np.diff(ii) != 0) | (np.diff(jj) != 1))  # last node of a run
+    lo, hi = jj[np.append(0, ends + 1)], jj[np.append(ends, ii.size - 1)]
+    return bool((ii[ends + 1] == ii[ends] + 1).all() and (lo[1:] <= hi[:-1]).all()
+                and (lo[:-1] <= hi[1:]).all())
+
+
+def _box_start(a: np.ndarray, b: np.ndarray, mi: int, mj: int) -> np.ndarray:
+    """Ground state of the mi x mj lattice box on its 0-based nodes (a, b),
+    sin(pi (a + 1) / (mi + 1)) sin(pi (b + 1) / (mj + 1)), from two sine tables."""
+    return (np.sin(math.pi / (mi + 1) * np.arange(1, mi + 1))[a]
+            * np.sin(math.pi / (mj + 1) * np.arange(1, mj + 1))[b])
 
 
 def first_dirichlet_eig(
@@ -306,14 +332,19 @@ def first_dirichlet_eig(
     if not nodes.any():
         raise EmptyRegionError("empty region")
     A, idx_flat = masked_laplacian(domain, nodes)
+    ii, jj = np.divmod(idx_flat, nodes.shape[1])
     # the off-diagonal pattern is the 4-connectivity, symmetric, so its
     # strong components are the connected ones and no transpose is built;
     # components are numbered by their lowest row, i.e. in raster order
-    nlab, row_label = connected_components(A, directed=True, connection="strong")
-    # group rows by component, keeping flat-index order within each
-    order = np.argsort(row_label, kind="stable")
-    bounds = np.searchsorted(row_label[order], np.arange(nlab + 1))
-    A = A[order][:, order]
+    nlab, row_label = (1, None) if _rows_connected(ii, jj) else connected_components(
+        A, directed=True, connection="strong")
+    bounds = np.array([0, idx_flat.size])  # one component: A is its block as it is
+    if nlab > 1:
+        # group rows by component, keeping flat-index order within each
+        order = np.argsort(row_label, kind="stable")
+        bounds = np.searchsorted(row_label[order], np.arange(nlab + 1))
+        A = A[order][:, order]
+        idx_flat, ii, jj = idx_flat[order], ii[order], jj[order]
 
     # two lower bounds on each component's lambda_1: that of its bounding
     # lattice box (its block is a principal submatrix of the box's: Cauchy
@@ -324,7 +355,6 @@ def first_dirichlet_eig(
     # ascending floor, those whose floor exceeds the best lambda by more
     # than rounding are never solved, and the floor sets each solve's shift
     starts = bounds[:-1]
-    ii, jj = np.divmod(idx_flat[order], nodes.shape[1])
     lo_i, lo_j = np.minimum.reduceat(ii, starts), np.minimum.reduceat(jj, starts)
     mi = (np.maximum.reduceat(ii, starts) - lo_i + 1).tolist()
     mj = (np.maximum.reduceat(jj, starts) - lo_j + 1).tolist()
@@ -339,11 +369,9 @@ def first_dirichlet_eig(
         if best is not None and floors[c] > best[0] * (1 + 1e-9):
             break  # this component and all later ones cannot win
         start, stop = bounds[c], bounds[c + 1]
-        block = A[start:stop, start:stop]
+        block = A if nlab == 1 else A[start:stop, start:stop]
         a, b = ii[start:stop] - lo_i[c], jj[start:stop] - lo_j[c]
-        # start: the box's ground state on the component's nodes, 1-based
-        # box indices
-        x0 = np.sin(math.pi / (mi[c] + 1) * (a + 1)) * np.sin(math.pi / (mj[c] + 1) * (b + 1))
+        x0 = _box_start(a, b, mi[c], mj[c])
         # a component that fills its box starts at its ground state, so
         # only the others are worth folding
         fold = None if stop - start == mi[c] * mj[c] else _mirror_fold(block, a, b)
@@ -354,7 +382,7 @@ def first_dirichlet_eig(
             lam, z, res, solves = _block_ground_state(folded, floors[c], tol, max_iter, P.T @ x0)
             x = P @ z
         if best is None or (lam, c) < best[:2]:
-            best = (lam, c, x, res, solves, block, order[start:stop])
+            best = (lam, c, x, res, solves, block, idx_flat[start:stop])
     _, _, x, res, iterations, block, rows = best
 
     if x.sum() < 0:
@@ -367,7 +395,7 @@ def first_dirichlet_eig(
     lam = _dot(x, block @ x)
 
     values = np.zeros(domain.mask.shape)
-    values.ravel()[idx_flat[rows]] = x / domain.h  # h-weighted L2 normalization
+    values.ravel()[rows] = x / domain.h  # h-weighted L2 normalization
     return EigenResult(lam, ScalarField(domain, values), res, iterations)
 
 

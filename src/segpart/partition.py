@@ -201,11 +201,7 @@ def voronoi_cells(domain: GridDomain, sites: list[tuple[int, int]]) -> list[np.n
         [(ii - si) ** 2 + (jj - sj) ** 2 for (si, sj) in sites], axis=0
     )
     owner = np.argmin(dist2, axis=0)
-    if len(sites) > 1:
-        part = np.partition(dist2, 1, axis=0)
-        tie = part[0] == part[1]
-    else:
-        tie = np.zeros_like(domain.mask)
+    tie = (dist2 == dist2.min(axis=0)).sum(axis=0) > 1
     return [(owner == i) & domain.mask & ~tie for i in range(len(sites))]
 
 

@@ -647,6 +647,256 @@ class TestMirrorFold:
         assert res.iterations == unfolded(first_dirichlet_eig, dom, tol=1e-9).iterations
 
 
+# The set-up of first_dirichlet_eig as it was before the lean rewrite: the
+# current code must reproduce each of these bit for bit
+
+
+def offset_major_laplacian(domain: GridDomain, allowed: np.ndarray):
+    """``masked_laplacian`` gathered offset-major, with the data taken by
+    boolean indexing of a broadcast stencil."""
+    idx_flat = np.flatnonzero(allowed.ravel())
+    n = idx_flat.size
+    nx, ny = allowed.shape
+    w = ny + 2
+    lut = np.full((nx + 2, w), -1, dtype=np.intp)
+    lut[1:-1, 1:-1][allowed] = np.arange(n)
+    centre = idx_flat + 2 * (idx_flat // ny) + w + 1
+    table = lut.ravel()[np.array([-w, -1, 0, 1, w])[:, None] + centre].T
+    keep = table >= 0
+    h2 = domain.h * domain.h
+    data = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / h2, table.shape)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    A = scipy.sparse.csr_matrix((data[keep], table[keep], indptr), shape=(n, n))
+    return A, idx_flat
+
+
+def searchsorted_fold(block, a, b):
+    """``_mirror_fold`` numbering its orbits by ``searchsorted``."""
+    mi, mj = int(a.max()) + 1, int(b.max()) + 1
+    box = np.zeros((mi, mj), dtype=bool)
+    box[a, b] = True
+    flip_i = np.array_equal(box, box[::-1])
+    flip_j = np.array_equal(box, box[:, ::-1])
+    diagonal = mi == mj and np.array_equal(box, box.T)
+    if not (flip_i or flip_j or diagonal):
+        return None
+    first = np.arange(mi * mj).reshape(mi, mj)
+    if flip_i:
+        first = np.minimum(first, first[::-1])
+    if flip_j:
+        first = np.minimum(first, first[:, ::-1])
+    if diagonal:
+        first = np.minimum(first, first.T)
+    key = first[a, b]
+    reps = np.flatnonzero(key == a * mj + b)
+    orbit = np.searchsorted(key[reps], key)
+    size = np.bincount(orbit)
+    P = scipy.sparse.csr_matrix(
+        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
+    )
+    folded = block[reps] @ P
+    folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
+    return folded, P
+
+
+def sin_sin_start(a, b, mi, mj):
+    """The box start evaluated on every node, two sines per node."""
+    return np.sin(math.pi / (mi + 1) * (a + 1)) * np.sin(math.pi / (mj + 1) * (b + 1))
+
+
+def csr_bytes(M):
+    return [M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes(), M.shape]
+
+
+def mirror_box(kind: str, side: int) -> np.ndarray:
+    """A random side x side node set made symmetric under the mirrors of
+    ``kind``: i, j, both, diagonal, or all eight symmetries of the square."""
+    box = np.random.default_rng(side).random((side, side)) < 0.2
+    box[0, :] = box[:, 0] = True  # the box is the set's bounding box
+    if kind in ("i", "both", "8"):
+        box |= box[::-1]
+    if kind in ("j", "both", "8"):
+        box |= box[:, ::-1]
+    if kind in ("diagonal", "8"):
+        box |= box.T
+    return box
+
+
+class TestSetupMatchesOffsetMajor:
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_masks())
+    def test_laplacian_bytes(self, case):
+        dom, nodes = case
+        (A, idx), (B, ref) = masked_laplacian(dom, nodes), offset_major_laplacian(dom, nodes)
+        assert idx.tobytes() == ref.tobytes() and idx.dtype == ref.dtype
+        assert csr_bytes(A) == csr_bytes(B)
+        assert (A.indptr.dtype, A.indices.dtype) == (B.indptr.dtype, B.indices.dtype)
+
+    @pytest.mark.parametrize("kind", ["full", "empty_rows", "isolated", "single"])
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (9, 1), (12, 17)])
+    def test_laplacian_bytes_on_named_sets(self, kind, nx, ny):
+        dom = GridDomain.raw(nx, ny, 0.1)
+        i, j = np.indices((nx, ny))
+        nodes = {"full": dom.mask, "empty_rows": i % 3 != 1, "isolated": (i + j) % 2 == 0,
+                 "single": (i == nx // 2) & (j == ny // 2)}[kind]
+        (A, idx), (B, ref) = masked_laplacian(dom, nodes), offset_major_laplacian(dom, nodes)
+        assert idx.tobytes() == ref.tobytes() and csr_bytes(A) == csr_bytes(B)
+
+    @pytest.mark.parametrize("kind", ["i", "j", "both", "diagonal", "8"])
+    @pytest.mark.parametrize("side", [9, 10])
+    def test_orbit_numbering(self, kind, side):
+        box = mirror_box(kind, side)
+        dom = build_domain("square", side + 3, 1.0)
+        nodes = np.zeros(dom.mask.shape, dtype=bool)
+        nodes[2 : 2 + side, 2 : 2 + side] = box
+        block, idx = masked_laplacian(dom, nodes)
+        ii, jj = np.divmod(idx, nodes.shape[1])
+        a, b = ii - ii.min(), jj - jj.min()
+        assert a.max() + 1 == b.max() + 1 == side
+        # the set has exactly the mirrors its kind names
+        mirrors = {"i": (1, 0, 0), "j": (0, 1, 0), "both": (1, 1, 0),
+                   "diagonal": (0, 0, 1), "8": (1, 1, 1)}[kind]
+        assert (np.array_equal(box, box[::-1]), np.array_equal(box, box[:, ::-1]),
+                np.array_equal(box, box.T)) == tuple(map(bool, mirrors))
+        folded, P = eigensolve._mirror_fold(block, a, b)
+        ref, ref_P = searchsorted_fold(block, a, b)
+        assert csr_bytes(folded) == csr_bytes(ref) and csr_bytes(P) == csr_bytes(ref_P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mirrored_masks())
+    def test_orbit_numbering_on_mirrored_masks(self, case):
+        dom, nodes = case
+        block, idx = masked_laplacian(dom, nodes)
+        ii, jj = np.divmod(idx, nodes.shape[1])
+        got = eigensolve._mirror_fold(block, ii - ii.min(), jj - jj.min())
+        want = searchsorted_fold(block, ii - ii.min(), jj - jj.min())
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(csr_bytes(g) == csr_bytes(w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("mi, mj", [(1, 1), (1, 5), (5, 1), (2, 3), (17, 16), (127, 127),
+                                        (255, 255), (40, 201)])
+    def test_box_start(self, mi, mj):
+        a, b = np.divmod(np.arange(mi * mj), mj)
+        keep = np.random.default_rng(mi * mj).random(a.size) < 0.7
+        for sel in (slice(None), keep):
+            got = eigensolve._box_start(a[sel], b[sel], mi, mj)
+            assert got.tobytes() == sin_sin_start(a[sel], b[sel], mi, mj).tobytes()
+
+    @pytest.mark.parametrize("shape", ["disk", "disk_minus_ball"])
+    def test_factor_matches_setdiag(self, shape):
+        dom = build_domain(shape, 48, *((1.0,) if shape == "disk" else (2.0, 1.0)))
+        A, _ = masked_laplacian(dom, dom.mask)
+        shift = 0.99 * box_oracle(dom.h, dom.nx, dom.ny)
+        csc = A.tocsc(copy=True)
+        csc.setdiag(csc.diagonal() - shift)
+        ref = scipy.sparse.linalg.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                       relax=1, panel_size=1, options={"SymmetricMode": True})
+        lu = _factor(A, shift)
+        for name in ("perm_r", "perm_c"):
+            assert getattr(lu, name).tobytes() == getattr(ref, name).tobytes()
+        for name in ("L", "U"):
+            assert csr_bytes(getattr(lu, name)) == csr_bytes(getattr(ref, name))
+        # the block itself is left as it was
+        assert csr_bytes(A) == csr_bytes(masked_laplacian(dom, dom.mask)[0])
+
+
+@st.composite
+def row_run_masks(draw):
+    """One run of columns on each of a band of contiguous rows: 4-connected
+    exactly when each run shares a column with the next."""
+    nx, ny = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    top = draw(st.integers(0, nx - 1))
+    rows = draw(st.integers(1, nx - top))
+    nodes = np.zeros((nx, ny), dtype=bool)
+    for i in range(top, top + rows):
+        lo = draw(st.integers(0, ny - 1))
+        nodes[i, lo : draw(st.integers(lo + 1, ny))] = True
+    return GridDomain.raw(nx, ny, 0.1), nodes
+
+
+def certified(nodes: np.ndarray) -> bool:
+    ii, jj = np.nonzero(nodes)
+    return eigensolve._rows_connected(ii, jj)
+
+
+def named_declined_sets() -> dict:
+    """Sets the row certificate declines: connected ones and split ones."""
+    sets = {}
+    u = np.zeros((12, 12), dtype=bool)
+    u[2:10, 2] = u[2:10, 9] = u[9, 2:10] = True
+    sets["u_shape"] = u
+    sets["cap_shape"] = u[::-1].copy()
+    ring = np.zeros((12, 12), dtype=bool)
+    ring[2:10, 2:10] = True
+    ring[4:8, 4:8] = False
+    sets["ring"] = ring
+    two_runs = np.zeros((12, 12), dtype=bool)
+    two_runs[5, 1:4] = two_runs[5, 6:11] = True
+    sets["row_with_two_runs"] = two_runs
+    diagonal = np.zeros((12, 12), dtype=bool)
+    diagonal[5, 5] = diagonal[6, 6] = True
+    sets["diagonal_pair"] = diagonal
+    gap = np.zeros((12, 12), dtype=bool)
+    gap[2:5, 3:9] = gap[6:9, 3:9] = True
+    sets["empty_row_between"] = gap
+    return sets
+
+
+def exact_result(res):
+    return res.lam, res.field.values.tobytes(), res.residual, res.iterations
+
+
+class TestConnectivityCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(case=row_run_masks())
+    def test_row_runs_certified_exactly_when_connected(self, case):
+        dom, nodes = case
+        nlab, _ = connected_components(masked_laplacian(dom, nodes)[0], directed=False)
+        assert certified(nodes) == (nlab == 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_masks())
+    def test_certified_sets_are_one_component(self, case):
+        dom, nodes = case
+        if certified(nodes):
+            nlab, _ = connected_components(masked_laplacian(dom, nodes)[0], directed=False)
+            assert nlab == 1
+
+    @pytest.mark.parametrize("name", list(named_declined_sets()))
+    def test_declined_sets_solve_correctly(self, name):
+        nodes = named_declined_sets()[name]
+        dom = GridDomain.raw(*nodes.shape, 1.0 / 11)
+        assert not certified(nodes)
+        res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-10)
+        A, _ = masked_laplacian(dom, nodes)
+        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-10)
+        assert res.residual <= 1e-10
+
+    @pytest.mark.parametrize("shape, params", [("square", (1.0,)), ("disk", (1.0,)),
+                                               ("rectangle", (2.0, 1.0)), ("l_shape", (1.0,))])
+    def test_domains_are_certified(self, shape, params):
+        assert certified(build_domain(shape, 48, *params).mask)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(random_masks(), row_run_masks(), mirrored_masks()))
+    def test_graph_search_path_gives_the_same_bits(self, case):
+        # declining every set sends it through csgraph and the permutation;
+        # a connected set must come out bit for bit as on the fast path
+        dom, nodes = case
+        fast = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+        with mock.patch.object(eigensolve, "_rows_connected", lambda ii, jj: False):
+            slow = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+        assert exact_result(fast) == exact_result(slow)
+
+    def test_graph_search_path_gives_the_same_bits_at_n128(self, disk_eig_128, square_eig_128):
+        for dom, fast in (disk_eig_128, square_eig_128):
+            with mock.patch.object(eigensolve, "_rows_connected", lambda ii, jj: False):
+                slow = first_dirichlet_eig(dom, tol=1e-9)
+            assert exact_result(fast) == exact_result(slow)
+
+
 class TestBesselZero:
     def test_half_order_is_pi(self):
         assert bessel_first_zero(0.5) == pytest.approx(math.pi, abs=1e-10)

@@ -91,6 +91,32 @@ class TestInit:
             init_partition(prob, sites=sites)
 
 
+def partitioned_voronoi_cells(domain, sites):
+    """``voronoi_cells`` finding ties from the two smallest distances by
+    ``np.partition``, with no ties for a single site."""
+    ii, jj = np.indices(domain.mask.shape)
+    dist2 = np.stack([(ii - si) ** 2 + (jj - sj) ** 2 for (si, sj) in sites], axis=0)
+    owner = np.argmin(dist2, axis=0)
+    if len(sites) > 1:
+        part = np.partition(dist2, 1, axis=0)
+        tie = part[0] == part[1]
+    else:
+        tie = np.zeros_like(domain.mask)
+    return [(owner == i) & domain.mask & ~tie for i in range(len(sites))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+       shape=st.sampled_from(["square", "disk", "rectangle"]))
+def test_voronoi_ties_match_partition(seed, k, shape):
+    dom = build_domain(shape, 48, *((2.0, 1.0) if shape == "rectangle" else (1.0,)))
+    nodes = np.argwhere(dom.mask)
+    # repeated sites included: every node is then a tie between them
+    sites = [tuple(nodes[i]) for i in np.random.default_rng(seed).integers(0, len(nodes), k)]
+    got, want = partition.voronoi_cells(dom, sites), partitioned_voronoi_cells(dom, sites)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
 def assert_feasible_and_segregated(state, prob):
     assert check_feasible(state, prob)
     for i in range(prob.k):
