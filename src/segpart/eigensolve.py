@@ -1,27 +1,30 @@
 """First Dirichlet eigenpairs of the masked Laplacian and 1-D reference solvers.
 
-The 2-D solver works per 4-connected component of the allowed node set:
-one if its rows are contiguous runs that each share a column with the
-next, else as found by scipy's csgraph from the Laplacian's pattern.
-The Laplacian is block-diagonal over components, so each component's
-ground state is an eigenpair of the whole set.  Each component starts from
-the discrete ground state of its bounding lattice box, sin x sin in closed
-form, taken on the component's nodes: it is positive, so it is never
-orthogonal to the component's positive ground state, and when the component
-fills its box it is that ground state and the solve ends before any factor
-(``iterations == 0``).  Otherwise the component is folded onto the orbits
-of its lattice mirror symmetries (the two axis mirrors of its bounding box
-and, on a square box, the diagonal), if it has any: its ground state is
-simple, so every symmetry of the block fixes it, and the solve runs on
-P^T A P for the orthonormal orbit basis P, which has up to 8 times fewer
-rows (Bossavit, Symmetry, groups, and boundary value problems, CMAME 1986).
-The solver factors that block, or the whole block of a component without a
-mirror, shifted by sigma = 0.99 * floor once (SuperLU, a symmetric
-minimum-degree ordering, no pivoting) and runs shifted inverse iteration.
-The floor is the larger of two lower bounds on the component's lambda_1:
-lambda_1 of its bounding box (Cauchy interlacing) and Gershgorin's
-smallest (4 - neighbours) / h^2 over its nodes, so the shifted block stays
-SPD.  Within a connected component the ground state is simple and the
+The 2-D solver works per 4-connected component of the allowed node set,
+each on its bounding lattice box.  The set is one component if its rows are
+contiguous runs that each share a column with the next; else scipy's
+csgraph labels its components from the pattern of the whole-lattice
+Laplacian, the only case that builds that matrix.  The Laplacian is
+block-diagonal over components, so each component's ground state is an
+eigenpair of the whole set.  Each component starts from the discrete ground
+state of its box, sin x sin in closed form, taken on the component's nodes:
+it is positive, so it is never orthogonal to the component's positive
+ground state.  When the component fills its box it is that ground state:
+the 5-point stencil on the zero-padded box gives its residual, and the solve
+ends with no matrix built (``iterations == 0``).  Otherwise the component is
+folded onto the orbits of its lattice mirror symmetries (the two axis
+mirrors of its box and, on a square box, the diagonal), if it has any: its
+ground state is simple, so every symmetry of the block fixes it, and the
+solve runs on P^T A P for the orthonormal orbit basis P, which has up to 8
+times fewer rows (Bossavit, Symmetry, groups, and boundary value problems,
+CMAME 1986).  One routine assembles every block straight from the box's
+neighbour table, one row per orbit, or one per node for a component without
+a mirror; neither A nor P is formed.  The solver factors that block,
+shifted by sigma = 0.99 * floor, once (SuperLU, a symmetric minimum-degree
+ordering, no pivoting) and runs shifted inverse iteration.  The floor is
+the larger of two lower bounds on the component's lambda_1: lambda_1 of
+its bounding box (Cauchy interlacing) and Gershgorin's smallest
+(4 - neighbours) / h^2 over its nodes, so the shifted block stays SPD.  Within a connected component the ground state is simple and the
 error contracts by (lambda_1 - sigma) / (lambda_2' - sigma) per solve,
 lambda_2' >= lambda_2 the second eigenvalue among mirror-invariant vectors,
 always below the zero-shift ratio lambda_1 / lambda_2, which
@@ -66,7 +69,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, EmptyRegionError
-from .grid import GridDomain, Mask, ScalarField, _ball_box
+from .grid import GridDomain, Mask, ScalarField, _ball_box, _stencil_laplacian
 
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
@@ -102,42 +105,94 @@ class EigenResult:
         }
 
 
+def _lattice_block(box: np.ndarray, h: float, orbits=None) -> sparse.csr_matrix:
+    """CSR matrix of -lap_h on the nodes of the boolean array ``box``, zero
+    Dirichlet off them, or its fold onto the mirror orbits ``orbits``.
+
+    Both come from one neighbour table: the box padded by one excluded ring,
+    so every node has four neighbours, with offsets -W, -1, 0, +1, +W.  With
+    ``orbits`` None (the identity group) rows are the nodes in raster order
+    and each row's columns are sorted.  With ``orbits = (orbit, reps, size)``
+    from ``_mirror_orbits``, the block is P^T A P for the orthonormal orbit
+    basis P (entries 1/sqrt|o| on orbit o's nodes), without P: row o is
+    sqrt|o| times the row of A P at o's representative, whose entry for an
+    orbit sums -1/h^2 or 4/h^2 times 1/sqrt|orbit| over that orbit's entries
+    in table order.  Its columns come in the reverse order of their first
+    entries, as scipy's CSR product ``A[reps] @ P`` writes them, so the
+    block has that product's bits, matvec order included.  No entry sums to
+    zero (a node has at most two neighbours in its own orbit), so none is
+    dropped.
+    """
+    mi, mj = box.shape
+    w = mj + 2
+    pad = np.zeros((mi + 2, w), dtype=bool)
+    pad[1:-1, 1:-1] = box
+    centre = np.flatnonzero(pad)
+    n = centre.size
+    # the lookup holds row numbers in the index dtype scipy picks, so the
+    # table's kept entries are the block's column indices; the (rows, 5)
+    # table is gathered node-major, so they come out row by row
+    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.intp
+    lut = np.full(pad.size, -1, dtype=itype)
+    h2 = h * h
+    if orbits is None:
+        lut[pad.ravel()] = np.arange(n)
+        table = lut[centre[:, None] + np.array([-w, -1, 0, 1, w])]
+        keep = table >= 0
+        indices = table[keep]
+        indptr = np.zeros(n + 1, dtype=itype)
+        k = keep.view(np.int8)  # column adds: a bool sum over the short axis is slow
+        np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
+        data = np.full(indices.size, -1.0 / h2)
+        # each row's diagonal follows its kept -W and -1 neighbours
+        data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = 4.0 / h2
+        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    orbit, reps, size = orbits
+    lut[pad.ravel()] = orbit
+    # columns +W, +1, 0, -1, -W: table order reversed, the product's order
+    table = lut[centre[reps][:, None] + np.array([w, 1, 0, -1, -w])]
+    keep = table >= 0
+    terms = np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / h2 * (1.0 / np.sqrt(size))[table]
+    # a neighbour whose orbit came earlier in table order (a later column)
+    # adds onto that entry, in table order
+    for t in range(3, -1, -1):
+        for first in range(4, t, -1):
+            rows = np.flatnonzero(keep[:, t] & (table[:, t] == table[:, first]))
+            if rows.size:
+                terms[rows, first] += terms[rows, t]
+                keep[rows, t] = False
+    terms *= np.sqrt(size)[:, None]
+    indptr = np.zeros(reps.size + 1, dtype=itype)
+    k = keep.view(np.int8)
+    np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
+    return sparse.csr_matrix((terms[keep], table[keep], indptr), shape=(reps.size, reps.size))
+
+
 def masked_laplacian(domain: GridDomain, allowed: np.ndarray):
     """Sparse SPD matrix of -lap_h on the allowed nodes (zero Dirichlet off).
 
     Returns (A, flat_indices) where flat_indices maps matrix rows to
     positions in the raveled (nx, ny) lattice.  Rows are numbered in raster
-    order and each row's columns are sorted.
+    order and each row's columns are sorted: the identity-group case of
+    ``_lattice_block`` with the whole lattice as the box.  The solver builds
+    it only for a set whose connectivity ``_rows_connected`` cannot certify,
+    to label the set's components by graph search.
     """
-    idx_flat = np.flatnonzero(allowed.ravel())
-    n = idx_flat.size
-    nx, ny = allowed.shape
-    # row numbers on the lattice padded by one excluded ring, so every node
-    # has four neighbours in the table; raster offsets -W, -1, 0, +1, +W
-    # visit a row's columns in ascending order.  The (n, 5) table is gathered
-    # node-major in the index dtype scipy picks, so its kept entries are A's
-    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.intp
-    w = ny + 2
-    lut = np.full((nx + 2, w), -1, dtype=itype)
-    lut[1:-1, 1:-1][allowed] = np.arange(n)
-    centre = idx_flat + 2 * (idx_flat // ny) + w + 1
-    table = lut.ravel()[centre[:, None] + np.array([-w, -1, 0, 1, w])]
-    keep = table >= 0
-    indices = table[keep]
-    indptr = np.zeros(n + 1, dtype=itype)
-    k = keep.view(np.int8)  # column adds: a bool sum over the short axis is slow
-    np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
-    h2 = domain.h * domain.h
-    data = np.full(indices.size, -1.0 / h2)
-    # each row's diagonal follows its kept -W and -1 neighbours
-    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = 4.0 / h2
-    A = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    return A, idx_flat
+    return _lattice_block(allowed, domain.h), np.flatnonzero(allowed.ravel())
+
+
+def _stencil(x: np.ndarray, box: np.ndarray, h: float) -> np.ndarray:
+    """-lap_h x on the nodes of ``box`` (raster order) for ``x`` on them, zero
+    off them, with the bits of ``_lattice_block(box, h) @ x`` up to the sign
+    of an exact zero, which no dot product or norm of it sees."""
+    pad = np.zeros((box.shape[0] + 2, box.shape[1] + 2))
+    pad[1:-1, 1:-1][box] = x
+    return _stencil_laplacian(pad, h)[box]
 
 
 def _factor(block: sparse.spmatrix, shift: float = 0.0):
-    """SuperLU factor of ``block - shift * I`` for one SPD diagonal block of
-    ``masked_laplacian`` and a shift below its smallest eigenvalue.
+    """SuperLU factor of ``block - shift * I`` for one SPD block from
+    ``_lattice_block`` and a shift below its smallest eigenvalue.
 
     The shifted block is SPD, so diagonal pivots are safe.  The shift is
     subtracted in place from the CSC copy's diagonal entries, those whose
@@ -222,23 +277,21 @@ def _block_ground_state(
     return lam, x, res, solves
 
 
-def _mirror_fold(block: sparse.csr_matrix, a: np.ndarray, b: np.ndarray):
-    """(P^T block P, P) for a component with a lattice mirror symmetry, or
-    None if it has none.
+def _mirror_orbits(box: np.ndarray):
+    """(orbit, reps, size) for the nodes of ``box`` under its lattice mirror
+    symmetries, or None if it has none.
 
-    ``a`` and ``b`` are the nodes' 0-based indices in the component's
-    bounding box.  The mirrors tried are a -> m_i - 1 - a, b -> m_j - 1 - b
-    and, on a square box, the diagonal (a, b) -> (b, a).  P has one column
-    per orbit of the group they generate (1, 2, 4 or 8 nodes), with entries
-    1/sqrt(|orbit|) on the orbit's nodes, so its columns are orthonormal and
-    span the mirror-invariant vectors, which hold the simple, positive
-    ground state.  ``block`` maps that span into itself, so block P z =
-    P (P^T block P) z, and the folded residual of z is the block's residual
-    of P z.
+    The mirrors tried are a -> m_i - 1 - a, b -> m_j - 1 - b and, on a
+    square box, the diagonal (a, b) -> (b, a).  ``orbit`` numbers each node's
+    orbit under the group they generate (1, 2, 4 or 8 nodes) in the raster
+    order of the orbits' first nodes, ``reps`` holds those first nodes'
+    positions and ``size`` the orbits' sizes.  The orthonormal basis P with
+    entries 1/sqrt|o| on orbit o's nodes spans the mirror-invariant vectors,
+    which hold the simple, positive ground state.  A block maps that span
+    into itself, so A P z = P (P^T A P) z, and the folded residual of z is
+    the block's residual of P z.
     """
-    mi, mj = int(a.max()) + 1, int(b.max()) + 1
-    box = np.zeros((mi, mj), dtype=bool)
-    box[a, b] = True
+    mi, mj = box.shape
     flip_i = np.array_equal(box, box[::-1])
     flip_j = np.array_equal(box, box[:, ::-1])
     diagonal = mi == mj and np.array_equal(box, box.T)
@@ -254,38 +307,96 @@ def _mirror_fold(block: sparse.csr_matrix, a: np.ndarray, b: np.ndarray):
         first = np.minimum(first, first[:, ::-1])
     if diagonal:
         first = np.minimum(first, first.T)
-    key = first[a, b]
-    reps = np.flatnonzero(key == a * mj + b)  # one node per orbit, in orbit order
+    flat = np.flatnonzero(box)
+    key = first.ravel()[flat]
+    reps = np.flatnonzero(key == flat)  # one node per orbit, in orbit order
     lut = np.empty(mi * mj, dtype=np.intp)
     lut[key[reps]] = np.arange(reps.size)
     orbit = lut[key]  # every key is the key of its orbit's representative
-    size = np.bincount(orbit)
-    P = sparse.csr_matrix(
-        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
-    )
-    # every node of an orbit has its representative's row up to a mirror,
-    # so row o of P^T block P is sqrt|o| times the representative's row of
-    # block P
-    folded = block[reps] @ P
-    folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
-    return folded, P
+    return orbit, reps, np.bincount(orbit)
 
 
-def _rows_connected(ii: np.ndarray, jj: np.ndarray) -> bool:
-    """True if the raster-ordered nodes (ii, jj) are certainly 4-connected: their
-    rows are contiguous, each one run of columns that shares a column with the
-    next row's run.  False proves nothing."""
-    ends = np.flatnonzero((np.diff(ii) != 0) | (np.diff(jj) != 1))  # last node of a run
-    lo, hi = jj[np.append(0, ends + 1)], jj[np.append(ends, ii.size - 1)]
-    return bool((ii[ends + 1] == ii[ends] + 1).all() and (lo[1:] <= hi[:-1]).all()
-                and (lo[:-1] <= hi[1:]).all())
+def _box_start(box: np.ndarray) -> np.ndarray:
+    """Ground state of the mi x mj lattice box on the nodes of ``box`` (raster
+    order), sin(pi (a + 1) / (mi + 1)) sin(pi (b + 1) / (mj + 1)) at 0-based
+    (a, b), from two sine tables."""
+    mi, mj = box.shape
+    return (np.sin(math.pi / (mi + 1) * np.arange(1, mi + 1))[:, None]
+            * np.sin(math.pi / (mj + 1) * np.arange(1, mj + 1)))[box]
 
 
-def _box_start(a: np.ndarray, b: np.ndarray, mi: int, mj: int) -> np.ndarray:
-    """Ground state of the mi x mj lattice box on its 0-based nodes (a, b),
-    sin(pi (a + 1) / (mi + 1)) sin(pi (b + 1) / (mj + 1)), from two sine tables."""
-    return (np.sin(math.pi / (mi + 1) * np.arange(1, mi + 1))[a]
-            * np.sin(math.pi / (mj + 1) * np.arange(1, mj + 1))[b])
+def _component_ground_state(box: np.ndarray, floor: float, tol: float, max_iter: int, h: float):
+    """(lam, x, residual, solves) on one connected component, the nodes of
+    its bounding ``box``, with ``x`` unit l2 on them in raster order.
+
+    The start is the box's ground state.  A component that fills its box
+    checks it with ``_stencil`` and, when it meets ``tol``, returns it with
+    no matrix built.  Otherwise the block from ``_lattice_block``, folded
+    when the box has a mirror, goes to ``_block_ground_state``; the folded
+    start P^T x0 and the unfolded P z are taken from the orbit numbering,
+    without P, summed in the order of P's products.
+    """
+    x0 = _box_start(box)
+    if x0.size == box.size:
+        x = x0 / _norm(x0)
+        ax = _stencil(x, box, h)
+        lam = _dot(x, ax)
+        res = _norm(ax - lam * x)
+        if res <= tol:
+            return lam, x, res, 0
+        orbits = None  # a full box that misses tol is solved unfolded
+    else:
+        orbits = _mirror_orbits(box)
+    if orbits is None:
+        return _block_ground_state(_lattice_block(box, h), floor, tol, max_iter, x0)
+    orbit = orbits[0]
+    inv = (1.0 / np.sqrt(orbits[2]))[orbit]
+    lam, z, res, solves = _block_ground_state(
+        _lattice_block(box, h, orbits), floor, tol, max_iter, np.bincount(orbit, x0 * inv))
+    return lam, z[orbit] * inv, res, solves
+
+
+def _rows_connected(nodes: np.ndarray) -> bool:
+    """True if the nodes of the boolean lattice ``nodes`` are certainly
+    4-connected: their rows are contiguous, each one run of columns that
+    shares a column with the next row's run.  False proves nothing."""
+    rows = np.flatnonzero(nodes.any(axis=1))
+    band = nodes[rows[0] : rows[-1] + 1]
+    # every row of the band holds a node, so as many run starts as rows
+    # means one run per row
+    starts = np.count_nonzero(band[:, 1:] > band[:, :-1]) + np.count_nonzero(band[:, 0])
+    if band.shape[0] != rows.size or starts != rows.size:
+        return False
+    lo = band.argmax(axis=1)
+    hi = band.shape[1] - 1 - band[:, ::-1].argmax(axis=1)
+    return bool((lo[1:] <= hi[:-1]).all() and (lo[:-1] <= hi[1:]).all())
+
+
+def _components(domain: GridDomain, nodes: np.ndarray) -> list:
+    """(i0, j0, box) for each 4-connected component of ``nodes``: the lattice
+    row and column where its bounding box starts and its nodes on that box,
+    components in raster order of their first nodes.
+
+    A set ``_rows_connected`` certifies is its own component.  Any other is
+    labelled by scipy's csgraph on the pattern of ``masked_laplacian``: the
+    pattern is the 4-connectivity, symmetric, so its strong components are
+    the connected ones and no transpose is built."""
+    if _rows_connected(nodes):
+        rows, cols = np.flatnonzero(nodes.any(axis=1)), np.flatnonzero(nodes.any(axis=0))
+        return [(rows[0], cols[0], nodes[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1])]
+    nlab, label = connected_components(
+        masked_laplacian(domain, nodes)[0], directed=True, connection="strong")
+    order = np.argsort(label, kind="stable")
+    ii, jj = np.divmod(np.flatnonzero(nodes)[order], nodes.shape[1])
+    bounds = np.searchsorted(label[order], np.arange(nlab + 1))
+    out = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        i, j = ii[start:stop], jj[start:stop]
+        i0, j0 = i.min(), j.min()
+        box = np.zeros((i.max() - i0 + 1, j.max() - j0 + 1), dtype=bool)
+        box[i - i0, j - j0] = True
+        out.append((i0, j0, box))
+    return out
 
 
 def first_dirichlet_eig(
@@ -297,18 +408,21 @@ def first_dirichlet_eig(
 ) -> EigenResult:
     """Smallest eigenpair of the 5-point Laplacian on the allowed nodes.
 
-    Each 4-connected component of the allowed set is solved on its own,
-    from the ground state of its bounding lattice box on its nodes,
-    sin(pi a / (m_i + 1)) sin(pi b / (m_j + 1)) for 1-based box indices
-    (a, b) and box sides of m_i x m_j nodes.  If that start already meets
-    ``residual <= tol`` (it does when the component fills its box) it is
-    returned with ``iterations == 0``.  Otherwise a component that is
-    mirror-symmetric in its box (a -> m_i + 1 - a, b -> m_j + 1 - b, or
-    (a, b) -> (b, a) when m_i == m_j) is folded onto the orbits of its
-    mirrors, and one sparse LU factor of the folded block, or of the whole
-    block when there is no mirror, shifted by 0.99 times the component's
-    eigenvalue floor, drives shifted inverse iteration until
-    ``residual <= tol``; each solve contracts the error by
+    Each 4-connected component of the allowed set is solved on its own, on
+    its bounding lattice box of m_i x m_j nodes, from the box's ground state
+    on its nodes, sin(pi a / (m_i + 1)) sin(pi b / (m_j + 1)) for 1-based
+    box indices (a, b).  A component that fills its box starts at its
+    ground state: the 5-point stencil on the zero-padded box gives the
+    start's residual, and if that meets ``residual <= tol`` the start is
+    returned with ``iterations == 0`` and no matrix is built.  Otherwise a
+    component that is mirror-symmetric in its box (a -> m_i + 1 - a,
+    b -> m_j + 1 - b, or (a, b) -> (b, a) when m_i == m_j) is folded onto
+    the orbits of its mirrors, its block assembled from the box's neighbour
+    table with one row per orbit.  One sparse LU factor of that block, or
+    of the component's whole block when there is no mirror, shifted by 0.99
+    times the component's eigenvalue floor, drives shifted inverse
+    iteration until ``residual <= tol`` (a start that already meets it
+    needs no factor); each solve contracts the error by
     (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma, and a
     block still short of ``tol`` after 100 solves finishes in ARPACK's
     shift-invert Lanczos on the same factor.  The folded
@@ -331,20 +445,7 @@ def first_dirichlet_eig(
     nodes = domain.mask if allowed is None else allowed.nodes
     if not nodes.any():
         raise EmptyRegionError("empty region")
-    A, idx_flat = masked_laplacian(domain, nodes)
-    ii, jj = np.divmod(idx_flat, nodes.shape[1])
-    # the off-diagonal pattern is the 4-connectivity, symmetric, so its
-    # strong components are the connected ones and no transpose is built;
-    # components are numbered by their lowest row, i.e. in raster order
-    nlab, row_label = (1, None) if _rows_connected(ii, jj) else connected_components(
-        A, directed=True, connection="strong")
-    bounds = np.array([0, idx_flat.size])  # one component: A is its block as it is
-    if nlab > 1:
-        # group rows by component, keeping flat-index order within each
-        order = np.argsort(row_label, kind="stable")
-        bounds = np.searchsorted(row_label[order], np.arange(nlab + 1))
-        A = A[order][:, order]
-        idx_flat, ii, jj = idx_flat[order], ii[order], jj[order]
+    comps = _components(domain, nodes)
 
     # two lower bounds on each component's lambda_1: that of its bounding
     # lattice box (its block is a principal submatrix of the box's: Cauchy
@@ -354,36 +455,27 @@ def first_dirichlet_eig(
     # that spans a large box (2/h^2 on a wire).  Components are solved in
     # ascending floor, those whose floor exceeds the best lambda by more
     # than rounding are never solved, and the floor sets each solve's shift
-    starts = bounds[:-1]
-    lo_i, lo_j = np.minimum.reduceat(ii, starts), np.minimum.reduceat(jj, starts)
-    mi = (np.maximum.reduceat(ii, starts) - lo_i + 1).tolist()
-    mj = (np.maximum.reduceat(jj, starts) - lo_j + 1).tolist()
     box_floors = np.array([
-        math.sin(math.pi / (2 * (a + 1))) ** 2 + math.sin(math.pi / (2 * (b + 1))) ** 2
-        for a, b in zip(mi, mj)
+        math.sin(math.pi / (2 * (box.shape[0] + 1))) ** 2
+        + math.sin(math.pi / (2 * (box.shape[1] + 1))) ** 2
+        for _, _, box in comps
     ]) * (4.0 / domain.h**2)
-    degree = np.diff(A.indptr) - 1
-    floors = np.maximum(box_floors, np.minimum.reduceat(4 - degree, starts) / domain.h**2)
+    pad = np.zeros((nodes.shape[0] + 2, nodes.shape[1] + 2), dtype=np.int8)
+    pad[1:-1, 1:-1] = nodes
+    degree = pad[:-2, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:] + pad[2:, 1:-1]
+    most = np.array([degree[i0 : i0 + box.shape[0], j0 : j0 + box.shape[1]][box].max()
+                     for i0, j0, box in comps])
+    floors = np.maximum(box_floors, (4 - most) / domain.h**2)
     best = None
     for c in np.argsort(floors, kind="stable"):
         if best is not None and floors[c] > best[0] * (1 + 1e-9):
             break  # this component and all later ones cannot win
-        start, stop = bounds[c], bounds[c + 1]
-        block = A if nlab == 1 else A[start:stop, start:stop]
-        a, b = ii[start:stop] - lo_i[c], jj[start:stop] - lo_j[c]
-        x0 = _box_start(a, b, mi[c], mj[c])
-        # a component that fills its box starts at its ground state, so
-        # only the others are worth folding
-        fold = None if stop - start == mi[c] * mj[c] else _mirror_fold(block, a, b)
-        if fold is None:
-            lam, x, res, solves = _block_ground_state(block, floors[c], tol, max_iter, x0)
-        else:
-            folded, P = fold
-            lam, z, res, solves = _block_ground_state(folded, floors[c], tol, max_iter, P.T @ x0)
-            x = P @ z
+        lam, x, res, solves = _component_ground_state(
+            comps[c][2], floors[c], tol, max_iter, domain.h)
         if best is None or (lam, c) < best[:2]:
-            best = (lam, c, x, res, solves, block, idx_flat[start:stop])
-    _, _, x, res, iterations, block, rows = best
+            best = (lam, c, x, res, solves)
+    _, c, x, res, iterations = best
+    i0, j0, box = comps[c]
 
     if x.sum() < 0:
         x = -x
@@ -392,10 +484,10 @@ def first_dirichlet_eig(
     if nrm == 0.0:
         raise ConvergenceError("eigenvector collapsed after sign fix", res)
     x /= nrm
-    lam = _dot(x, block @ x)
+    lam = _dot(x, _stencil(x, box, domain.h))
 
     values = np.zeros(domain.mask.shape)
-    values.ravel()[rows] = x / domain.h  # h-weighted L2 normalization
+    values[i0 : i0 + box.shape[0], j0 : j0 + box.shape[1]][box] = x / domain.h
     return EigenResult(lam, ScalarField(domain, values), res, iterations)
 
 

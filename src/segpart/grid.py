@@ -274,6 +274,24 @@ def _stencil_gradient(
     return comps[0], comps[1]
 
 
+def _stencil_laplacian(vpad: np.ndarray, h: float) -> np.ndarray:
+    """-lap_h inside the C-contiguous 2-D array ``vpad``, a field padded by
+    one ring of zeros, as an array of the inside's shape.  The 5-point
+    terms are summed in a ``masked_laplacian`` row's column order -W, -1,
+    0, +1, +W, so on the nodes of a set, with ``vpad`` zero off them, it
+    has the bits of that matrix's product up to the sign of an exact zero.
+    Each shift is one slice of the raveled array; a slice wraps around only
+    from the padding columns, whose results are dropped."""
+    w = vpad.shape[1]
+    n = (vpad.shape[0] - 2) * w
+    flat = vpad.ravel()
+    off, mid = -1.0 / (h * h), 4.0 / (h * h)
+    lap = off * flat[:n]
+    for c, start in ((off, w - 1), (mid, w), (off, w + 1), (off, 2 * w)):
+        lap += c * flat[start : start + n]
+    return lap.reshape(-1, w)[:, 1:-1]
+
+
 def _ball_box(
     domain: GridDomain, r: float, center: tuple[float, float]
 ) -> tuple[tuple[slice, slice], np.ndarray]:

@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import ConstraintViolationError
 from .eigensolve import _first_zero, _radial_phi
-from .grid import _NEIGHBOURS, GridDomain, ScalarField, _ball_box, _in_excluded_ball
-from .grid import _padded, _stencil_gradient
+from .grid import GridDomain, ScalarField, _ball_box, _in_excluded_ball
+from .grid import _padded, _stencil_gradient, _stencil_laplacian
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +247,9 @@ def mean_value_check(
         )
 
     # nodewise subsolution check on the balls but their outermost ring, where
-    # the stencil leaves the region: -lap_h v on the padded window (v is zero
-    # off the mask), summed in a masked_laplacian row's column order (its bits)
-    vpad = _padded(vals)
-    (im, ip), (jm, jp) = _NEIGHBOURS
-    lap, coef = 0.0, np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / (dom.h * dom.h)
-    for c, term in zip(coef, (vpad[im], vpad[jm], vals, vpad[jp], vpad[ip])):
-        lap = lap + c * term
+    # the stencil leaves the region: -lap_h v on the window (v is zero off
+    # the mask)
+    lap = _stencil_laplacian(_padded(vals), dom.h)
     defect = (lap - lam * vals)[mask & (rho <= rmax - dom.h)]
     tol = 1e-9 * max(1.0, lam * float(v.values.max()))
     if defect.size and float(defect.max()) > tol:

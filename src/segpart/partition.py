@@ -35,7 +35,9 @@ is deterministic in exactly these inputs (its start vector is the bounding
 box's ground state, not a random draw, and ``max_iter`` stays at its
 default), so a hit returns the very result a fresh solve would compute, bit
 for bit.  Domains compare by identity, and each cached field holds its
-domain alive.
+domain alive.  Beside each solve the memo keeps its truncation at the
+support threshold tau, keyed on (solve, tau), so a hit also skips the
+threshold, the renormalization and the Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -235,9 +237,14 @@ def _lloyd_sites(
 
 class SolveMemo(dict):
     """Block eigensolves of one run, keyed by :func:`_solve_component`;
-    ``hits`` counts the solves it saved."""
+    ``hits`` counts the solves it saved.  ``truncated`` holds the
+    :func:`_truncate` output of each solve, keyed on (solve, tau)."""
 
     hits = 0
+
+    def __init__(self):
+        super().__init__()
+        self.truncated = {}
 
 
 def _solve_component(
@@ -252,6 +259,20 @@ def _solve_component(
     else:
         memo.hits += 1
     return res
+
+
+def _truncated_solve(
+    allowed: np.ndarray, prob: PartitionProblem, memo: SolveMemo
+) -> tuple[ScalarField, Mask, float]:
+    """:func:`_truncate` of the block solve on ``allowed``, made once per solve
+    and threshold: the memo's solves are never mutated, so the truncation of
+    a hit is the one already made."""
+    res = _solve_component(allowed, prob, memo)
+    key = (res, prob.tau)
+    cut = memo.truncated.get(key)
+    if cut is None:
+        cut = memo.truncated[key] = _truncate(res.field, prob.tau)
+    return cut
 
 
 def init_partition(
@@ -291,8 +312,7 @@ def init_partition(
 
     fields, supports, lambdas = [], [], []
     for allowed in cells:
-        res = _solve_component(allowed, prob, memo)
-        f, supp, lam = _truncate(res.field, prob.tau)
+        f, supp, lam = _truncated_solve(allowed, prob, memo)
         fields.append(f)
         supports.append(supp)
         lambdas.append(lam)
@@ -341,8 +361,7 @@ def _block_pass(
         allowed = domain.mask & ~blocked
         if not allowed.any():
             raise SqueezedOutError(i)
-        res = _solve_component(allowed, prob, memo)
-        f, supp, lam = _truncate(res.field, prob.tau)
+        f, supp, lam = _truncated_solve(allowed, prob, memo)
         if lam <= lambdas[i] * (1 + 1e-14) or not supports[i].nodes.any():
             fields[i] = f
             supports[i] = supp

@@ -143,10 +143,10 @@ class TestMaskedEig:
         nodes[2:9, 2:9] = True
         nodes[12, 12] = nodes[14, 3] = nodes[3, 14] = True
         calls = []
-        real = eigensolve._block_ground_state
+        real = eigensolve._component_ground_state
         monkeypatch.setattr(
-            eigensolve, "_block_ground_state",
-            lambda block, *args: calls.append(block.shape[0]) or real(block, *args),
+            eigensolve, "_component_ground_state",
+            lambda box, *args: calls.append(int(box.sum())) or real(box, *args),
         )
         res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
         assert calls == [49]
@@ -422,17 +422,17 @@ class TestAssembly:
 
 
 def spied_floors(dom, nodes, **kw):
-    """first_dirichlet_eig with the (floor, lambda, block size) of every
+    """first_dirichlet_eig with the (floor, lambda, node count) of every
     solved component."""
     solved = []
-    real = eigensolve._block_ground_state
+    real = eigensolve._component_ground_state
 
-    def spy(block, floor, *args):
-        out = real(block, floor, *args)
-        solved.append((floor, out[0], block.shape[0]))
+    def spy(box, floor, *args):
+        out = real(box, floor, *args)
+        solved.append((floor, out[0], int(box.sum())))
         return out
 
-    with mock.patch.object(eigensolve, "_block_ground_state", spy):
+    with mock.patch.object(eigensolve, "_component_ground_state", spy):
         res = first_dirichlet_eig(dom, Mask(dom, nodes), **kw)
     return res, solved
 
@@ -538,8 +538,28 @@ class TestGershgorinFloor:
 
 def unfolded(fn, *args, **kw):
     """``fn`` with every component solved on its whole block."""
-    with mock.patch.object(eigensolve, "_mirror_fold", lambda *a: None):
+    with mock.patch.object(eigensolve, "_mirror_orbits", lambda box: None):
         return fn(*args, **kw)
+
+
+CROSS = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
+
+
+def largest_component(dom, nodes):
+    """The largest 4-connected component of ``nodes``: its ``masked_laplacian``
+    block and its bounding box."""
+    labels, _ = scipy.ndimage.label(nodes, structure=CROSS)
+    part = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+    block, _ = masked_laplacian(dom, part)
+    return block, part[scipy.ndimage.find_objects(part.astype(np.int8))[0]]
+
+
+def orbit_basis(orbit, reps, size):
+    """The orthonormal orbit basis P: 1/sqrt|o| on orbit o's nodes."""
+    return scipy.sparse.csr_matrix(
+        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(orbit.size + 1)),
+        shape=(orbit.size, reps.size),
+    )
 
 
 @st.composite
@@ -588,13 +608,10 @@ class TestMirrorFold:
         # P has orthonormal columns, and block P = P (P^T block P) on the
         # carrying component
         dom, nodes = case
-        labels, _ = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        part = labels == np.bincount(labels.ravel())[1:].argmax() + 1
-        block, idx = masked_laplacian(dom, part)
-        ii, jj = np.divmod(idx, part.shape[1])
-        fold = eigensolve._mirror_fold(block, ii - ii.min(), jj - jj.min())
-        assume(fold is not None)
-        folded, P = fold
+        block, box = largest_component(dom, nodes)
+        orbits = eigensolve._mirror_orbits(box)
+        assume(orbits is not None)
+        folded, P = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
         assert abs(P.T @ P - scipy.sparse.identity(P.shape[1])).max() <= 1e-15
         gap = (block @ P - P @ folded).toarray()
         assert np.abs(gap).max() <= 1e-12 * abs(block).max()
@@ -627,9 +644,9 @@ class TestMirrorFold:
         nodes = dom.mask.copy()
         nodes[:10, :6] = False  # a corner notch breaks every mirror
         folds = []
-        real = eigensolve._mirror_fold
-        with mock.patch.object(eigensolve, "_mirror_fold",
-                               lambda *a: folds.append(real(*a)) or folds[-1]):
+        real = eigensolve._mirror_orbits
+        with mock.patch.object(eigensolve, "_mirror_orbits",
+                               lambda box: folds.append(real(box)) or folds[-1]):
             res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
         assert folds == [None] and res.iterations > 0
         ref = unfolded(first_dirichlet_eig, dom, Mask(dom, nodes), tol=1e-9)
@@ -759,7 +776,8 @@ class TestSetupMatchesOffsetMajor:
                    "diagonal": (0, 0, 1), "8": (1, 1, 1)}[kind]
         assert (np.array_equal(box, box[::-1]), np.array_equal(box, box[:, ::-1]),
                 np.array_equal(box, box.T)) == tuple(map(bool, mirrors))
-        folded, P = eigensolve._mirror_fold(block, a, b)
+        orbits = eigensolve._mirror_orbits(box)
+        folded, P = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
         ref, ref_P = searchsorted_fold(block, a, b)
         assert csr_bytes(folded) == csr_bytes(ref) and csr_bytes(P) == csr_bytes(ref_P)
 
@@ -769,10 +787,12 @@ class TestSetupMatchesOffsetMajor:
         dom, nodes = case
         block, idx = masked_laplacian(dom, nodes)
         ii, jj = np.divmod(idx, nodes.shape[1])
-        got = eigensolve._mirror_fold(block, ii - ii.min(), jj - jj.min())
+        box = nodes[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
+        orbits = eigensolve._mirror_orbits(box)
         want = searchsorted_fold(block, ii - ii.min(), jj - jj.min())
-        assert (got is None) == (want is None)
-        if got is not None:
+        assert (orbits is None) == (want is None)
+        if orbits is not None:
+            got = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
             assert all(csr_bytes(g) == csr_bytes(w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("mi, mj", [(1, 1), (1, 5), (5, 1), (2, 3), (17, 16), (127, 127),
@@ -781,7 +801,9 @@ class TestSetupMatchesOffsetMajor:
         a, b = np.divmod(np.arange(mi * mj), mj)
         keep = np.random.default_rng(mi * mj).random(a.size) < 0.7
         for sel in (slice(None), keep):
-            got = eigensolve._box_start(a[sel], b[sel], mi, mj)
+            box = np.zeros((mi, mj), dtype=bool)
+            box[a[sel], b[sel]] = True
+            got = eigensolve._box_start(box)
             assert got.tobytes() == sin_sin_start(a[sel], b[sel], mi, mj).tobytes()
 
     @pytest.mark.parametrize("shape", ["disk", "disk_minus_ball"])
@@ -817,8 +839,7 @@ def row_run_masks(draw):
 
 
 def certified(nodes: np.ndarray) -> bool:
-    ii, jj = np.nonzero(nodes)
-    return eigensolve._rows_connected(ii, jj)
+    return eigensolve._rows_connected(nodes)
 
 
 def named_declined_sets() -> dict:
@@ -886,15 +907,258 @@ class TestConnectivityCertificate:
         # a connected set must come out bit for bit as on the fast path
         dom, nodes = case
         fast = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
-        with mock.patch.object(eigensolve, "_rows_connected", lambda ii, jj: False):
+        with mock.patch.object(eigensolve, "_rows_connected", lambda nodes: False):
             slow = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
         assert exact_result(fast) == exact_result(slow)
 
     def test_graph_search_path_gives_the_same_bits_at_n128(self, disk_eig_128, square_eig_128):
         for dom, fast in (disk_eig_128, square_eig_128):
-            with mock.patch.object(eigensolve, "_rows_connected", lambda ii, jj: False):
+            with mock.patch.object(eigensolve, "_rows_connected", lambda nodes: False):
                 slow = first_dirichlet_eig(dom, tol=1e-9)
             assert exact_result(fast) == exact_result(slow)
+
+
+# The eigensolve path as it was before the box rewrite: the whole-lattice
+# Laplacian, the fold through P and the products with P.  The box path must
+# reproduce each of these bit for bit
+
+
+def reference_laplacian(domain: GridDomain, allowed: np.ndarray):
+    """``masked_laplacian`` before the box rewrite: a neighbour table on the
+    lattice padded by one excluded ring, gathered node-major."""
+    idx_flat = np.flatnonzero(allowed.ravel())
+    n = idx_flat.size
+    nx, ny = allowed.shape
+    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.intp
+    w = ny + 2
+    lut = np.full((nx + 2, w), -1, dtype=itype)
+    lut[1:-1, 1:-1][allowed] = np.arange(n)
+    centre = idx_flat + 2 * (idx_flat // ny) + w + 1
+    table = lut.ravel()[centre[:, None] + np.array([-w, -1, 0, 1, w])]
+    keep = table >= 0
+    indices = table[keep]
+    indptr = np.zeros(n + 1, dtype=itype)
+    k = keep.view(np.int8)
+    np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
+    h2 = domain.h * domain.h
+    data = np.full(indices.size, -1.0 / h2)
+    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = 4.0 / h2
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)), idx_flat
+
+
+def reference_fold(block, a, b):
+    """``_mirror_fold`` before the box rewrite: (P^T block P, P) or None."""
+    mi, mj = int(a.max()) + 1, int(b.max()) + 1
+    box = np.zeros((mi, mj), dtype=bool)
+    box[a, b] = True
+    flip_i = np.array_equal(box, box[::-1])
+    flip_j = np.array_equal(box, box[:, ::-1])
+    diagonal = mi == mj and np.array_equal(box, box.T)
+    if not (flip_i or flip_j or diagonal):
+        return None
+    first = np.arange(mi * mj).reshape(mi, mj)
+    if flip_i:
+        first = np.minimum(first, first[::-1])
+    if flip_j:
+        first = np.minimum(first, first[:, ::-1])
+    if diagonal:
+        first = np.minimum(first, first.T)
+    key = first[a, b]
+    reps = np.flatnonzero(key == a * mj + b)
+    lut = np.empty(mi * mj, dtype=np.intp)
+    lut[key[reps]] = np.arange(reps.size)
+    orbit = lut[key]
+    size = np.bincount(orbit)
+    P = scipy.sparse.csr_matrix(
+        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
+    )
+    folded = block[reps] @ P
+    folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
+    return folded, P
+
+
+def reference_eig(dom, nodes, tol):
+    """``first_dirichlet_eig`` before the box rewrite on a 4-connected set:
+    the whole-lattice Laplacian is the block, folded through P unless the set
+    fills its box, and the final lambda is taken on the block."""
+    A, idx = reference_laplacian(dom, nodes)
+    ii, jj = np.divmod(idx, nodes.shape[1])
+    a, b = ii - ii.min(), jj - jj.min()
+    mi, mj = int(a.max()) + 1, int(b.max()) + 1
+    box_floor = np.array([math.sin(math.pi / (2 * (mi + 1))) ** 2
+                          + math.sin(math.pi / (2 * (mj + 1))) ** 2]) * (4.0 / dom.h**2)
+    degree = np.diff(A.indptr) - 1
+    floor = np.maximum(box_floor, np.minimum.reduceat(4 - degree, [0]) / dom.h**2)[0]
+    x0 = sin_sin_start(a, b, mi, mj)
+    fold = None if a.size == mi * mj else reference_fold(A, a, b)
+    if fold is None:
+        lam, x, res, solves = eigensolve._block_ground_state(A, floor, tol, 10_000, x0)
+    else:
+        folded, P = fold
+        lam, z, res, solves = eigensolve._block_ground_state(folded, floor, tol, 10_000,
+                                                             P.T @ x0)
+        x = P @ z
+    if x.sum() < 0:
+        x = -x
+    x = np.clip(x, 0.0, None)
+    x /= _norm(x)
+    values = np.zeros(dom.mask.shape)
+    values.ravel()[idx] = x / dom.h
+    return eigensolve.EigenResult(_dot(x, A @ x), ScalarField(dom, values), res, solves)
+
+
+def csc_bytes(M):
+    return csr_bytes(M.tocsc())
+
+
+def assert_blocks_match(dom, box):
+    """The box builder's unfolded and folded blocks, and the products that
+    replace P, against the reference path on the nodes of ``box``."""
+    ref, _ = reference_laplacian(dom, box)
+    got = eigensolve._lattice_block(box, dom.h)
+    assert csr_bytes(got) == csr_bytes(ref) and csc_bytes(got) == csc_bytes(ref)
+    assert (got.indptr.dtype, got.indices.dtype) == (ref.indptr.dtype, ref.indices.dtype)
+    a, b = np.nonzero(box)
+    orbits = eigensolve._mirror_orbits(box)
+    fold = reference_fold(ref, a, b)
+    assert (orbits is None) == (fold is None)
+    if orbits is None:
+        return None
+    folded, P = fold
+    got = eigensolve._lattice_block(box, dom.h, orbits)
+    assert csr_bytes(got) == csr_bytes(folded) and csc_bytes(got) == csc_bytes(folded)
+    assert (got.indptr.dtype, got.indices.dtype) == (folded.indptr.dtype, folded.indices.dtype)
+    orbit, _, size = orbits
+    inv = (1.0 / np.sqrt(size))[orbit]
+    x0 = eigensolve._box_start(box)
+    assert np.bincount(orbit, x0 * inv).tobytes() == (P.T @ x0).tobytes()
+    z = np.random.default_rng(a.size).standard_normal(size.size)
+    assert (z[orbit] * inv).tobytes() == (P @ z).tobytes()
+    return orbits
+
+
+def beside_its_image(side: int) -> np.ndarray:
+    """A plus of two-node-wide arms on an even side: the nodes next to the
+    centre each have their i and j mirror images as neighbours, so a folded
+    diagonal entry sums three terms; on an odd side the arms' middle column
+    sees one orbit on both sides."""
+    box = np.zeros((side, side), dtype=bool)
+    mid = slice(side // 2 - 1, side // 2 + 1 + side % 2)
+    box[mid, :] = box[:, mid] = True
+    return box
+
+
+class TestLatticeBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(mirrored_masks(), row_run_masks(), random_masks()))
+    def test_blocks_match_the_reference_path(self, case):
+        dom, nodes = case
+        _, box = largest_component(dom, nodes)
+        assert_blocks_match(dom, box)
+
+    @pytest.mark.parametrize("kind", ["i", "j", "both", "diagonal", "8"])
+    @pytest.mark.parametrize("side", [9, 10])
+    def test_named_mirrors_on_odd_and_even_sides(self, kind, side):
+        box = mirror_box(kind, side)
+        orbits = assert_blocks_match(GridDomain.raw(side, side, 0.1), box)
+        group = {"i": 2, "j": 2, "both": 4, "diagonal": 2, "8": 8}[kind]
+        assert box.sum() <= group * orbits[1].size
+
+    @pytest.mark.parametrize("side", [4, 5, 6, 7])
+    def test_nodes_beside_their_own_images(self, side):
+        dom = GridDomain.raw(side, side, 0.1)
+        box = beside_its_image(side)
+        orbits = assert_blocks_match(dom, box)
+        # representatives' rows repeat orbits, so the fold merges entries
+        kept = np.diff(reference_laplacian(dom, box)[0].indptr)[orbits[1]]
+        assert orbits[2].max() == 8
+        assert eigensolve._lattice_block(box, dom.h, orbits).nnz < kept.sum()
+
+    def test_disk_n128(self):
+        dom = build_domain("disk", 128, 1.0)
+        ii, jj = np.nonzero(dom.mask)
+        box = dom.mask[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
+        orbit, reps, _ = assert_blocks_match(dom, box)
+        assert 7 * reps.size <= box.sum() <= 8 * reps.size
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(mirrored_masks(), random_masks()), positive=st.booleans())
+    def test_stencil_is_the_csr_matvec(self, case, positive):
+        dom, nodes = case
+        _, box = largest_component(dom, nodes)
+        x = np.random.default_rng(int(box.sum())).standard_normal(int(box.sum()))
+        x = np.abs(x) if positive else x
+        got = eigensolve._stencil(x, box, dom.h)
+        assert np.array_equal(got, eigensolve._lattice_block(box, dom.h) @ x)
+
+    @pytest.mark.parametrize("shape", ["square", "disk"])
+    def test_stencil_is_the_csr_matvec_at_n128(self, shape):
+        dom = build_domain(shape, 128, 1.0)
+        ii, jj = np.nonzero(dom.mask)
+        box = dom.mask[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
+        a, b = np.nonzero(box)
+        for x in (eigensolve._box_start(box),
+                  np.random.default_rng(7).standard_normal(a.size)):
+            got = eigensolve._stencil(x, box, dom.h)
+            assert got.tobytes() == (eigensolve._lattice_block(box, dom.h) @ x).tobytes()
+
+    def test_box_filling_components_build_no_matrix(self):
+        square = build_domain("square", 128, 1.0)
+        disk = build_domain("disk", 48, 1.0)
+        boxed = np.zeros(disk.mask.shape, dtype=bool)
+        boxed[14:26, 20:27] = True
+        refs = [reference_eig(square, square.mask, 1e-9), reference_eig(disk, boxed, 1e-9)]
+
+        def refuse(*args, **kw):
+            raise AssertionError("a sparse matrix was built")
+
+        with mock.patch.object(eigensolve.sparse, "csr_matrix", refuse):
+            got = [first_dirichlet_eig(square, tol=1e-9),
+                   first_dirichlet_eig(disk, Mask(disk, boxed), tol=1e-9)]
+        for res, ref in zip(got, refs):
+            assert res.iterations == 0
+            assert exact_result(res) == exact_result(ref)
+
+    @staticmethod
+    def assert_largest_component_matches(dom, nodes):
+        labels, _ = scipy.ndimage.label(nodes, structure=CROSS)
+        part = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+        res = first_dirichlet_eig(dom, Mask(dom, part), tol=1e-9)
+        assert exact_result(res) == exact_result(reference_eig(dom, part, 1e-9))
+
+    def test_folded_solve_builds_only_its_block(self):
+        # no whole-lattice Laplacian, no P: the folded block is the one matrix
+        dom = build_domain("disk", 64, 1.0)
+        built = []
+        real = eigensolve.sparse.csr_matrix
+
+        def counting(*args, **kw):
+            built.append(real(*args, **kw))
+            return built[-1]
+
+        def refuse(*args, **kw):
+            raise AssertionError("the whole-lattice Laplacian was built")
+
+        with mock.patch.object(eigensolve.sparse, "csr_matrix", counting), \
+                mock.patch.object(eigensolve, "masked_laplacian", refuse):
+            res = first_dirichlet_eig(dom, tol=1e-9)
+        assert res.iterations > 0 and len(built) == 1
+        assert 7 * built[0].shape[0] <= dom.mask.sum() <= 8 * built[0].shape[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(mirrored_masks(), row_run_masks(), random_masks()))
+    def test_solve_matches_the_reference_path(self, case):
+        self.assert_largest_component_matches(*case)
+
+    @pytest.mark.parametrize("shape, params", [("disk", (1.0,)), ("disk_minus_ball", (2.0, 1.0)),
+                                               ("l_shape", (1.0,)), ("rectangle", (2.0, 1.0))])
+    def test_domains_match_the_reference_path(self, shape, params):
+        dom = build_domain(shape, 48, *params)
+        self.assert_largest_component_matches(dom, dom.mask)
+
+    def test_n128_matches_the_reference_path(self, disk_eig_128, square_eig_128):
+        for dom, res in (disk_eig_128, square_eig_128):
+            assert exact_result(res) == exact_result(reference_eig(dom, dom.mask, 1e-9))
 
 
 class TestBesselZero:

@@ -478,6 +478,35 @@ class TestSolveMemo:
         assert second.metadata["eig_solves"] == first.metadata["eig_solves"] == made
         assert second.to_csv_lines() == first.to_csv_lines()
 
+    def test_each_solve_is_truncated_once(self, monkeypatch):
+        # hits reuse the truncation made at the solve, and the sweep's
+        # states are the ones a truncation on every block update gives
+        dom = build_domain("rectangle", 32, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
+        r_values = [1 / 8, 1 / 16, 1 / 32, 0.0]
+        inner = partition._truncate
+        cuts = []
+        monkeypatch.setattr(partition, "_truncate",
+                            lambda f, tau: cuts.append(f) or inner(f, tau))
+        rep = run_sweep(prob, r_values)
+        assert rep.metadata["eig_memo_hits"] > 0
+        assert len(cuts) == rep.metadata["eig_solves"]
+        monkeypatch.setattr(
+            partition, "_truncated_solve",
+            lambda allowed, prob, memo: inner(
+                partition._solve_component(allowed, prob, memo).field, prob.tau),
+        )
+        plain = run_sweep(prob, r_values)
+        assert plain.to_csv_lines() == rep.to_csv_lines()
+        assert plain.metadata["eig_solves"] == rep.metadata["eig_solves"]
+        assert plain.metadata["eig_memo_hits"] == rep.metadata["eig_memo_hits"]
+        assert plain.states.keys() == rep.states.keys()
+        for r, b in rep.states.items():
+            a = plain.states[r]
+            assert np.array_equal(a.lambdas, b.lambdas)
+            assert all(f.values.tobytes() == g.values.tobytes()
+                       for f, g in zip(a.fields, b.fields))
+
     def test_public_calls_take_a_shared_memo(self):
         dom = build_domain("rectangle", 24, 2.0, 1.0)
         prob = PartitionProblem(dom, k=2, r=0.0, seed=3, tol_eig=1e-8)
