@@ -11,7 +11,8 @@ state of its box, sin x sin in closed form, taken on the component's nodes:
 it is positive, so it is never orthogonal to the component's positive
 ground state.  When the component fills its box it is that ground state:
 the 5-point stencil on the zero-padded box gives its residual, and the solve
-ends with no matrix built (``iterations == 0``).  Otherwise the component is
+ends with no matrix built (``iterations == 0``), or raises ConvergenceError
+at once if that residual misses ``tol``.  Otherwise the component is
 folded onto the orbits of its lattice mirror symmetries (the two axis
 mirrors of its box and, on a square box, the diagonal), if it has any: its
 ground state is simple, so every symmetry of the block fixes it, and the
@@ -330,11 +331,12 @@ def _component_ground_state(box: np.ndarray, floor: float, tol: float, max_iter:
     its bounding ``box``, with ``x`` unit l2 on them in raster order.
 
     The start is the box's ground state.  A component that fills its box
-    checks it with ``_stencil`` and, when it meets ``tol``, returns it with
-    no matrix built.  Otherwise the block from ``_lattice_block``, folded
-    when the box has a mirror, goes to ``_block_ground_state``; the folded
-    start P^T x0 and the unfolded P z are taken from the orbit numbering,
-    without P, summed in the order of P's products.
+    is that ground state, which no iteration improves on: it is returned
+    with no matrix built, or raises ``ConvergenceError`` if its ``_stencil``
+    residual misses ``tol``.  Otherwise the block from ``_lattice_block``,
+    folded when the box has a mirror, goes to ``_block_ground_state``; the
+    folded start P^T x0 and the unfolded P z are taken from the orbit
+    numbering, without P, summed in the order of P's products.
     """
     x0 = _box_start(box)
     if x0.size == box.size:
@@ -342,11 +344,10 @@ def _component_ground_state(box: np.ndarray, floor: float, tol: float, max_iter:
         ax = _stencil(x, box, h)
         lam = _dot(x, ax)
         res = _norm(ax - lam * x)
-        if res <= tol:
-            return lam, x, res, 0
-        orbits = None  # a full box that misses tol is solved unfolded
-    else:
-        orbits = _mirror_orbits(box)
+        if res > tol:
+            raise ConvergenceError("the box's exact ground state misses tol", res)
+        return lam, x, res, 0
+    orbits = _mirror_orbits(box)
     if orbits is None:
         return _block_ground_state(_lattice_block(box, h), floor, tol, max_iter, x0)
     orbit = orbits[0]
@@ -413,8 +414,8 @@ def first_dirichlet_eig(
     on its nodes, sin(pi a / (m_i + 1)) sin(pi b / (m_j + 1)) for 1-based
     box indices (a, b).  A component that fills its box starts at its
     ground state: the 5-point stencil on the zero-padded box gives the
-    start's residual, and if that meets ``residual <= tol`` the start is
-    returned with ``iterations == 0`` and no matrix is built.  Otherwise a
+    start's residual, and the start is returned with ``iterations == 0``
+    and no matrix built.  Otherwise a
     component that is mirror-symmetric in its box (a -> m_i + 1 - a,
     b -> m_j + 1 - b, or (a, b) -> (b, a) when m_i == m_j) is folded onto
     the orbits of its mirrors, its block assembled from the box's neighbour
@@ -438,7 +439,8 @@ def first_dirichlet_eig(
     whose floor already exceeds the best lambda found is not solved, so a
     component that cannot win, such as a long one-node wire, does not stall
     the solve.  Raises ``ConvergenceError`` with the last residual if a
-    solved component hits ``max_iter`` solves before ``residual <= tol``.
+    solved component hits ``max_iter`` solves before ``residual <= tol``,
+    or if a component that fills its box misses ``tol`` at its start.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")

@@ -162,40 +162,28 @@ def build_domain(shape: str, n: int, *params: float) -> GridDomain:
     if any(v <= 0 for v in p):
         raise ValueError(f"shape parameters must be positive, got {p}")
 
-    if shape == "disk":
-        (radius,) = p
-        h = 2.0 * radius / n
-        ax = -radius + h * np.arange(n + 1)
-        x, y = np.meshgrid(ax, ax, indexing="ij")
-        mask = x * x + y * y < radius * radius
-        dom = GridDomain(n + 1, n + 1, h, mask, (-radius, -radius), shape, p)
-    elif shape in ("rectangle", "square"):
+    disk = shape in ("disk", "disk_minus_ball")
+    if disk:
+        radius = p[0]
+        if shape == "disk_minus_ball" and p[1] >= radius:
+            raise ValueError(f"excluded ball radius {p[1]} must be smaller than {radius}")
+        a = b = 2.0 * radius
+        lo = -radius
+    else:
         a, b = p if shape == "rectangle" else (p[0], p[0])
-        h = min(a, b) / n
-        ncx = int(np.ceil(a / h - 1e-12))
-        ncy = int(np.ceil(b / h - 1e-12))
-        xg = h * np.arange(ncx + 1)
-        yg = h * np.arange(ncy + 1)
-        x, y = np.meshgrid(xg, yg, indexing="ij")
+        lo = 0.0
+    h = min(a, b) / n
+    nx, ny = (int(np.ceil(side / h - 1e-12)) + 1 for side in (a, b))
+    x, y = np.meshgrid(lo + h * np.arange(nx), lo + h * np.arange(ny), indexing="ij")
+    if disk:
+        mask = x * x + y * y < radius * radius
+        if shape == "disk_minus_ball":
+            mask &= ~_in_excluded_ball(x, y, p[1])
+    else:
         mask = (x > 0) & (x < a) & (y > 0) & (y < b)
-        dom = GridDomain(ncx + 1, ncy + 1, h, mask, (0.0, 0.0), shape, p)
-    elif shape == "l_shape":
-        (a,) = p
-        h = a / n
-        ax = h * np.arange(n + 1)
-        x, y = np.meshgrid(ax, ax, indexing="ij")
-        mask = (x > 0) & (x < a) & (y > 0) & (y < a) & ((x < a / 2) | (y < a / 2))
-        dom = GridDomain(n + 1, n + 1, h, mask, (0.0, 0.0), shape, p)
-    else:  # disk_minus_ball
-        radius, r0 = p
-        if r0 >= radius:
-            raise ValueError(f"excluded ball radius {r0} must be smaller than {radius}")
-        h = 2.0 * radius / n
-        ax = -radius + h * np.arange(n + 1)
-        x, y = np.meshgrid(ax, ax, indexing="ij")
-        mask = (x * x + y * y < radius * radius) & ~_in_excluded_ball(x, y, r0)
-        dom = GridDomain(n + 1, n + 1, h, mask, (-radius, -radius), shape, p)
-    return dom
+        if shape == "l_shape":
+            mask &= (x < a / 2) | (y < a / 2)
+    return GridDomain(nx, ny, h, mask, (lo, lo), shape, p)
 
 
 def _distance_to(true_nodes: np.ndarray, h: float) -> np.ndarray:
@@ -325,8 +313,8 @@ def discrete_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
 
 
 def gradient_magnitude(f: ScalarField) -> ScalarField:
-    gx, gy = discrete_gradient(f)
-    return ScalarField(f.domain, np.hypot(gx.values, gy.values))
+    gx, gy = _stencil_gradient(f.values, f.domain.mask, f.domain.h)
+    return ScalarField(f.domain, np.hypot(gx, gy))
 
 
 def dirichlet_energy(f: ScalarField) -> float:

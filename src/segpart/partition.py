@@ -30,14 +30,15 @@ restarts, and a public call given none makes a fresh one.  Within a run the
 same allowed set recurs often: the pass that confirms a fixed point
 re-poses every block unchanged, restarts reach the same cells, and levels
 whose slack r - h adds no lattice node pose the same discrete problem.  The
-key is (domain, tol_eig, allowed-node bytes): :func:`first_dirichlet_eig`
-is deterministic in exactly these inputs (its start vector is the bounding
-box's ground state, not a random draw, and ``max_iter`` stays at its
-default), so a hit returns the very result a fresh solve would compute, bit
-for bit.  Domains compare by identity, and each cached field holds its
-domain alive.  Beside each solve the memo keeps its truncation at the
-support threshold tau, keyed on (solve, tau), so a hit also skips the
-threshold, the renormalization and the Rayleigh quotient.
+memo keeps one record per solve: the :class:`EigenResult` and its
+:func:`_truncate` output at the support threshold tau, so a hit also skips
+the threshold, the renormalization and the Rayleigh quotient.  The key is
+(domain, tol_eig, tau, allowed-node bytes): :func:`first_dirichlet_eig` is
+deterministic in the domain, tol_eig and the allowed nodes (its start
+vector is the bounding box's ground state, not a random draw, and
+``max_iter`` stays at its default), and the truncation adds tau, so a hit
+returns the very record a fresh solve would compute, bit for bit.  Domains
+compare by identity, and each cached field holds its domain alive.
 """
 
 from __future__ import annotations
@@ -236,43 +237,24 @@ def _lloyd_sites(
 
 
 class SolveMemo(dict):
-    """Block eigensolves of one run, keyed by :func:`_solve_component`;
-    ``hits`` counts the solves it saved.  ``truncated`` holds the
-    :func:`_truncate` output of each solve, keyed on (solve, tau)."""
+    """Block solves of one run, keyed by :func:`_solve_component`: each
+    record is a solve and its :func:`_truncate` output, never mutated, so a
+    hit returns the one already made.  ``hits`` counts the solves saved."""
 
     hits = 0
-
-    def __init__(self):
-        super().__init__()
-        self.truncated = {}
 
 
 def _solve_component(
     allowed: np.ndarray, prob: PartitionProblem, memo: SolveMemo
-) -> EigenResult:
-    key = (prob.domain, prob.tol_eig, allowed.tobytes())
-    res = memo.get(key)
-    if res is None:
-        res = memo[key] = first_dirichlet_eig(
-            prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig
-        )
+) -> tuple[EigenResult, tuple[ScalarField, Mask, float]]:
+    key = (prob.domain, prob.tol_eig, prob.tau, allowed.tobytes())
+    record = memo.get(key)
+    if record is None:
+        res = first_dirichlet_eig(prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig)
+        record = memo[key] = (res, _truncate(res.field, prob.tau))
     else:
         memo.hits += 1
-    return res
-
-
-def _truncated_solve(
-    allowed: np.ndarray, prob: PartitionProblem, memo: SolveMemo
-) -> tuple[ScalarField, Mask, float]:
-    """:func:`_truncate` of the block solve on ``allowed``, made once per solve
-    and threshold: the memo's solves are never mutated, so the truncation of
-    a hit is the one already made."""
-    res = _solve_component(allowed, prob, memo)
-    key = (res, prob.tau)
-    cut = memo.truncated.get(key)
-    if cut is None:
-        cut = memo.truncated[key] = _truncate(res.field, prob.tau)
-    return cut
+    return record
 
 
 def init_partition(
@@ -312,7 +294,7 @@ def init_partition(
 
     fields, supports, lambdas = [], [], []
     for allowed in cells:
-        f, supp, lam = _truncated_solve(allowed, prob, memo)
+        _, (f, supp, lam) = _solve_component(allowed, prob, memo)
         fields.append(f)
         supports.append(supp)
         lambdas.append(lam)
@@ -361,7 +343,7 @@ def _block_pass(
         allowed = domain.mask & ~blocked
         if not allowed.any():
             raise SqueezedOutError(i)
-        f, supp, lam = _truncated_solve(allowed, prob, memo)
+        _, (f, supp, lam) = _solve_component(allowed, prob, memo)
         if lam <= lambdas[i] * (1 + 1e-14) or not supports[i].nodes.any():
             fields[i] = f
             supports[i] = supp

@@ -282,9 +282,10 @@ class TestPartition:
 
 def solve_every_time(allowed, prob, memo):
     """A block solve that never consults the run's memo."""
-    return partition.first_dirichlet_eig(
+    res = partition.first_dirichlet_eig(
         prob.domain, Mask(prob.domain, allowed), tol=prob.tol_eig
     )
+    return res, partition._truncate(res.field, prob.tau)
 
 
 @pytest.mark.parametrize("command", ["partition", "sweep"])

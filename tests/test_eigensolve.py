@@ -229,6 +229,18 @@ class TestMaskedEig:
         expected = box_oracle(dom.h, dom.nx - 2, dom.ny - 2)
         assert res.lam == pytest.approx(expected, rel=1e-13)
 
+    def test_full_box_that_misses_tol_raises_at_its_start(self, monkeypatch):
+        # iterating cannot improve on the exact eigenvector: the start's
+        # residual is reported at once, and no block is factored
+        dom = build_domain("square", 128, 1.0)
+        start = first_dirichlet_eig(dom, tol=1e-9).residual
+        factored = []
+        monkeypatch.setattr(eigensolve, "_factor", lambda *a: factored.append(a))
+        with pytest.raises(ConvergenceError) as err:
+            first_dirichlet_eig(dom, tol=start / 2)
+        assert err.value.residual == start
+        assert factored == []
+
     def box_in_disk(self, dom, i0, j0):
         nodes = np.zeros(dom.mask.shape, dtype=bool)
         nodes[i0 : i0 + 12, j0 : j0 + 7] = True

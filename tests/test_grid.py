@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from segpart.errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 from segpart.grid import (
+    SHAPE_PARAM_COUNT,
     GridDomain,
     Mask,
     ScalarField,
     _distance_to,
     _holder_seminorm,
+    _in_excluded_ball,
     _stencil_gradient,
     build_domain,
     dilate,
@@ -128,6 +130,68 @@ SHAPES = [
     ("disk_minus_ball", (2.0, 1.0)),
 ]
 
+
+def reference_build_domain(shape: str, n: int, *params: float) -> GridDomain:
+    """Reference: ``build_domain`` with one lattice set-up per shape."""
+    if shape not in SHAPE_PARAM_COUNT:
+        raise ValueError(f"unknown shape {shape!r}")
+    if len(params) != SHAPE_PARAM_COUNT[shape]:
+        raise ValueError(
+            f"shape {shape!r} takes {SHAPE_PARAM_COUNT[shape]} parameter(s), got {len(params)}"
+        )
+    if n < 2:
+        raise ValueError(f"resolution n must be at least 2, got {n}")
+    p = tuple(float(v) for v in params)
+    if any(v <= 0 for v in p):
+        raise ValueError(f"shape parameters must be positive, got {p}")
+
+    if shape == "disk":
+        (radius,) = p
+        h = 2.0 * radius / n
+        ax = -radius + h * np.arange(n + 1)
+        x, y = np.meshgrid(ax, ax, indexing="ij")
+        mask = x * x + y * y < radius * radius
+        dom = GridDomain(n + 1, n + 1, h, mask, (-radius, -radius), shape, p)
+    elif shape in ("rectangle", "square"):
+        a, b = p if shape == "rectangle" else (p[0], p[0])
+        h = min(a, b) / n
+        ncx = int(np.ceil(a / h - 1e-12))
+        ncy = int(np.ceil(b / h - 1e-12))
+        xg = h * np.arange(ncx + 1)
+        yg = h * np.arange(ncy + 1)
+        x, y = np.meshgrid(xg, yg, indexing="ij")
+        mask = (x > 0) & (x < a) & (y > 0) & (y < b)
+        dom = GridDomain(ncx + 1, ncy + 1, h, mask, (0.0, 0.0), shape, p)
+    elif shape == "l_shape":
+        (a,) = p
+        h = a / n
+        ax = h * np.arange(n + 1)
+        x, y = np.meshgrid(ax, ax, indexing="ij")
+        mask = (x > 0) & (x < a) & (y > 0) & (y < a) & ((x < a / 2) | (y < a / 2))
+        dom = GridDomain(n + 1, n + 1, h, mask, (0.0, 0.0), shape, p)
+    else:  # disk_minus_ball
+        radius, r0 = p
+        if r0 >= radius:
+            raise ValueError(f"excluded ball radius {r0} must be smaller than {radius}")
+        h = 2.0 * radius / n
+        ax = -radius + h * np.arange(n + 1)
+        x, y = np.meshgrid(ax, ax, indexing="ij")
+        mask = (x * x + y * y < radius * radius) & ~_in_excluded_ball(x, y, r0)
+        dom = GridDomain(n + 1, n + 1, h, mask, (-radius, -radius), shape, p)
+    return dom
+
+
+def lattice_outcome(build, shape, n, params):
+    """What ``build`` makes of the arguments: the lattice's sizes, spacing,
+    corner and the bytes of its mask and coordinates, or the error raised."""
+    try:
+        dom = build(shape, n, *params)
+    except (ValueError, EmptyDomainError) as exc:
+        return type(exc), str(exc)
+    x, y = dom.coords()
+    return dom.nx, dom.ny, dom.h, dom.bbox, dom.mask.tobytes(), x.tobytes(), y.tobytes()
+
+
 # 3..80 nodes a side covers lattices on both sides of 64^2 nodes
 sides = st.integers(3, 80)
 densities = st.floats(0.001, 0.95)
@@ -184,6 +248,24 @@ class TestBuildDomain:
         dom = build_domain("disk_minus_ball", n, 2.0, 1.0)
         assert not np.any(exterior_ball_nodes(dom) & dom.mask)
         assert int(dom.mask.sum()) == count
+
+    @pytest.mark.parametrize("shape, params", SHAPES)
+    def test_matches_the_per_shape_reference(self, shape, params):
+        # the one lattice set-up gives each shape's own set-up bit for bit,
+        # at the default and two random parameter sets for every n
+        rng = np.random.default_rng(len(shape))
+        for n in [*range(2, 130), 200, 255, 256, 257, 300]:
+            draws = [params] + [tuple(rng.uniform(0.1, 5.0, len(params))) for _ in range(2)]
+            for p in draws:
+                if shape == "disk_minus_ball":
+                    p = tuple(sorted(p, reverse=True))
+                assert lattice_outcome(build_domain, shape, n, p) == lattice_outcome(
+                    reference_build_domain, shape, n, p)
+        if shape == "disk_minus_ball":
+            # an excluded ball as large as the disk gets the same message
+            for p in [(1.0, 2.0), (1.5, 1.5)]:
+                assert lattice_outcome(build_domain, shape, 16, p) == lattice_outcome(
+                    reference_build_domain, shape, 16, p)
 
     def test_empty_domain_raises(self):
         with pytest.raises(EmptyDomainError, match="empty domain"):

@@ -427,9 +427,9 @@ class TestSolveMemo:
         inner = partition._solve_component
 
         def recording(allowed, prob, memo):
-            res = inner(allowed, prob, memo)
-            served.append((allowed.copy(), res))
-            return res
+            record = inner(allowed, prob, memo)
+            served.append((allowed.copy(), record[0]))
+            return record
 
         monkeypatch.setattr(partition, "_solve_component", recording)
         rep = run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 0.0])
@@ -491,11 +491,13 @@ class TestSolveMemo:
         rep = run_sweep(prob, r_values)
         assert rep.metadata["eig_memo_hits"] > 0
         assert len(cuts) == rep.metadata["eig_solves"]
-        monkeypatch.setattr(
-            partition, "_truncated_solve",
-            lambda allowed, prob, memo: inner(
-                partition._solve_component(allowed, prob, memo).field, prob.tau),
-        )
+        solve = partition._solve_component
+
+        def truncating(allowed, prob, memo):
+            res = solve(allowed, prob, memo)[0]
+            return res, inner(res.field, prob.tau)
+
+        monkeypatch.setattr(partition, "_solve_component", truncating)
         plain = run_sweep(prob, r_values)
         assert plain.to_csv_lines() == rep.to_csv_lines()
         assert plain.metadata["eig_solves"] == rep.metadata["eig_solves"]
@@ -506,6 +508,28 @@ class TestSolveMemo:
             assert np.array_equal(a.lambdas, b.lambdas)
             assert all(f.values.tobytes() == g.values.tobytes()
                        for f, g in zip(a.fields, b.fields))
+
+    def test_one_record_per_set_and_threshold(self, monkeypatch):
+        # a record is the solve and its truncation at the key's tau; a memo
+        # shared by two problems that differ only in tau keeps one record,
+        # and makes one solve, per (set, tau)
+        dom = build_domain("rectangle", 32, 2.0, 1.0)
+        solved = count_solves(monkeypatch)
+        memo = SolveMemo()
+        for tau in (1e-3, 1e-2):
+            optimize(PartitionProblem(dom, k=2, r=1 / 8, seed=11, tau=tau), memo=memo)
+        assert len(memo) == len(solved)
+        taus = {}
+        for (domain, tol, tau, nodes), (res, (f, supp, lam)) in memo.items():
+            assert domain is dom and tol == 1e-8
+            f2, supp2, lam2 = partition._truncate(res.field, tau)
+            assert f.values.tobytes() == f2.values.tobytes()
+            assert supp.nodes.tobytes() == supp2.nodes.tobytes()
+            assert lam == lam2
+            taus.setdefault(nodes, []).append(tau)
+        assert {tau for ts in taus.values() for tau in ts} == {1e-3, 1e-2}
+        # the start cells do not depend on tau, so both problems pose them
+        assert any(ts == [1e-3, 1e-2] for ts in taus.values())
 
     def test_public_calls_take_a_shared_memo(self):
         dom = build_domain("rectangle", 24, 2.0, 1.0)
