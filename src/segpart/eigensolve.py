@@ -2,9 +2,8 @@
 
 The 2-D solver works per 4-connected component of the allowed node set,
 each on its bounding lattice box.  The set is one component if its rows are
-contiguous runs that each share a column with the next; else scipy's
-csgraph labels its components from the pattern of the whole-lattice
-Laplacian, the only case that builds that matrix.  The Laplacian is
+contiguous runs that each share a column with the next; else
+scipy.ndimage labels its components.  The Laplacian is
 block-diagonal over components, so each component's ground state is an
 eigenpair of the whole set.  Each component starts from the discrete ground
 state of its box, sin x sin in closed form, taken on the component's nodes:
@@ -21,8 +20,14 @@ times fewer rows (Bossavit, Symmetry, groups, and boundary value problems,
 CMAME 1986).  One routine assembles every block straight from the box's
 neighbour table, one row per orbit, or one per node for a component without
 a mirror; neither A nor P is formed.  The solver factors that block,
-shifted by sigma = 0.99 * floor, once (SuperLU, a symmetric minimum-degree
-ordering, no pivoting) and runs shifted inverse iteration.  The floor is
+shifted by sigma = 0.99 * floor, once and runs shifted inverse iteration.
+In raster or orbit order a node's neighbours lie at most one box row away,
+so the block is banded, its lower half-bandwidth kd about the box's width.
+Up to kd = 64 the factor is banded Cholesky (LAPACK's dpbtrf and dpbtrs):
+no ordering and no CSC copy, and faster than SuperLU there (George and Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981, on
+envelope against nested-dissection orderings).  A wider block is factored
+by SuperLU (a symmetric minimum-degree ordering, no pivoting).  The floor is
 the larger of two lower bounds on the component's lambda_1: lambda_1 of
 its bounding box (Cauchy interlacing) and Gershgorin's smallest
 (4 - neighbours) / h^2 over its nodes, so the shifted block stays SPD.  Within a connected component the ground state is simple and the
@@ -36,7 +41,9 @@ that has not met ``tol`` after 100 solves restarts from its iterate in
 ARPACK's shift-invert Lanczos on the same factor, which separates the pair
 in a few dozen solves.  No step is random, so a result depends only on the
 domain, the allowed set and ``tol``.  The loop's dot products and norms are
-plain numpy reductions that never call BLAS, so the results do not depend
+plain numpy reductions that never call BLAS, and the banded factor gives
+the same bits on one BLAS thread as on the default count (a test holds the
+n=128 disk and a whole n=48 sweep to that), so the results do not depend
 on the BLAS thread count; ARPACK's own reductions do call BLAS, but no
 benchmark block reaches the hand-over.
 
@@ -65,8 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, EmptyRegionError
@@ -80,6 +86,14 @@ _SHIFT = 0.99
 # while a near-degenerate pair (two lobes joined by a bridge) contracts by
 # 0.998 per solve or slower and can take thousands
 _LANCZOS_AFTER = 100
+# widest lower half-bandwidth factored by banded Cholesky rather than
+# SuperLU.  Factor plus 6 solves on an unmirrored m x m box (kd = m), 2-core
+# Xeon: banded 1.5 / 3.1 / 4.8 / 7.8 ms against SuperLU 2.8 / 5.2 / 8.2 /
+# 12.4 ms at m = 48 / 64 / 80 / 96 on one BLAS thread; from kd = 72 the
+# blocked dpbtrf splits its level-3 calls over both threads, its CPU time
+# doubles and its wall-time lead shrinks to 0-15% (5.7 ms wall and 9.9 ms
+# CPU against SuperLU's 6.8 ms at 72)
+_BAND_MAX = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +189,8 @@ def masked_laplacian(domain: GridDomain, allowed: np.ndarray):
     Returns (A, flat_indices) where flat_indices maps matrix rows to
     positions in the raveled (nx, ny) lattice.  Rows are numbered in raster
     order and each row's columns are sorted: the identity-group case of
-    ``_lattice_block`` with the whole lattice as the box.  The solver builds
-    it only for a set whose connectivity ``_rows_connected`` cannot certify,
-    to label the set's components by graph search.
+    ``_lattice_block`` with the whole lattice as the box.  The solver itself
+    never builds it: it works on each component's box.
     """
     return _lattice_block(allowed, domain.h), np.flatnonzero(allowed.ravel())
 
@@ -191,17 +204,66 @@ def _stencil(x: np.ndarray, box: np.ndarray, h: float) -> np.ndarray:
     return _stencil_laplacian(pad, h)[box]
 
 
-def _factor(block: sparse.spmatrix, shift: float = 0.0):
-    """SuperLU factor of ``block - shift * I`` for one SPD block from
+class _BandedCholesky:
+    """L L^T of a shifted block in LAPACK's (kd + 1, n) lower band storage,
+    from ``dpbtrf``; ``solve`` runs ``dpbtrs``, as SuperLU's ``solve`` does."""
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = factor
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dpbtrs(self.factor, b, lower=1)[0]
+
+
+def _factor(block: sparse.csr_matrix, shift: float = 0.0):
+    """Factor of ``block - shift * I`` for one SPD block from
     ``_lattice_block`` and a shift below its smallest eigenvalue.
 
-    The shifted block is SPD, so diagonal pivots are safe.  The shift is
-    subtracted in place from the CSC copy's diagonal entries, those whose
-    row is their column, so no second matrix is built.  Minimum degree on
-    A^T + A without supernode relaxation gives about half the fill of the
-    default COLAMD ordering (L + U about 6.5e5 nonzeros on the full n=128
-    square, against 1.2e6), and the fill sets the factor's memory.
+    A block whose lower half-bandwidth kd (the largest row minus column of
+    an entry) is at most ``_BAND_MAX`` is factored by banded Cholesky
+    (LAPACK's ``dpbtrf``): its lower triangle is scattered from the CSR
+    arrays into the band, row 0 of which is the diagonal, and the shift is
+    subtracted there.  The blocks hold each neighbour at most one box row
+    away in raster or orbit order, so kd is about the box's width.  A
+    shifted block that is not positive definite, a shift at or above its
+    lambda_1, raises ``ConvergenceError`` naming the leading minor that
+    failed; no solve has run, so its residual is nan.  A wider block keeps
+    SuperLU: the shifted block is SPD, so diagonal pivots are safe, and the
+    shift is subtracted in place from the CSC copy's diagonal entries.
+    Minimum degree on A^T + A without supernode relaxation gives about half
+    the fill of the default COLAMD ordering (L + U about 6.5e5 nonzeros on
+    the full n=128 square, against 1.2e6), and the fill sets the factor's
+    memory.
     """
+    n = block.shape[0]
+    r = np.arange(n)
+    # each row's first and last entries bound kd from below (and give it
+    # on the wide blocks measured: the whole n=128 square, whose rows are
+    # sorted, and the folded n=256 disk), so a wide block goes to SuperLU
+    # without the pass over every entry
+    bound = max((r - block.indices[block.indptr[:-1]]).max(),
+                (r - block.indices[block.indptr[1:] - 1]).max())
+    if bound <= _BAND_MAX:
+        rows = np.repeat(r, np.diff(block.indptr))
+        cols = block.indices.astype(np.intp)
+        below = rows - cols
+        kd = int(below.max())
+        if kd <= _BAND_MAX:
+            # band column c holds A[c + d, c] at band row d.  It is built
+            # transposed, entry (r, c) at r + kd c of the raveled array, so
+            # that its transpose is the Fortran-ordered array dpbtrf factors
+            # in place
+            band = np.zeros((n, kd + 1))
+            lower = below >= 0
+            band.ravel()[np.compress(lower, rows + kd * cols)] = np.compress(lower, block.data)
+            band[:, 0] -= shift
+            factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+            if info > 0:
+                raise ConvergenceError(
+                    f"the shifted block is not positive definite: its leading minor of "
+                    f"order {info} of {n} failed (shift {shift!r} at or above lambda_1)",
+                    math.nan)
+            return _BandedCholesky(factor)
     csc = block.tocsc(copy=True)
     column = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
     csc.data[csc.indices == column] -= shift
@@ -373,31 +435,24 @@ def _rows_connected(nodes: np.ndarray) -> bool:
     return bool((lo[1:] <= hi[:-1]).all() and (lo[:-1] <= hi[1:]).all())
 
 
-def _components(domain: GridDomain, nodes: np.ndarray) -> list:
+def _components(nodes: np.ndarray) -> list:
     """(i0, j0, box) for each 4-connected component of ``nodes``: the lattice
     row and column where its bounding box starts and its nodes on that box,
     components in raster order of their first nodes.
 
     A set ``_rows_connected`` certifies is its own component.  Any other is
-    labelled by scipy's csgraph on the pattern of ``masked_laplacian``: the
-    pattern is the 4-connectivity, symmetric, so its strong components are
-    the connected ones and no transpose is built."""
+    labelled by scipy.ndimage, whose labels follow that order, and each
+    component's box is read from its label's bounding slices."""
     if _rows_connected(nodes):
         rows, cols = np.flatnonzero(nodes.any(axis=1)), np.flatnonzero(nodes.any(axis=0))
         return [(rows[0], cols[0], nodes[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1])]
-    nlab, label = connected_components(
-        masked_laplacian(domain, nodes)[0], directed=True, connection="strong")
-    order = np.argsort(label, kind="stable")
-    ii, jj = np.divmod(np.flatnonzero(nodes)[order], nodes.shape[1])
-    bounds = np.searchsorted(label[order], np.arange(nlab + 1))
-    out = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        i, j = ii[start:stop], jj[start:stop]
-        i0, j0 = i.min(), j.min()
-        box = np.zeros((i.max() - i0 + 1, j.max() - j0 + 1), dtype=bool)
-        box[i - i0, j - j0] = True
-        out.append((i0, j0, box))
-    return out
+    # imported at first use, as in grid._distance_to: eig on a domain that
+    # the certificate accepts never labels a set
+    from scipy import ndimage
+
+    label, _ = ndimage.label(nodes)
+    return [(i.start, j.start, label[i, j] == k)
+            for k, (i, j) in enumerate(ndimage.find_objects(label), 1)]
 
 
 def first_dirichlet_eig(
@@ -419,9 +474,10 @@ def first_dirichlet_eig(
     component that is mirror-symmetric in its box (a -> m_i + 1 - a,
     b -> m_j + 1 - b, or (a, b) -> (b, a) when m_i == m_j) is folded onto
     the orbits of its mirrors, its block assembled from the box's neighbour
-    table with one row per orbit.  One sparse LU factor of that block, or
-    of the component's whole block when there is no mirror, shifted by 0.99
-    times the component's eigenvalue floor, drives shifted inverse
+    table with one row per orbit.  One factor of that block, or of the
+    component's whole block when there is no mirror, shifted by 0.99 times
+    the component's eigenvalue floor (banded Cholesky, or sparse LU on a
+    block of half-bandwidth above 64), drives shifted inverse
     iteration until ``residual <= tol`` (a start that already meets it
     needs no factor); each solve contracts the error by
     (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma, and a
@@ -447,7 +503,7 @@ def first_dirichlet_eig(
     nodes = domain.mask if allowed is None else allowed.nodes
     if not nodes.any():
         raise EmptyRegionError("empty region")
-    comps = _components(domain, nodes)
+    comps = _components(nodes)
 
     # two lower bounds on each component's lambda_1: that of its bounding
     # lattice box (its block is a principal submatrix of the box's: Cauchy

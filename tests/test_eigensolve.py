@@ -818,23 +818,6 @@ class TestSetupMatchesOffsetMajor:
             got = eigensolve._box_start(box)
             assert got.tobytes() == sin_sin_start(a[sel], b[sel], mi, mj).tobytes()
 
-    @pytest.mark.parametrize("shape", ["disk", "disk_minus_ball"])
-    def test_factor_matches_setdiag(self, shape):
-        dom = build_domain(shape, 48, *((1.0,) if shape == "disk" else (2.0, 1.0)))
-        A, _ = masked_laplacian(dom, dom.mask)
-        shift = 0.99 * box_oracle(dom.h, dom.nx, dom.ny)
-        csc = A.tocsc(copy=True)
-        csc.setdiag(csc.diagonal() - shift)
-        ref = scipy.sparse.linalg.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                       relax=1, panel_size=1, options={"SymmetricMode": True})
-        lu = _factor(A, shift)
-        for name in ("perm_r", "perm_c"):
-            assert getattr(lu, name).tobytes() == getattr(ref, name).tobytes()
-        for name in ("L", "U"):
-            assert csr_bytes(getattr(lu, name)) == csr_bytes(getattr(ref, name))
-        # the block itself is left as it was
-        assert csr_bytes(A) == csr_bytes(masked_laplacian(dom, dom.mask)[0])
-
 
 @st.composite
 def row_run_masks(draw):
@@ -928,6 +911,137 @@ class TestConnectivityCertificate:
             with mock.patch.object(eigensolve, "_rows_connected", lambda nodes: False):
                 slow = first_dirichlet_eig(dom, tol=1e-9)
             assert exact_result(fast) == exact_result(slow)
+
+
+def superlu_factor(block, shift=0.0):
+    """The factor every block took before the banded path: SuperLU on the
+    CSC copy with the shift subtracted by ``setdiag``, pivots on the
+    diagonal, a symmetric minimum-degree ordering."""
+    csc = block.tocsc(copy=True)
+    csc.setdiag(csc.diagonal() - shift)
+    return scipy.sparse.linalg.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    relax=1, panel_size=1, options={"SymmetricMode": True})
+
+
+def half_bandwidth(block) -> int:
+    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    return int((rows - block.indices).max())
+
+
+def whole_lattice_block(shape, n, *params):
+    dom = build_domain(shape, n, *params)
+    A, _ = masked_laplacian(dom, dom.mask)
+    return A, 0.99 * box_oracle(dom.h, dom.nx, dom.ny)
+
+
+# the 5-point blocks are well conditioned and Cholesky and SuperLU are
+# backward stable: (A - sigma I) x = b holds to this normwise backward error
+BACKWARD_ERROR = 1e-14
+
+
+class TestBandedFactor:
+    @pytest.mark.parametrize("shape, n, params", [
+        ("disk", 48, (1.0,)), ("disk_minus_ball", 48, (2.0, 1.0)), ("square", 128, (1.0,))],
+        ids=["disk48", "disk_minus_ball48", "square128"])
+    def test_factor_solves_the_shifted_block(self, shape, n, params):
+        A, shift = whole_lattice_block(shape, n, *params)
+        before = csr_bytes(A)
+        lu = _factor(A, shift)
+        shifted = A - shift * scipy.sparse.identity(A.shape[0], format="csr")
+        b = np.random.default_rng(n).standard_normal(A.shape[0])
+        x = lu.solve(b)
+        eta = np.abs(shifted @ x - b).max() / (
+            abs(shifted).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+        assert eta <= BACKWARD_ERROR
+        # the block itself is left as it was
+        assert csr_bytes(A) == before
+
+    def test_factor_path_follows_the_bandwidth(self):
+        # the n = 48 disk is 47 nodes wide, the n = 128 square 127: one on
+        # each side of the widest band factored by Cholesky
+        disk, disk_shift = whole_lattice_block("disk", 48, 1.0)
+        square, square_shift = whole_lattice_block("square", 128, 1.0)
+        assert half_bandwidth(disk) <= eigensolve._BAND_MAX < half_bandwidth(square)
+        assert isinstance(_factor(disk, disk_shift), eigensolve._BandedCholesky)
+        assert isinstance(_factor(square, square_shift), scipy.sparse.linalg.SuperLU)
+
+    def test_shift_above_lambda_1_raises(self):
+        dom = build_domain("disk", 48, 1.0)
+        A, _ = masked_laplacian(dom, dom.mask)
+        lam = first_dirichlet_eig(dom, tol=1e-9).lam
+        assert half_bandwidth(A) <= eigensolve._BAND_MAX
+        _factor(A, 0.999 * lam)
+        with pytest.raises(ConvergenceError, match=r"leading minor of order \d+ of 1789"):
+            _factor(A, 1.001 * lam)
+        # SuperLU without pivoting factors the indefinite block silently
+        superlu_factor(A, 1.001 * lam)
+
+    def test_independent_of_blas_thread_count(self):
+        # blocked dpbtrf calls level-3 BLAS from kd = 32: the n = 128 disk
+        # folds to kd = 46, and every block solve of a seed-11 sweep_rect48
+        # unit is compared as well
+        script = (
+            "import hashlib, json\n"
+            "from segpart import partition\n"
+            "from segpart.eigensolve import first_dirichlet_eig\n"
+            "from segpart.grid import build_domain\n"
+            "solves = [first_dirichlet_eig(build_domain('disk', 128, 1.0), tol=1e-9)]\n"
+            "def spy(*args, **kw):\n"
+            "    solves.append(first_dirichlet_eig(*args, **kw))\n"
+            "    return solves[-1]\n"
+            "partition.first_dirichlet_eig = spy\n"
+            "dom = build_domain('rectangle', 48, 2.0, 1.0)\n"
+            "prob = partition.PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)\n"
+            "partition.run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])\n"
+            "print(json.dumps([[r.lam.hex(), r.residual.hex(), r.iterations,\n"
+            "                   hashlib.sha256(r.field.values.tobytes()).hexdigest()]\n"
+            "                  for r in solves]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
+        runs = []
+        for threads in ("1", None):
+            env = dict(os.environ)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout
+            runs.append(json.loads(out.splitlines()[-1]))
+        assert len(runs[0]) > 10 and runs[0][0][2] > 0
+        assert runs[0] == runs[1]
+
+    def test_sweep_solves_match_superlu(self):
+        # every block solve of the seed-11 n = 48 sweep, solved again with
+        # the SuperLU factor: lambda to 1e-12 relative, the same support
+        from segpart import partition
+
+        dom = build_domain("rectangle", 48, 2.0, 1.0)
+        prob = partition.PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
+        solves, banded = [], []
+        real_eig, real_factor = first_dirichlet_eig, eigensolve._factor
+
+        def spy_eig(domain, allowed, **kw):
+            solves.append((allowed, kw, real_eig(domain, allowed, **kw)))
+            return solves[-1][2]
+
+        def spy_factor(block, shift=0.0):
+            lu = real_factor(block, shift)
+            banded.append(isinstance(lu, eigensolve._BandedCholesky))
+            return lu
+
+        with mock.patch.object(partition, "first_dirichlet_eig", spy_eig), \
+                mock.patch.object(eigensolve, "_factor", spy_factor):
+            partition.run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
+        assert len(banded) > 5 and all(banded)
+        with mock.patch.object(eigensolve, "_factor", superlu_factor):
+            for allowed, kw, got in solves:
+                ref = first_dirichlet_eig(dom, allowed, **kw)
+                assert got.lam == pytest.approx(ref.lam, rel=1e-12, abs=0)
+                assert np.array_equal(partition.support_mask(got.field, prob.tau).nodes,
+                                      partition.support_mask(ref.field, prob.tau).nodes)
 
 
 # The eigensolve path as it was before the box rewrite: the whole-lattice
