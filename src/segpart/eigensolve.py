@@ -12,16 +12,17 @@ ground state.  When the component fills its box it is that ground state:
 the 5-point stencil on the zero-padded box gives its residual, and the solve
 ends with no matrix built (``iterations == 0``), or raises ConvergenceError
 at once if that residual misses ``tol``.  Otherwise the component is
-folded onto the orbits of its lattice mirror symmetries (the two axis
-mirrors of its box and, on a square box, the diagonal), if it has any: its
+folded onto the orbits of the group its lattice mirror symmetries generate
+(the two axis mirrors of its box and, on a square box, the diagonal): its
 ground state is simple, so every symmetry of the block fixes it, and the
 solve runs on P^T A P for the orthonormal orbit basis P, which has up to 8
 times fewer rows (Bossavit, Symmetry, groups, and boundary value problems,
-CMAME 1986).  One routine assembles every block straight from the box's
-neighbour table, one row per orbit, or one per node for a component without
-a mirror; neither A nor P is formed.  The solver factors that block,
+CMAME 1986).  A component without a mirror has the trivial group, every
+node its own orbit, and P = I.  One routine assembles every block straight
+from the box's neighbour table, one row per orbit, each row's columns
+sorted; neither A nor P is formed.  The solver factors that block,
 shifted by sigma = 0.99 * floor, once and runs shifted inverse iteration.
-In raster or orbit order a node's neighbours lie at most one box row away,
+In orbit order a node's neighbours lie at most one box row away,
 so the block is banded, its lower half-bandwidth kd about the box's width.
 Up to kd = 64 the factor is banded Cholesky (LAPACK's dpbtrf and dpbtrs):
 no ordering and no CSC copy, and faster than SuperLU there (George and Liu,
@@ -94,6 +95,9 @@ _LANCZOS_AFTER = 100
 # doubles and its wall-time lead shrinks to 0-15% (5.7 ms wall and 9.9 ms
 # CPU against SuperLU's 6.8 ms at 72)
 _BAND_MAX = 64
+# solves of one block, inverse iteration and Lanczos together, before
+# ConvergenceError
+_MAX_SOLVES = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,65 +124,51 @@ class EigenResult:
         }
 
 
-def _lattice_block(box: np.ndarray, h: float, orbits=None) -> sparse.csr_matrix:
-    """CSR matrix of -lap_h on the nodes of the boolean array ``box``, zero
-    Dirichlet off them, or its fold onto the mirror orbits ``orbits``.
+def _lattice_block(box: np.ndarray, h: float, orbits) -> sparse.csr_matrix:
+    """CSR matrix P^T A P of -lap_h on the nodes of the boolean array
+    ``box``, zero Dirichlet off them, folded onto the orbits
+    ``orbits = (orbit, reps, size)`` from ``_mirror_orbits``.
 
-    Both come from one neighbour table: the box padded by one excluded ring,
-    so every node has four neighbours, with offsets -W, -1, 0, +1, +W.  With
-    ``orbits`` None (the identity group) rows are the nodes in raster order
-    and each row's columns are sorted.  With ``orbits = (orbit, reps, size)``
-    from ``_mirror_orbits``, the block is P^T A P for the orthonormal orbit
-    basis P (entries 1/sqrt|o| on orbit o's nodes), without P: row o is
-    sqrt|o| times the row of A P at o's representative, whose entry for an
-    orbit sums -1/h^2 or 4/h^2 times 1/sqrt|orbit| over that orbit's entries
-    in table order.  Its columns come in the reverse order of their first
-    entries, as scipy's CSR product ``A[reps] @ P`` writes them, so the
-    block has that product's bits, matvec order included.  No entry sums to
-    zero (a node has at most two neighbours in its own orbit), so none is
-    dropped.
+    P is the orthonormal orbit basis (entries 1/sqrt|o| on orbit o's nodes)
+    and A the block of the nodes in raster order; neither is formed.  The
+    neighbour table is the box padded by one excluded ring, so every node
+    has four neighbours, with offsets -W, -1, 0, +1, +W.  Row o is sqrt|o|
+    times the row of A P at o's representative: each neighbour adds -1/h^2,
+    the node itself 4/h^2, times 1/sqrt|orbit|, and a neighbour in an orbit
+    already seen in table order adds onto that orbit's first entry, in table
+    order.  The orbits are numbered in the raster order of their first nodes
+    and a representative is its orbit's first node, so each row's columns
+    come out sorted and unique: the block is canonical CSR, with the bits of
+    scipy's product ``A[reps] @ P`` with sorted indices.  Under the trivial
+    group it is A itself, each entry -1/h^2 or 4/h^2.  No entry sums to zero
+    (a node has at most two neighbours in its own orbit), so none is dropped.
     """
+    orbit, reps, size = orbits
     mi, mj = box.shape
     w = mj + 2
     pad = np.zeros((mi + 2, w), dtype=bool)
     pad[1:-1, 1:-1] = box
     centre = np.flatnonzero(pad)
-    n = centre.size
-    # the lookup holds row numbers in the index dtype scipy picks, so the
+    # the lookup holds orbit numbers in the index dtype scipy picks, so the
     # table's kept entries are the block's column indices; the (rows, 5)
-    # table is gathered node-major, so they come out row by row
-    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.intp
+    # table is gathered row-major, so they come out row by row
+    itype = np.int32 if 5 * centre.size <= np.iinfo(np.int32).max else np.intp
     lut = np.full(pad.size, -1, dtype=itype)
-    h2 = h * h
-    if orbits is None:
-        lut[pad.ravel()] = np.arange(n)
-        table = lut[centre[:, None] + np.array([-w, -1, 0, 1, w])]
-        keep = table >= 0
-        indices = table[keep]
-        indptr = np.zeros(n + 1, dtype=itype)
-        k = keep.view(np.int8)  # column adds: a bool sum over the short axis is slow
-        np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
-        data = np.full(indices.size, -1.0 / h2)
-        # each row's diagonal follows its kept -W and -1 neighbours
-        data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = 4.0 / h2
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    orbit, reps, size = orbits
     lut[pad.ravel()] = orbit
-    # columns +W, +1, 0, -1, -W: table order reversed, the product's order
-    table = lut[centre[reps][:, None] + np.array([w, 1, 0, -1, -w])]
+    table = lut[centre[reps][:, None] + np.array([-w, -1, 0, 1, w])]
     keep = table >= 0
-    terms = np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / h2 * (1.0 / np.sqrt(size))[table]
-    # a neighbour whose orbit came earlier in table order (a later column)
-    # adds onto that entry, in table order
-    for t in range(3, -1, -1):
-        for first in range(4, t, -1):
+    terms = np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / (h * h) * (1.0 / np.sqrt(size))[table]
+    # a neighbour in an orbit seen earlier in the row adds onto that orbit's
+    # first entry, in table order
+    for t in range(1, 5):
+        for first in range(t):
             rows = np.flatnonzero(keep[:, t] & (table[:, t] == table[:, first]))
             if rows.size:
                 terms[rows, first] += terms[rows, t]
                 keep[rows, t] = False
     terms *= np.sqrt(size)[:, None]
     indptr = np.zeros(reps.size + 1, dtype=itype)
-    k = keep.view(np.int8)
+    k = keep.view(np.int8)  # column adds: a bool sum over the short axis is slow
     np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
     return sparse.csr_matrix((terms[keep], table[keep], indptr), shape=(reps.size, reps.size))
 
@@ -188,17 +178,20 @@ def masked_laplacian(domain: GridDomain, allowed: np.ndarray):
 
     Returns (A, flat_indices) where flat_indices maps matrix rows to
     positions in the raveled (nx, ny) lattice.  Rows are numbered in raster
-    order and each row's columns are sorted: the identity-group case of
-    ``_lattice_block`` with the whole lattice as the box.  The solver itself
+    order and each row's columns are sorted: ``_lattice_block`` under the
+    trivial group, with the whole lattice as the box.  The solver itself
     never builds it: it works on each component's box.
     """
-    return _lattice_block(allowed, domain.h), np.flatnonzero(allowed.ravel())
+    flat = np.flatnonzero(allowed.ravel())
+    nodes = np.arange(flat.size)
+    return _lattice_block(allowed, domain.h, (nodes, nodes, np.ones_like(nodes))), flat
 
 
 def _stencil(x: np.ndarray, box: np.ndarray, h: float) -> np.ndarray:
     """-lap_h x on the nodes of ``box`` (raster order) for ``x`` on them, zero
-    off them, with the bits of ``_lattice_block(box, h) @ x`` up to the sign
-    of an exact zero, which no dot product or norm of it sees."""
+    off them, with the bits of the product with ``_lattice_block`` of ``box``
+    under the trivial group up to the sign of an exact zero, which no dot
+    product or norm of it sees."""
     pad = np.zeros((box.shape[0] + 2, box.shape[1] + 2))
     pad[1:-1, 1:-1][box] = x
     return _stencil_laplacian(pad, h)[box]
@@ -224,7 +217,9 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
     (LAPACK's ``dpbtrf``): its lower triangle is scattered from the CSR
     arrays into the band, row 0 of which is the diagonal, and the shift is
     subtracted there.  The blocks hold each neighbour at most one box row
-    away in raster or orbit order, so kd is about the box's width.  A
+    away in orbit order, so kd is about the box's width, and their columns
+    are sorted, so each row's first column gives its distance below the
+    diagonal and kd is read from the rows' first entries alone.  A
     shifted block that is not positive definite, a shift at or above its
     lambda_1, raises ``ConvergenceError`` naming the leading minor that
     failed; no solve has run, so its residual is nan.  A wider block keeps
@@ -237,33 +232,24 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
     """
     n = block.shape[0]
     r = np.arange(n)
-    # each row's first and last entries bound kd from below (and give it
-    # on the wide blocks measured: the whole n=128 square, whose rows are
-    # sorted, and the folded n=256 disk), so a wide block goes to SuperLU
-    # without the pass over every entry
-    bound = max((r - block.indices[block.indptr[:-1]]).max(),
-                (r - block.indices[block.indptr[1:] - 1]).max())
-    if bound <= _BAND_MAX:
+    kd = int((r - block.indices[block.indptr[:-1]]).max())
+    if kd <= _BAND_MAX:
         rows = np.repeat(r, np.diff(block.indptr))
         cols = block.indices.astype(np.intp)
-        below = rows - cols
-        kd = int(below.max())
-        if kd <= _BAND_MAX:
-            # band column c holds A[c + d, c] at band row d.  It is built
-            # transposed, entry (r, c) at r + kd c of the raveled array, so
-            # that its transpose is the Fortran-ordered array dpbtrf factors
-            # in place
-            band = np.zeros((n, kd + 1))
-            lower = below >= 0
-            band.ravel()[np.compress(lower, rows + kd * cols)] = np.compress(lower, block.data)
-            band[:, 0] -= shift
-            factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
-            if info > 0:
-                raise ConvergenceError(
-                    f"the shifted block is not positive definite: its leading minor of "
-                    f"order {info} of {n} failed (shift {shift!r} at or above lambda_1)",
-                    math.nan)
-            return _BandedCholesky(factor)
+        # band column c holds A[c + d, c] at band row d.  It is built
+        # transposed, entry (r, c) at r + kd c of the raveled array, so that
+        # its transpose is the Fortran-ordered array dpbtrf factors in place
+        band = np.zeros((n, kd + 1))
+        lower = rows >= cols
+        band.ravel()[np.compress(lower, rows + kd * cols)] = np.compress(lower, block.data)
+        band[:, 0] -= shift
+        factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise ConvergenceError(
+                f"the shifted block is not positive definite: its leading minor of "
+                f"order {info} of {n} failed (shift {shift!r} at or above lambda_1)",
+                math.nan)
+        return _BandedCholesky(factor)
     csc = block.tocsc(copy=True)
     column = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
     csc.data[csc.indices == column] -= shift
@@ -289,9 +275,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _block_ground_state(
-    block: sparse.csr_matrix, floor: float, tol: float, max_iter: int, x: np.ndarray
-):
+def _block_ground_state(block: sparse.csr_matrix, floor: float, tol: float, x: np.ndarray):
     """(lam, x, residual, solves) on one connected block, ``x`` unit l2.
 
     Inverse iteration from the start vector ``x`` with
@@ -302,7 +286,7 @@ def _block_ground_state(
     after ``_LANCZOS_AFTER`` solves restarts from its iterate in ARPACK's
     shift-invert Lanczos (``eigsh``) on the same factor, which separates
     lambda_1 from a close lambda_2 in a few dozen solves; every solve counts
-    towards ``max_iter``.
+    towards ``_MAX_SOLVES``.
     """
     x = x / _norm(x)
     ax = block @ x
@@ -313,7 +297,7 @@ def _block_ground_state(
 
     def solve(v):
         nonlocal solves
-        if solves >= max_iter:
+        if solves >= _MAX_SOLVES:
             raise ConvergenceError("eigensolver did not converge", res)
         solves += 1
         return lu.solve(v)
@@ -342,24 +326,25 @@ def _block_ground_state(
 
 def _mirror_orbits(box: np.ndarray):
     """(orbit, reps, size) for the nodes of ``box`` under its lattice mirror
-    symmetries, or None if it has none.
+    symmetries.
 
     The mirrors tried are a -> m_i - 1 - a, b -> m_j - 1 - b and, on a
     square box, the diagonal (a, b) -> (b, a).  ``orbit`` numbers each node's
-    orbit under the group they generate (1, 2, 4 or 8 nodes) in the raster
-    order of the orbits' first nodes, ``reps`` holds those first nodes'
-    positions and ``size`` the orbits' sizes.  The orthonormal basis P with
-    entries 1/sqrt|o| on orbit o's nodes spans the mirror-invariant vectors,
-    which hold the simple, positive ground state.  A block maps that span
-    into itself, so A P z = P (P^T A P) z, and the folded residual of z is
-    the block's residual of P z.
+    orbit under the group the mirrors that map ``box`` onto itself generate
+    (1, 2, 4 or 8 nodes) in the raster order of the orbits' first nodes,
+    ``reps`` holds those first nodes' positions and ``size`` the orbits'
+    sizes.  A box without a mirror has the trivial group: every node is its
+    own orbit, ``orbit`` and ``reps`` both count the nodes and every size
+    is 1.  The orthonormal basis P with entries 1/sqrt|o| on orbit o's nodes
+    spans the mirror-invariant vectors, which hold the simple, positive
+    ground state.  A block maps that span into itself, so
+    A P z = P (P^T A P) z, and the folded residual of z is the block's
+    residual of P z.
     """
     mi, mj = box.shape
     flip_i = np.array_equal(box, box[::-1])
     flip_j = np.array_equal(box, box[:, ::-1])
     diagonal = mi == mj and np.array_equal(box, box.T)
-    if not (flip_i or flip_j or diagonal):
-        return None
     # name each node's orbit by its first image in box raster order.  The
     # diagonal goes last: it conjugates one axis mirror into the other, so
     # with it either both axis mirrors are present or neither is
@@ -388,17 +373,19 @@ def _box_start(box: np.ndarray) -> np.ndarray:
             * np.sin(math.pi / (mj + 1) * np.arange(1, mj + 1)))[box]
 
 
-def _component_ground_state(box: np.ndarray, floor: float, tol: float, max_iter: int, h: float):
+def _component_ground_state(box: np.ndarray, floor: float, tol: float, h: float):
     """(lam, x, residual, solves) on one connected component, the nodes of
     its bounding ``box``, with ``x`` unit l2 on them in raster order.
 
     The start is the box's ground state.  A component that fills its box
     is that ground state, which no iteration improves on: it is returned
     with no matrix built, or raises ``ConvergenceError`` if its ``_stencil``
-    residual misses ``tol``.  Otherwise the block from ``_lattice_block``,
-    folded when the box has a mirror, goes to ``_block_ground_state``; the
-    folded start P^T x0 and the unfolded P z are taken from the orbit
-    numbering, without P, summed in the order of P's products.
+    residual misses ``tol``.  Otherwise the block from ``_lattice_block`` on
+    the orbits of ``_mirror_orbits`` (the trivial group if the box has no
+    mirror) goes to ``_block_ground_state``; the folded start P^T x0 and the
+    unfolded P z are taken from the orbit numbering, without P, summed in
+    the order of P's products, which under the trivial group leave every
+    bit of x0 and z.
     """
     x0 = _box_start(box)
     if x0.size == box.size:
@@ -410,12 +397,10 @@ def _component_ground_state(box: np.ndarray, floor: float, tol: float, max_iter:
             raise ConvergenceError("the box's exact ground state misses tol", res)
         return lam, x, res, 0
     orbits = _mirror_orbits(box)
-    if orbits is None:
-        return _block_ground_state(_lattice_block(box, h), floor, tol, max_iter, x0)
     orbit = orbits[0]
     inv = (1.0 / np.sqrt(orbits[2]))[orbit]
     lam, z, res, solves = _block_ground_state(
-        _lattice_block(box, h, orbits), floor, tol, max_iter, np.bincount(orbit, x0 * inv))
+        _lattice_block(box, h, orbits), floor, tol, np.bincount(orbit, x0 * inv))
     return lam, z[orbit] * inv, res, solves
 
 
@@ -459,7 +444,6 @@ def first_dirichlet_eig(
     domain: GridDomain,
     allowed: Mask | None = None,
     tol: float = 1e-8,
-    max_iter: int = 10_000,
     seed: int = 0,
 ) -> EigenResult:
     """Smallest eigenpair of the 5-point Laplacian on the allowed nodes.
@@ -470,16 +454,15 @@ def first_dirichlet_eig(
     box indices (a, b).  A component that fills its box starts at its
     ground state: the 5-point stencil on the zero-padded box gives the
     start's residual, and the start is returned with ``iterations == 0``
-    and no matrix built.  Otherwise a
-    component that is mirror-symmetric in its box (a -> m_i + 1 - a,
-    b -> m_j + 1 - b, or (a, b) -> (b, a) when m_i == m_j) is folded onto
-    the orbits of its mirrors, its block assembled from the box's neighbour
-    table with one row per orbit.  One factor of that block, or of the
-    component's whole block when there is no mirror, shifted by 0.99 times
-    the component's eigenvalue floor (banded Cholesky, or sparse LU on a
-    block of half-bandwidth above 64), drives shifted inverse
-    iteration until ``residual <= tol`` (a start that already meets it
-    needs no factor); each solve contracts the error by
+    and no matrix built.  Otherwise the component is folded onto the orbits
+    of the mirrors that map it onto itself in its box (a -> m_i + 1 - a,
+    b -> m_j + 1 - b, or (a, b) -> (b, a) when m_i == m_j), every node its
+    own orbit when it has none, and its block is assembled from the box's
+    neighbour table with one row per orbit.  One factor of that block,
+    shifted by 0.99 times the component's eigenvalue floor (banded
+    Cholesky, or sparse LU on a block of half-bandwidth above 64), drives
+    shifted inverse iteration until ``residual <= tol`` (a start that
+    already meets it needs no factor); each solve contracts the error by
     (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma, and a
     block still short of ``tol`` after 100 solves finishes in ARPACK's
     shift-invert Lanczos on the same factor.  The folded
@@ -490,16 +473,23 @@ def first_dirichlet_eig(
     an exact tie); the field is zero on every other component,
     sign-normalized nonnegative and L2-normalized (h-weighted), and exactly
     invariant under the mirrors it was folded by.  ``iterations`` counts the
-    solves on the returned component, on its folded block if it was folded.
-    ``seed`` has no effect on the result: no step is random.  A component
-    whose floor already exceeds the best lambda found is not solved, so a
-    component that cannot win, such as a long one-node wire, does not stall
-    the solve.  Raises ``ConvergenceError`` with the last residual if a
-    solved component hits ``max_iter`` solves before ``residual <= tol``,
-    or if a component that fills its box misses ``tol`` at its start.
+    solves on the returned component's folded block.  ``seed`` has no
+    effect on the result: no step is random.  A component whose floor
+    already exceeds the best lambda found is not solved, so a component
+    that cannot win, such as a long one-node wire, does not stall the
+    solve.  Raises ``ConvergenceError`` with the last residual if a solved
+    component takes ``_MAX_SOLVES`` (10,000) solves without
+    ``residual <= tol``, or if a component that fills its box misses
+    ``tol`` at its start, and ``ValueError`` if ``allowed`` lies on another
+    lattice (its domain's nx, ny, h or bbox differ from ``domain``'s).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if allowed is not None:
+        ours, theirs = ((d.nx, d.ny, d.h, tuple(d.bbox)) for d in (domain, allowed.domain))
+        if theirs != ours:
+            raise ValueError(f"the allowed mask lies on another lattice: (nx, ny, h, bbox) "
+                             f"{theirs}, not {ours}")
     nodes = domain.mask if allowed is None else allowed.nodes
     if not nodes.any():
         raise EmptyRegionError("empty region")
@@ -529,7 +519,7 @@ def first_dirichlet_eig(
         if best is not None and floors[c] > best[0] * (1 + 1e-9):
             break  # this component and all later ones cannot win
         lam, x, res, solves = _component_ground_state(
-            comps[c][2], floors[c], tol, max_iter, domain.h)
+            comps[c][2], floors[c], tol, domain.h)
         if best is None or (lam, c) < best[:2]:
             best = (lam, c, x, res, solves)
     _, c, x, res, iterations = best

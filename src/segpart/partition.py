@@ -35,10 +35,10 @@ memo keeps one record per solve: the :class:`EigenResult` and its
 the threshold, the renormalization and the Rayleigh quotient.  The key is
 (domain, tol_eig, tau, allowed-node bytes): :func:`first_dirichlet_eig` is
 deterministic in the domain, tol_eig and the allowed nodes (its start
-vector is the bounding box's ground state, not a random draw, and
-``max_iter`` stays at its default), and the truncation adds tau, so a hit
-returns the very record a fresh solve would compute, bit for bit.  Domains
-compare by identity, and each cached field holds its domain alive.
+vector is the bounding box's ground state, not a random draw), and the
+truncation adds tau, so a hit returns the very record a fresh solve would
+compute, bit for bit.  Domains compare by identity, and each cached field
+holds its domain alive.
 """
 
 from __future__ import annotations

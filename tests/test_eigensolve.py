@@ -196,11 +196,24 @@ class TestMaskedEig:
         with pytest.raises(EmptyRegionError, match="empty region"):
             first_dirichlet_eig(dom, Mask(dom, np.zeros(dom.mask.shape, dtype=bool)))
 
-    def test_nonconvergence_carries_residual(self):
+    def test_nonconvergence_carries_residual(self, monkeypatch):
         dom = build_domain("square", 32, 1.0)
+        monkeypatch.setattr(eigensolve, "_MAX_SOLVES", 1)
         with pytest.raises(ConvergenceError) as err:
-            first_dirichlet_eig(dom, tol=1e-14, max_iter=1)
+            first_dirichlet_eig(dom, tol=1e-14)
         assert err.value.residual > 0
+
+    def test_rejects_a_mask_from_another_lattice(self):
+        # the same 33 x 33 lattice at twice the spacing gave lambda = 19.72
+        # for the mask's own 4.93; a mask of the n = 48 lattice indexed past
+        # the n = 32 one
+        dom = build_domain("square", 32, 1.0)
+        for other in (build_domain("square", 32, 2.0), build_domain("square", 48, 1.0)):
+            with pytest.raises(ValueError, match="another lattice"):
+                first_dirichlet_eig(dom, Mask(other, other.mask), tol=1e-9)
+        twin = GridDomain.raw(dom.nx, dom.ny, dom.h, dom.bbox)
+        res = first_dirichlet_eig(twin, Mask(dom, dom.mask), tol=1e-9)
+        assert exact_result(res) == exact_result(first_dirichlet_eig(dom, tol=1e-9))
 
     def test_determinism(self):
         dom = build_domain("l_shape", 24, 1.0)
@@ -278,14 +291,18 @@ class TestMaskedEig:
             first_dirichlet_eig(dom, tol=tol)
 
     def test_independent_of_blas_thread_count(self):
-        # the n = 128 square has 16k nodes, above the size at which OpenBLAS
-        # splits a dot product over threads
+        # the notched n = 64 square has no mirror, so it iterates on its
+        # whole 3924-node block, of kd = 63: blocked dpbtrf calls level-3
+        # BLAS from kd = 32
         script = (
             "import hashlib, json\n"
             "from segpart.eigensolve import first_dirichlet_eig\n"
-            "from segpart.grid import build_domain\n"
-            "res = first_dirichlet_eig(build_domain('square', 128, 1.0), tol=1e-9)\n"
-            "print(json.dumps([res.lam.hex(), res.iterations,\n"
+            "from segpart.grid import Mask, build_domain\n"
+            "dom = build_domain('square', 64, 1.0)\n"
+            "nodes = dom.mask.copy()\n"
+            "nodes[:10, :6] = False\n"
+            "res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)\n"
+            "print(json.dumps([res.lam.hex(), res.residual.hex(), res.iterations,\n"
             "                  hashlib.sha256(res.field.values.tobytes()).hexdigest()]))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
@@ -298,6 +315,7 @@ class TestMaskedEig:
                 text=True, check=True,
             ).stdout
             runs.append(json.loads(out.splitlines()[-1]))
+        assert runs[0][2] > 0
         assert runs[0] == runs[1]
 
     def test_shift_cuts_the_solve_count(self, square_eig_128, disk_eig_128):
@@ -404,10 +422,11 @@ class TestNearDegeneratePair:
         assert res.residual <= 1e-9
         assert eigensolve._LANCZOS_AFTER < res.iterations <= eigensolve._LANCZOS_AFTER + 60
 
-    def test_lanczos_solves_count_towards_max_iter(self):
+    def test_lanczos_solves_count_towards_max_solves(self, monkeypatch):
         dom, allowed = bridged_pair(13, 3, 6)
+        monkeypatch.setattr(eigensolve, "_MAX_SOLVES", eigensolve._LANCZOS_AFTER + 5)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            first_dirichlet_eig(dom, allowed, tol=1e-9, max_iter=eigensolve._LANCZOS_AFTER + 5)
+            first_dirichlet_eig(dom, allowed, tol=1e-9)
 
 
 class TestAssembly:
@@ -548,10 +567,27 @@ class TestGershgorinFloor:
             assert lam == pytest.approx(dense, rel=1e-8)
 
 
+def trivial_orbits(box: np.ndarray):
+    """The trivial group on the nodes of ``box``: every node its own orbit."""
+    nodes = np.arange(np.count_nonzero(box))
+    return nodes, nodes, np.ones_like(nodes)
+
+
 def unfolded(fn, *args, **kw):
     """``fn`` with every component solved on its whole block."""
-    with mock.patch.object(eigensolve, "_mirror_orbits", lambda box: None):
+    with mock.patch.object(eigensolve, "_mirror_orbits", trivial_orbits):
         return fn(*args, **kw)
+
+
+def assert_trivial(orbits, box):
+    """``orbits`` is the trivial group on the nodes of ``box``."""
+    assert all(np.array_equal(got, want) for got, want in zip(orbits, trivial_orbits(box)))
+
+
+def assert_canonical(M):
+    """Each row's column indices are sorted and unique."""
+    rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+    assert np.all(np.diff(rows * M.shape[1] + M.indices) > 0)
 
 
 CROSS = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
@@ -622,7 +658,6 @@ class TestMirrorFold:
         dom, nodes = case
         block, box = largest_component(dom, nodes)
         orbits = eigensolve._mirror_orbits(box)
-        assume(orbits is not None)
         folded, P = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
         assert abs(P.T @ P - scipy.sparse.identity(P.shape[1])).max() <= 1e-15
         gap = (block @ P - P @ folded).toarray()
@@ -652,18 +687,20 @@ class TestMirrorFold:
         assert abs(full - res.residual) <= 1e-12
 
     def test_component_without_mirror_takes_the_unfolded_path(self):
+        # the trivial group folds nothing: the solve is the whole block's,
+        # bit for bit as on the reference path
         dom = build_domain("square", 32, 1.0)
         nodes = dom.mask.copy()
         nodes[:10, :6] = False  # a corner notch breaks every mirror
         folds = []
         real = eigensolve._mirror_orbits
         with mock.patch.object(eigensolve, "_mirror_orbits",
-                               lambda box: folds.append(real(box)) or folds[-1]):
+                               lambda box: folds.append((box, real(box))) or folds[-1][1]):
             res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
-        assert folds == [None] and res.iterations > 0
-        ref = unfolded(first_dirichlet_eig, dom, Mask(dom, nodes), tol=1e-9)
-        assert (res.lam, res.residual, res.iterations) == (ref.lam, ref.residual, ref.iterations)
-        assert np.array_equal(res.field.values, ref.field.values)
+        [(box, orbits)] = folds
+        assert_trivial(orbits, box)
+        assert res.iterations > 0
+        assert exact_result(res) == exact_result(reference_eig(dom, nodes, 1e-9))
 
     def test_disk_folds_eightfold(self):
         dom = build_domain("disk", 64, 1.0)
@@ -725,6 +762,7 @@ def searchsorted_fold(block, a, b):
         (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
     )
     folded = block[reps] @ P
+    folded.sort_indices()
     folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
     return folded, P
 
@@ -802,10 +840,11 @@ class TestSetupMatchesOffsetMajor:
         box = nodes[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
         orbits = eigensolve._mirror_orbits(box)
         want = searchsorted_fold(block, ii - ii.min(), jj - jj.min())
-        assert (orbits is None) == (want is None)
-        if orbits is not None:
-            got = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
-            assert all(csr_bytes(g) == csr_bytes(w) for g, w in zip(got, want))
+        got = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
+        if want is None:
+            assert_trivial(orbits, box)
+            want = block, scipy.sparse.identity(block.shape[0], format="csr")
+        assert all(csr_bytes(g) == csr_bytes(w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("mi, mj", [(1, 1), (1, 5), (5, 1), (2, 3), (17, 16), (127, 127),
                                         (255, 255), (40, 201)])
@@ -1099,6 +1138,7 @@ def reference_fold(block, a, b):
         (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
     )
     folded = block[reps] @ P
+    folded.sort_indices()
     folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
     return folded, P
 
@@ -1118,11 +1158,10 @@ def reference_eig(dom, nodes, tol):
     x0 = sin_sin_start(a, b, mi, mj)
     fold = None if a.size == mi * mj else reference_fold(A, a, b)
     if fold is None:
-        lam, x, res, solves = eigensolve._block_ground_state(A, floor, tol, 10_000, x0)
+        lam, x, res, solves = eigensolve._block_ground_state(A, floor, tol, x0)
     else:
         folded, P = fold
-        lam, z, res, solves = eigensolve._block_ground_state(folded, floor, tol, 10_000,
-                                                             P.T @ x0)
+        lam, z, res, solves = eigensolve._block_ground_state(folded, floor, tol, P.T @ x0)
         x = P @ z
     if x.sum() < 0:
         x = -x
@@ -1138,20 +1177,21 @@ def csc_bytes(M):
 
 
 def assert_blocks_match(dom, box):
-    """The box builder's unfolded and folded blocks, and the products that
-    replace P, against the reference path on the nodes of ``box``."""
+    """The box builder's blocks under the trivial group and the box's own,
+    and the products that replace P, against the reference path on the
+    nodes of ``box``; a box without a mirror is folded by P = I."""
     ref, _ = reference_laplacian(dom, box)
-    got = eigensolve._lattice_block(box, dom.h)
+    got, _ = masked_laplacian(dom, box)
     assert csr_bytes(got) == csr_bytes(ref) and csc_bytes(got) == csc_bytes(ref)
     assert (got.indptr.dtype, got.indices.dtype) == (ref.indptr.dtype, ref.indices.dtype)
     a, b = np.nonzero(box)
     orbits = eigensolve._mirror_orbits(box)
     fold = reference_fold(ref, a, b)
-    assert (orbits is None) == (fold is None)
-    if orbits is None:
-        return None
-    folded, P = fold
+    if fold is None:
+        assert_trivial(orbits, box)
+    folded, P = fold or (ref, scipy.sparse.identity(a.size, format="csr"))
     got = eigensolve._lattice_block(box, dom.h, orbits)
+    assert_canonical(got)
     assert csr_bytes(got) == csr_bytes(folded) and csc_bytes(got) == csc_bytes(folded)
     assert (got.indptr.dtype, got.indices.dtype) == (folded.indptr.dtype, folded.indices.dtype)
     orbit, _, size = orbits
@@ -1215,7 +1255,7 @@ class TestLatticeBlock:
         x = np.random.default_rng(int(box.sum())).standard_normal(int(box.sum()))
         x = np.abs(x) if positive else x
         got = eigensolve._stencil(x, box, dom.h)
-        assert np.array_equal(got, eigensolve._lattice_block(box, dom.h) @ x)
+        assert np.array_equal(got, masked_laplacian(dom, box)[0] @ x)
 
     @pytest.mark.parametrize("shape", ["square", "disk"])
     def test_stencil_is_the_csr_matvec_at_n128(self, shape):
@@ -1226,7 +1266,7 @@ class TestLatticeBlock:
         for x in (eigensolve._box_start(box),
                   np.random.default_rng(7).standard_normal(a.size)):
             got = eigensolve._stencil(x, box, dom.h)
-            assert got.tobytes() == (eigensolve._lattice_block(box, dom.h) @ x).tobytes()
+            assert got.tobytes() == (masked_laplacian(dom, box)[0] @ x).tobytes()
 
     def test_box_filling_components_build_no_matrix(self):
         square = build_domain("square", 128, 1.0)

@@ -152,7 +152,7 @@ def test_init_and_relax_stay_feasible_and_segregated(shape, n, k, r_frac, seed):
 def test_losing_near_degenerate_component_does_not_abort_the_pass():
     # a property-test find: one allowed set of this pass has components of
     # 193, 29, 3 and 3 nodes; the 29-node dumbbell (lambda_1/lambda_2 =
-    # 0.99999) never met tol_eig within max_iter and raised ConvergenceError,
+    # 0.99999) never met tol_eig within 10000 solves and raised ConvergenceError,
     # although the 193-node component wins with lambda 31.88
     dom = build_domain("rectangle", 18, 2.0, 1.0)
     prob = PartitionProblem(dom, k=3, r=0.25 * dom.diameter() / 3, seed=1, tol_eig=1e-6)
