@@ -150,27 +150,32 @@ def _lattice_block(box: np.ndarray, h: float, orbits) -> sparse.csr_matrix:
     pad[1:-1, 1:-1] = box
     centre = np.flatnonzero(pad)
     # the lookup holds orbit numbers in the index dtype scipy picks, so the
-    # table's kept entries are the block's column indices; the (rows, 5)
-    # table is gathered row-major, so they come out row by row
+    # table's kept entries are the block's column indices.  The (5, rows)
+    # table is gathered offset-major, so each offset's comparisons and sums
+    # run on contiguous rows; its node-major copies give the CSR arrays row
+    # by row
     itype = np.int32 if 5 * centre.size <= np.iinfo(np.int32).max else np.intp
     lut = np.full(pad.size, -1, dtype=itype)
     lut[pad.ravel()] = orbit
-    table = lut[centre[reps][:, None] + np.array([-w, -1, 0, 1, w])]
+    table = lut[np.array([-w, -1, 0, 1, w])[:, None] + centre[reps]]
     keep = table >= 0
-    terms = np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / (h * h) * (1.0 / np.sqrt(size))[table]
+    terms = (np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / (h * h))[:, None] * (
+        1.0 / np.sqrt(size))[table]
     # a neighbour in an orbit seen earlier in the row adds onto that orbit's
     # first entry, in table order
     for t in range(1, 5):
         for first in range(t):
-            rows = np.flatnonzero(keep[:, t] & (table[:, t] == table[:, first]))
+            rows = np.flatnonzero(keep[t] & (table[t] == table[first]))
             if rows.size:
-                terms[rows, first] += terms[rows, t]
-                keep[rows, t] = False
-    terms *= np.sqrt(size)[:, None]
+                terms[first, rows] += terms[t, rows]
+                keep[t, rows] = False
+    terms *= np.sqrt(size)
     indptr = np.zeros(reps.size + 1, dtype=itype)
-    k = keep.view(np.int8)  # column adds: a bool sum over the short axis is slow
-    np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
-    return sparse.csr_matrix((terms[keep], table[keep], indptr), shape=(reps.size, reps.size))
+    k = keep.view(np.int8)  # int8 adds: a bool sum over the short axis is slow
+    np.cumsum(k[0] + k[1] + k[2] + k[3] + k[4], out=indptr[1:])
+    keep = keep.T.copy()
+    return sparse.csr_matrix(
+        (terms.T.copy()[keep], table.T.copy()[keep], indptr), shape=(reps.size, reps.size))
 
 
 def masked_laplacian(domain: GridDomain, allowed: np.ndarray):

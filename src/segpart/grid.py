@@ -340,20 +340,29 @@ def rayleigh_quotient(f: ScalarField) -> float:
     return dirichlet_energy(f) / nrm2
 
 
-def _holder_seminorm(f: ScalarField, alpha: float) -> float:
-    """max |f(x)-f(y)| / |x-y|^alpha over node pairs, exactly.
+def _holder_seminorm(f: ScalarField, alpha: float, floor: float = 0.0) -> float:
+    """max(floor, max |f(x)-f(y)| / |x-y|^alpha over node pairs), exactly.
 
     Scans lattice offsets (a, b) of a half-plane, one slice difference each,
     by decreasing bound min(path, osc) / d^alpha on their ratio, and stops at
-    the first bound no larger than the best ratio.  osc is the oscillation,
-    path the cheaper staircase (axis steps only, or diagonal steps first)
-    priced at the steepest neighbour step per direction.  Cropping to the
-    nonzero nodes' bounding box padded by one node is exact: a node beyond
-    it, clamped onto the zero padding ring, nears every node in the box.
+    the first bound no larger than the best ratio so far, which starts at
+    ``floor``.  osc is the oscillation, path the cheaper staircase (axis
+    steps only, or diagonal steps first) priced at the steepest neighbour
+    step per direction.  Cropping to the nonzero nodes' bounding box padded
+    by one node is exact: a node beyond it, clamped onto the zero padding
+    ring, nears every node in the box.
+
+    A floor changes which offsets are visited, not the result's bits: the
+    maximal offset's bound is at least its ratio, so when that ratio beats
+    the floor the offset is always visited, and the result is the same
+    maximum of the same float quotients.  A result equal to ``floor`` says
+    only that the seminorm is no larger.  A zero field returns ``floor``.
     """
+    if not (math.isfinite(floor) and floor >= 0.0):
+        raise ValueError(f"holder floor must be finite and nonnegative, got {floor}")
     nz = np.nonzero(f.values)
     if nz[0].size == 0:
-        return 0.0
+        return floor
     v = f.values[tuple(slice(max(i.min() - 1, 0), i.max() + 2) for i in nz)]
     mx, my = v.shape
 
@@ -372,7 +381,7 @@ def _holder_seminorm(f: ScalarField, alpha: float) -> float:
     path = np.minimum(gx * a + gy * abs(b), diag_path)
     dist_alpha = (f.domain.h * np.hypot(a, b)) ** alpha
     bound = np.minimum(path, float(np.ptp(v))) / dist_alpha
-    best = 0.0
+    best = floor
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= best:
             break
@@ -382,9 +391,11 @@ def _holder_seminorm(f: ScalarField, alpha: float) -> float:
     return best
 
 
-def norms(f: ScalarField, alpha: float = 0.5) -> dict:
+def norms(f: ScalarField, alpha: float = 0.5, *, holder_floor: float = 0.0) -> dict:
     """Norm bundle: l2, linf, h1_seminorm, lip (max |grad|), and holder,
-    the exact Holder(alpha) seminorm over node pairs."""
+    the exact Holder(alpha) seminorm over node pairs, or ``holder_floor``
+    if that is larger (see :func:`_holder_seminorm`; a result above the
+    floor is the exact seminorm, one equal to it an upper bound)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder exponent must lie in (0, 1), got {alpha}")
     h = f.domain.h
@@ -394,5 +405,5 @@ def norms(f: ScalarField, alpha: float = 0.5) -> dict:
         "linf": float(np.abs(f.values).max()),
         "h1_seminorm": float(np.sqrt((g.values**2).sum()) * h),
         "lip": float(g.values.max()),
-        "holder": _holder_seminorm(f, alpha),
+        "holder": _holder_seminorm(f, alpha, holder_floor),
     }

@@ -594,13 +594,45 @@ def _state_from_supports(
     return _block_pass(seed, prob, memo=memo)
 
 
+def _level_norms(fields: list[ScalarField], seen: list[dict]) -> tuple[list[dict], float]:
+    """The records of a level's fields and the level's Holder seminorm.
+
+    ``seen`` holds one record per distinct field of the run (matched by
+    value): the field's values, its :func:`norms`, and its Holder value,
+    ``exact`` or only an upper bound.  The level's running maximum starts at
+    its largest exact value; every other field whose bound exceeds it is
+    scanned once with the running value as its floor, and a scan that beats
+    the floor is that field's exact seminorm.  The final running value is
+    the maximum of the fields' exact seminorms, bit for bit, because every
+    field left out has a bound no larger than it.
+    """
+    recs = []
+    for f in fields:
+        rec = next((q for q in seen if np.array_equal(q["values"], f.values)), None)
+        if rec is None:
+            rec = {"values": f.values, "holder": math.inf, "exact": False}
+            seen.append(rec)
+        recs.append(rec)
+    running = max((q["holder"] for q in recs if q["exact"]), default=0.0)
+    for f, rec in zip(fields, recs):
+        if rec["exact"] or rec["holder"] <= running:
+            continue
+        rec["norms"] = norms(f, holder_floor=running)
+        holder = rec["norms"]["holder"]
+        rec["exact"] = holder > running
+        rec["holder"] = running = holder
+    return recs, running
+
+
 def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     """Optimize along descending separations, warm-starting each level from
     the previous optimum; components are matched to the r = 0 solution by
     support overlap before distances are reported.  All levels share one
-    :class:`SolveMemo`; the report metadata counts its solves and hits.  A
-    level whose fields equal the previous level's bit for bit reuses its
-    norms."""
+    :class:`SolveMemo`; the report metadata counts its solves and hits.
+    Each distinct field of the run is scanned for its Holder seminorm at
+    most once, from the running maximum of its level (:func:`_level_norms`),
+    so a level whose fields were all seen before scans none; ``holder_05``
+    is still the exact maximum over the level's fields."""
     r_values = [float(r) for r in r_values]
     if sorted(r_values, reverse=True) != r_values:
         raise ValueError("r_values must be sorted descending")
@@ -609,7 +641,7 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     rows: list[dict] = []
     states: dict[float, PartitionState] = {}
     prev: PartitionState | None = None
-    per_norms: list[dict] = []
+    seen: list[dict] = []
     memo = SolveMemo()
     for r in r_values:
         prob = prob_base.with_r(r)
@@ -625,19 +657,16 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
             rows.append({"r": r, "error": str(exc)})
             continue
         states[r] = state
-        if prev is None or not all(
-            np.array_equal(a.values, b.values) for a, b in zip(state.fields, prev.fields)
-        ):
-            per_norms = [norms(f) for f in state.fields]
         prev = state
+        recs, holder = _level_norms(state.fields, seen)
         rows.append(
             {
                 "r": r,
                 "c": state.c,
                 "lambdas": [float(v) for v in state.lambdas],
-                "lip_max": max(q["lip"] for q in per_norms),
-                "linf_max": max(q["linf"] for q in per_norms),
-                "holder_05": max(q["holder"] for q in per_norms),
+                "lip_max": max(q["norms"]["lip"] for q in recs),
+                "linf_max": max(q["norms"]["linf"] for q in recs),
+                "holder_05": holder,
                 "dist_to_u0": [],
                 "error": None,
             }

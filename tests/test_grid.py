@@ -196,6 +196,15 @@ def lattice_outcome(build, shape, n, params):
 sides = st.integers(3, 80)
 densities = st.floats(0.001, 0.95)
 seeds = st.integers(0, 2**32 - 1)
+# fields for the Holder scan: lattices up to 24x24 of every kind
+holder_cases = dict(
+    nx=st.integers(1, 24),
+    ny=st.integers(1, 24),
+    h=st.floats(0.01, 2.0),
+    alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    kind=st.sampled_from(["zero", "sparse", "dense", "mixed", "smooth"]),
+    seed=seeds,
+)
 
 
 class TestBuildDomain:
@@ -535,18 +544,30 @@ class TestNorms:
         assert out["holder"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        nx=st.integers(1, 24),
-        ny=st.integers(1, 24),
-        h=st.floats(0.01, 2.0),
-        alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
-        kind=st.sampled_from(["zero", "sparse", "dense", "mixed", "smooth"]),
-        seed=seeds,
-    )
+    @given(**holder_cases)
     def test_holder_matches_all_pairs(self, nx, ny, h, alpha, kind, seed):
         f = ScalarField(GridDomain.raw(nx, ny, h), random_values(nx, ny, kind, seed))
         want = brute_force_holder(f.values, h, alpha)
         assert _holder_seminorm(f, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**holder_cases)
+    def test_holder_floor_changes_no_bit(self, nx, ny, h, alpha, kind, seed):
+        # a floor prunes offsets but the result is max(floor, seminorm)
+        # exactly, also at a floor equal to the seminorm and for a zero field
+        f = ScalarField(GridDomain.raw(nx, ny, h), random_values(nx, ny, kind, seed))
+        exact = _holder_seminorm(f, alpha)
+        for floor in (0.0, exact / 2, exact, 2 * exact):
+            assert _holder_seminorm(f, alpha, floor) == max(floor, exact)
+
+    def test_holder_floor_must_be_finite_and_nonnegative(self):
+        dom = build_domain("square", 8, 1.0)
+        f = ScalarField.from_values(dom, np.ones(dom.mask.shape))
+        for floor in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _holder_seminorm(f, 0.5, floor)
+            with pytest.raises(ValueError):
+                norms(f, holder_floor=floor)
 
     def test_holder_exact_on_sweep_state(self):
         # both fields of the first level of the n=48 seed-11 sweep, on its
@@ -556,9 +577,14 @@ class TestNorms:
         dom = build_domain("rectangle", 48, 2.0, 1.0)
         state = optimize(PartitionProblem(dom, k=2, r=1 / 8, seed=11))
         assert (dom.nx, dom.ny) == (97, 49)
+        exact = []
         for f in state.fields:
             want = brute_force_holder(f.values, dom.h, 0.5)
-            assert _holder_seminorm(f, 0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
+            exact.append(_holder_seminorm(f, 0.5))
+            assert exact[-1] == pytest.approx(want, rel=1e-12, abs=0.0)
+        # each field scanned from the other's value, as a sweep level does
+        for f, own, other in zip(state.fields, exact, exact[::-1]):
+            assert _holder_seminorm(f, 0.5, other) == max(other, own)
 
     def test_l2_triangle_inequality(self):
         rng = np.random.default_rng(13)

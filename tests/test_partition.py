@@ -9,7 +9,7 @@ import segpart as sp
 from segpart.errors import EmptyRegionError, InfeasibleError, SqueezedOutError
 from segpart import partition
 from segpart.eigensolve import first_dirichlet_eig
-from segpart.grid import Mask, build_domain, gradient_magnitude
+from segpart.grid import GridDomain, Mask, ScalarField, build_domain, gradient_magnitude
 from segpart.partition import (
     PartitionProblem,
     SolveMemo,
@@ -347,6 +347,36 @@ class TestCutoff:
             cutoff_competitor(state, prob, 3.0)
 
 
+def sweep_scans(monkeypatch, shape, params, n, k, seed):
+    """Run a five-level sweep with partition's norms counted, and check that
+    every row equals the floor-0 norms of its fields, bit for bit.  Returns
+    the scans made and the scans of whole-level reuse: k for each level
+    whose fields differ from the previous level's."""
+    prob = PartitionProblem(build_domain(shape, n, *params), k=k, r=1 / 8, seed=seed,
+                            tol_eig=1e-8)
+    inner = partition.norms
+    scans = []
+
+    def counting(f, *, holder_floor=0.0):
+        scans.append(f)
+        return inner(f, holder_floor=holder_floor)
+
+    monkeypatch.setattr(partition, "norms", counting)
+    rep = run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
+    whole_level, prev = 0, None
+    for row in rep.rows:
+        fields = rep.states[row["r"]].fields
+        fresh = [inner(f) for f in fields]
+        assert row["lip_max"] == max(q["lip"] for q in fresh)
+        assert row["linf_max"] == max(q["linf"] for q in fresh)
+        assert row["holder_05"] == max(q["holder"] for q in fresh)
+        if prev is None or not all(map(np.array_equal, (f.values for f in fields),
+                                       (f.values for f in prev))):
+            whole_level += k
+        prev = fields
+    return len(scans), whole_level
+
+
 class TestSweep:
     def test_r_values_validation(self):
         dom = build_domain("rectangle", 16, 2.0, 1.0)
@@ -369,24 +399,52 @@ class TestSweep:
         assert len(lines) == 4
 
     def test_repeated_levels_reuse_their_norms(self, monkeypatch):
-        # at n = 48, seed 11, the levels r = 1/32, 1/64 and 0 return one state
-        dom = build_domain("rectangle", 48, 2.0, 1.0)
-        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
-        inner = partition.norms
-        calls = []
+        # at n = 48, seed 11, the levels r = 1/32, 1/64 and 0 return one
+        # state, and component 0 keeps one field through all five levels:
+        # 4 scans where whole-level reuse made 6
+        scans, whole_level = sweep_scans(monkeypatch, "rectangle", (2.0, 1.0), 48, 2, 11)
+        assert (scans, whole_level) == (4, 6)
 
-        def counting(f):
-            calls.append(f)
-            return inner(f)
+    @pytest.mark.parametrize(
+        "shape, params, n, k, seed",
+        [
+            ("rectangle", (2.0, 1.0), 48, 2, 7717),
+            ("square", (1.0,), 32, 3, 11),
+            ("disk", (1.0,), 32, 3, 5),
+            ("l_shape", (1.0,), 32, 2, 11),
+            # distinct solves give equal fields here: matching them by
+            # identity would scan 14 times
+            ("rectangle", (2.0, 1.0), 32, 4, 11),
+        ],
+    )
+    def test_fields_are_scanned_at_most_once_per_level(
+        self, monkeypatch, shape, params, n, k, seed
+    ):
+        scans, whole_level = sweep_scans(monkeypatch, shape, params, n, k, seed)
+        assert scans <= whole_level
+
+    def test_a_field_known_by_a_bound_is_rescanned_when_it_may_lead(self, monkeypatch):
+        # Holder seminorms in the ratio 5 : 3 : 4 : 2; b is first scanned
+        # from a's value, so it is known only to be at most a's
+        dom = GridDomain.raw(12, 9, 0.1)
+        base = np.random.default_rng(0).standard_normal((12, 9))
+        a, b, c, d = (ScalarField(dom, s * base) for s in (5.0, 3.0, 4.0, 2.0))
+        inner = partition.norms
+        scans = []
+
+        def counting(f, *, holder_floor=0.0):
+            scans.append(f)
+            return inner(f, holder_floor=holder_floor)
 
         monkeypatch.setattr(partition, "norms", counting)
-        rep = run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
-        assert len(calls) == 6
-        for row in rep.rows:
-            fresh = [inner(f) for f in rep.states[row["r"]].fields]
-            assert row["lip_max"] == max(q["lip"] for q in fresh)
-            assert row["linf_max"] == max(q["linf"] for q in fresh)
-            assert row["holder_05"] == max(q["holder"] for q in fresh)
+        seen = []
+        for level, want_scans in (([a, b], 2), ([b, c], 2), ([b, d], 1), ([a, b], 0)):
+            del scans[:]
+            recs, holder = partition._level_norms(level, seen)
+            assert holder == max(inner(f)["holder"] for f in level)
+            assert [q["norms"]["lip"] for q in recs] == [inner(f)["lip"] for f in level]
+            assert len(scans) == want_scans
+        assert len(seen) == 4
 
     def test_component_matching_tracks_labels(self):
         dom = build_domain("rectangle", 32, 2.0, 1.0)

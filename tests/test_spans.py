@@ -47,3 +47,30 @@ def test_install_wraps_every_target_and_restore_undoes_it(spans):
         restore()
     for m in modules:
         assert all(vars(m)[key] is value for key, value in before[m.__name__].items())
+
+
+def test_a_traced_sweep_records_every_layer_it_runs(spans, monkeypatch):
+    # a span whose target the sweep no longer calls reads 0 and times nothing
+    from segpart import grid
+    from segpart.partition import PartitionProblem, run_sweep
+
+    inner = grid._holder_seminorm
+    scans = []
+
+    def counting(*args):
+        scans.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(grid, "_holder_seminorm", counting)
+    prob = PartitionProblem(grid.build_domain("rectangle", 32, 2.0, 1.0), k=2, r=1 / 8, seed=11)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
+    finally:
+        restore()
+    metrics = tracer.layer_metrics()
+    layers = ["grid.norms", "grid.dilate", "grid.erode", "grid.distance", "eigensolve.eig",
+              "partition.optimize", "partition.init", "partition.relax", "partition.warmstart"]
+    assert not [name for name in layers if metrics[spans._calls_key(name)] == 0]
+    assert metrics["grid.norms.calls"] == len(scans) > 0
