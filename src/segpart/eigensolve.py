@@ -106,9 +106,10 @@ class EigenResult:
 
     ``field`` is L2-normalized (h-weighted) and nonnegative.  ``residual``
     is the l2 norm of ``A x - lam x`` for the solver's unit-l2 coefficient
-    vector x = h * field on the carrying component (A the matrix of
-    ``masked_laplacian``), as the solve ended, before the sign fix; the
-    same norm of ``field`` is 1/h times larger.
+    vector x = h * field on the carrying component, A the 5-point Laplacian
+    -lap_h on that component's nodes with zero Dirichlet values off them,
+    as the solve ended, before the sign fix; the same norm of ``field`` is
+    1/h times larger.
     """
 
     lam: float
@@ -608,8 +609,8 @@ def radial_ground_state(dim: int, radius: float, samples: int = 1024) -> RadialG
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
     lam = _ball_lambda(dim, radius)

@@ -265,7 +265,7 @@ def _stencil_gradient(
 def _stencil_laplacian(vpad: np.ndarray, h: float) -> np.ndarray:
     """-lap_h inside the C-contiguous 2-D array ``vpad``, a field padded by
     one ring of zeros, as an array of the inside's shape.  The 5-point
-    terms are summed in a ``masked_laplacian`` row's column order -W, -1,
+    terms are summed in a ``_lattice_block`` row's column order -W, -1,
     0, +1, +W, so on the nodes of a set, with ``vpad`` zero off them, it
     has the bits of that matrix's product up to the sign of an exact zero.
     Each shift is one slice of the raveled array; a slice wraps around only

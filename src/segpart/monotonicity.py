@@ -101,15 +101,15 @@ def _consecutive_decrease(values: np.ndarray) -> float:
 
 def build_radial_profile(dim: int, R_bar: float, samples: int = 1024) -> RadialProfile:
     """Profile of the ball B_{2R}: lambda_bar = (j_{nu,1} / 2R)^2."""
-    if R_bar <= 0:
-        raise ValueError(f"R_bar must be positive, got {R_bar}")
+    if not (math.isfinite(R_bar) and R_bar > 0):
+        raise ValueError(f"R_bar must be finite and positive, got {R_bar}")
     return _sample_profile(dim, R_bar, (_phi_zero(dim) / (2.0 * R_bar)) ** 2, samples)
 
 
 def profile_for_lambda(dim: int, lambda_bar: float, samples: int = 1024) -> RadialProfile:
     """Profile whose reference ball B_{2R} has first eigenvalue lambda_bar."""
-    if lambda_bar <= 0:
-        raise ValueError(f"lambda_bar must be positive, got {lambda_bar}")
+    if not (math.isfinite(lambda_bar) and lambda_bar > 0):
+        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
     R_bar = _phi_zero(dim) / (2.0 * math.sqrt(lambda_bar))
     return _sample_profile(dim, R_bar, lambda_bar, samples)
 

@@ -86,8 +86,8 @@ class PartitionProblem:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"component count must be at least 1, got {self.k}")
-        if self.r < 0:
-            raise ValueError(f"separation must be nonnegative, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"separation must be finite and nonnegative, got {self.r}")
         if not (0.0 <= self.tau <= 0.1):
             raise ValueError(f"support threshold must lie in [0, 0.1], got {self.tau}")
         if self.k >= 2 and self.r >= self.domain.diameter() / self.k:
@@ -634,6 +634,8 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     so a level whose fields were all seen before scans none; ``holder_05``
     is still the exact maximum over the level's fields."""
     r_values = [float(r) for r in r_values]
+    if not r_values:
+        raise ValueError("r_values must not be empty")
     if sorted(r_values, reverse=True) != r_values:
         raise ValueError("r_values must be sorted descending")
     if r_values[-1] != 0.0:

@@ -14,8 +14,8 @@ import scipy.sparse
 import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import coo_laplacian
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.csgraph import connected_components
 
 import segpart
 from segpart import eigensolve
@@ -42,6 +42,8 @@ from segpart.grid import (
 )
 from segpart.monotonicity import _poincare_quotients, exterior_ball_nodes
 
+CROSS = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
+
 
 def tridiag_unit_interval_eigmin(n: int) -> float:
     """Oracle: smallest eigenvalue of the 1-D Dirichlet Laplacian on (0,1)
@@ -59,6 +61,35 @@ def box_oracle(h: float, mi: int, mj: int) -> float:
     return 4.0 / h**2 * (
         math.sin(math.pi / (2 * (mi + 1))) ** 2 + math.sin(math.pi / (2 * (mj + 1))) ** 2
     )
+
+
+def with_blas_threads(script: str, threads: str | None):
+    """The JSON that ``script`` prints last, run in a fresh interpreter with
+    OPENBLAS_NUM_THREADS = ``threads`` (unset for None).  The script sees
+    ``json``, ``build_domain``, ``first_dirichlet_eig`` and ``digest``, an
+    EigenResult's exact fields with its field's sha256."""
+    prelude = (
+        "import hashlib, json\n"
+        "from segpart.eigensolve import first_dirichlet_eig\n"
+        "from segpart.grid import build_domain\n"
+        "def digest(r):\n"
+        "    return [r.lam.hex(), r.residual.hex(), r.iterations,\n"
+        "            hashlib.sha256(r.field.values.tobytes()).hexdigest()]\n"
+    )
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", prelude + script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def dense_lambda(dom, nodes) -> float:
+    """lambda_1 of ``coo_laplacian`` on ``nodes`` by dense ``eigvalsh``."""
+    return np.linalg.eigvalsh(coo_laplacian(dom, nodes)[0].toarray())[0]
 
 
 class TestMaskedEig:
@@ -160,13 +191,11 @@ class TestMaskedEig:
         rng = np.random.default_rng(seed)
         dom = build_domain("square", 20, 1.0)
         nodes = dom.mask & (rng.random(dom.mask.shape) < 0.55)
-        labels, nlab = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        labels, nlab = scipy.ndimage.label(nodes, structure=CROSS)
         solo = []
         for c, box in enumerate(scipy.ndimage.find_objects(labels)):
             r = first_dirichlet_eig(dom, Mask(dom, labels == c + 1), tol=1e-9)
-            floor = 4 / dom.h**2 * sum(
-                math.sin(math.pi / (2 * (sl.stop - sl.start + 1))) ** 2 for sl in box
-            )
+            floor = box_oracle(dom.h, *(sl.stop - sl.start for sl in box))
             assert floor <= r.lam * (1 + 1e-12)
             solo.append(r)
         best = min(solo, key=lambda r: r.lam)
@@ -178,7 +207,7 @@ class TestMaskedEig:
     def test_factor_fill_stays_low(self):
         # the fill sets the factor's memory; COLAMD gives about 1.19e6 here
         dom = build_domain("square", 128, 1.0)
-        A, _ = masked_laplacian(dom, dom.mask)
+        A, _ = coo_laplacian(dom, dom.mask)
         lu = _factor(A)
         assert lu.L.nnz + lu.U.nnz <= 7.0e5
 
@@ -295,26 +324,13 @@ class TestMaskedEig:
         # whole 3924-node block, of kd = 63: blocked dpbtrf calls level-3
         # BLAS from kd = 32
         script = (
-            "import hashlib, json\n"
-            "from segpart.eigensolve import first_dirichlet_eig\n"
-            "from segpart.grid import Mask, build_domain\n"
+            "from segpart.grid import Mask\n"
             "dom = build_domain('square', 64, 1.0)\n"
             "nodes = dom.mask.copy()\n"
             "nodes[:10, :6] = False\n"
-            "res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)\n"
-            "print(json.dumps([res.lam.hex(), res.residual.hex(), res.iterations,\n"
-            "                  hashlib.sha256(res.field.values.tobytes()).hexdigest()]))\n"
+            "print(json.dumps(digest(first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9))))\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
-        runs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True,
-                text=True, check=True,
-            ).stdout
-            runs.append(json.loads(out.splitlines()[-1]))
+        runs = [with_blas_threads(script, threads) for threads in ("1", "2")]
         assert runs[0][2] > 0
         assert runs[0] == runs[1]
 
@@ -337,47 +353,13 @@ class TestMaskedEig:
         dom = build_domain("square", n, 1.0)
         nodes = dom.mask & (np.random.default_rng(seed).random(dom.mask.shape) < density)
         assume(nodes.any())
-        solved = []
-        real = eigensolve._block_ground_state
-
-        def spy(block, floor, *args):
-            out = real(block, floor, *args)
-            solved.append((floor, out[0]))
-            return out
-
-        with mock.patch.object(eigensolve, "_block_ground_state", spy):
-            res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
-        labels, _ = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        res, solved = spied_floors(dom, nodes, tol=1e-9)
+        labels, _ = scipy.ndimage.label(nodes, structure=CROSS)
         carrier = labels == labels.flat[np.argmax(res.field.values)]
-        block, _ = masked_laplacian(dom, carrier)
-        assert res.lam == pytest.approx(np.linalg.eigvalsh(block.toarray())[0], rel=1e-8)
+        assert res.lam == pytest.approx(dense_lambda(dom, carrier), rel=1e-8)
         assert np.all(res.field.values[~carrier] == 0.0)
         # every shifted block stayed SPD: the shift sat below each lambda
-        assert all(eigensolve._SHIFT * floor < lam for floor, lam in solved)
-
-
-def coo_laplacian(domain: GridDomain, allowed: np.ndarray):
-    """Reference assembly of ``masked_laplacian``: one COO entry per node and
-    per allowed neighbour pair, direction by direction."""
-    idx_flat = np.flatnonzero(allowed.ravel())
-    n = idx_flat.size
-    lut = -np.ones(allowed.size, dtype=np.intp)
-    lut[idx_flat] = np.arange(n)
-    h2 = domain.h * domain.h
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 / h2)]
-    nx, ny = allowed.shape
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        shifted = np.zeros_like(allowed)
-        src = allowed[max(0, -di) : nx - max(0, di), max(0, -dj) : ny - max(0, dj)]
-        shifted[max(0, di) : nx + min(0, di), max(0, dj) : ny + min(0, dj)] = src
-        pi, pj = np.nonzero(allowed & shifted)
-        rows.append(lut[pi * ny + pj])
-        cols.append(lut[(pi - di) * ny + (pj - dj)])
-        vals.append(np.full(pi.size, -1.0 / h2))
-    A = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return A, idx_flat
+        assert all(eigensolve._SHIFT * floor < lam for floor, lam, _ in solved)
 
 
 @st.composite
@@ -415,8 +397,7 @@ class TestNearDegeneratePair:
         # the plain iteration contracts by 0.998 per solve or slower here
         dom, allowed = bridged_pair(n, side, hung)
         res = first_dirichlet_eig(dom, allowed, tol=1e-9)
-        block, _ = masked_laplacian(dom, allowed.nodes)
-        lam1, lam2 = np.linalg.eigvalsh(block.toarray())[:2]
+        lam1, lam2 = np.linalg.eigvalsh(coo_laplacian(dom, allowed.nodes)[0].toarray())[:2]
         assert lam2 - lam1 < 1e-3 * lam1
         assert res.lam == pytest.approx(lam1, rel=1e-12)
         assert res.residual <= 1e-9
@@ -436,20 +417,8 @@ class TestAssembly:
         # the neighbour-table build is the COO build's matrix, array for array
         dom, nodes = case
         (A, idx), (B, ref) = masked_laplacian(dom, nodes), coo_laplacian(dom, nodes)
-        assert np.array_equal(idx, ref) and idx.dtype == ref.dtype
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(A, name), getattr(B, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=random_masks())
-    def test_strong_components_number_as_undirected(self, case):
-        # the pattern is symmetric: its strong components are the connected
-        # ones, in the same raster numbering the tie rule relies on
-        A, _ = masked_laplacian(*case)
-        nlab, labels = connected_components(A, directed=False)
-        strong, strong_labels = connected_components(A, directed=True, connection="strong")
-        assert strong == nlab and np.array_equal(strong_labels, labels)
+        assert idx.tobytes() == ref.tobytes() and idx.dtype == ref.dtype
+        assert_same_csr(A, B)
 
 
 def spied_floors(dom, nodes, **kw):
@@ -539,16 +508,14 @@ class TestGershgorinFloor:
         wire[16:32, 16:32] = False
         res, [(floor, lam, _)] = spied_floors(dom, wire, tol=1e-8)
         assert floor == 2 / dom.h**2 < lam
-        A, _ = masked_laplacian(dom, wire)
-        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-10)
+        assert res.lam == pytest.approx(dense_lambda(dom, wire), rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(case=thin_masks())
     def test_thin_sets_match_dense_eigvalsh(self, case):
         dom, nodes = case
         res, solved = spied_floors(dom, nodes, tol=1e-9)
-        A, _ = masked_laplacian(dom, nodes)
-        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-8)
+        assert res.lam == pytest.approx(dense_lambda(dom, nodes), rel=1e-8)
         # each solved block's floor, hence its shift, sat below its lambda
         assert all(floor <= lam * (1 + 1e-12) for floor, lam, _ in solved)
 
@@ -557,12 +524,11 @@ class TestGershgorinFloor:
     def test_every_floor_is_below_its_lambda(self, case):
         # solved one at a time, each component passes its own floor
         dom, nodes = case
-        labels, nlab = scipy.ndimage.label(nodes, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        labels, nlab = scipy.ndimage.label(nodes, structure=CROSS)
         for c in range(1, nlab + 1):
             part = labels == c
             _, [(floor, lam, _)] = spied_floors(dom, part, tol=1e-9)
-            A, _ = masked_laplacian(dom, part)
-            dense = np.linalg.eigvalsh(A.toarray())[0]
+            dense = dense_lambda(dom, part)
             assert floor <= dense * (1 + 1e-12)
             assert lam == pytest.approx(dense, rel=1e-8)
 
@@ -590,16 +556,16 @@ def assert_canonical(M):
     assert np.all(np.diff(rows * M.shape[1] + M.indices) > 0)
 
 
-CROSS = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
-
-
-def largest_component(dom, nodes):
-    """The largest 4-connected component of ``nodes``: its ``masked_laplacian``
-    block and its bounding box."""
+def largest_component(nodes):
+    """The nodes of the largest 4-connected component of ``nodes``."""
     labels, _ = scipy.ndimage.label(nodes, structure=CROSS)
-    part = labels == np.bincount(labels.ravel())[1:].argmax() + 1
-    block, _ = masked_laplacian(dom, part)
-    return block, part[scipy.ndimage.find_objects(part.astype(np.int8))[0]]
+    return labels == np.bincount(labels.ravel())[1:].argmax() + 1
+
+
+def bounding_box(nodes):
+    """``nodes`` cut to the bounding box of its nodes."""
+    ii, jj = np.nonzero(nodes)
+    return nodes[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
 
 
 def orbit_basis(orbit, reps, size):
@@ -646,8 +612,7 @@ class TestMirrorFold:
         dom, nodes = case
         res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-11)
         full = unfolded(first_dirichlet_eig, dom, Mask(dom, nodes), tol=1e-11)
-        A, _ = masked_laplacian(dom, nodes)
-        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-10)
+        assert res.lam == pytest.approx(dense_lambda(dom, nodes), rel=1e-10)
         assert res.lam == pytest.approx(full.lam, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -656,7 +621,8 @@ class TestMirrorFold:
         # P has orthonormal columns, and block P = P (P^T block P) on the
         # carrying component
         dom, nodes = case
-        block, box = largest_component(dom, nodes)
+        part = largest_component(nodes)
+        block, box = coo_laplacian(dom, part)[0], bounding_box(part)
         orbits = eigensolve._mirror_orbits(box)
         folded, P = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
         assert abs(P.T @ P - scipy.sparse.identity(P.shape[1])).max() <= 1e-15
@@ -680,7 +646,7 @@ class TestMirrorFold:
         dom = build_domain(shape, 64, *params)
         res = first_dirichlet_eig(dom, tol=1e-9)
         assert res.iterations > 0
-        A, idx = masked_laplacian(dom, dom.mask)
+        A, idx = coo_laplacian(dom, dom.mask)
         x = res.field.values.ravel()[idx] * dom.h
         full = np.linalg.norm(A @ x - res.lam * x)
         assert full <= 1e-9
@@ -713,35 +679,16 @@ class TestMirrorFold:
         assert res.iterations == unfolded(first_dirichlet_eig, dom, tol=1e-9).iterations
 
 
-# The set-up of first_dirichlet_eig as it was before the lean rewrite: the
-# current code must reproduce each of these bit for bit
+# The references the solver's set-up reproduces bit for bit: the COO
+# assembly (``oracles.coo_laplacian``), the fold through an explicit P, the
+# sin x sin box start, and the solve built on the three
 
 
-def offset_major_laplacian(domain: GridDomain, allowed: np.ndarray):
-    """``masked_laplacian`` gathered offset-major, with the data taken by
-    boolean indexing of a broadcast stencil."""
-    idx_flat = np.flatnonzero(allowed.ravel())
-    n = idx_flat.size
-    nx, ny = allowed.shape
-    w = ny + 2
-    lut = np.full((nx + 2, w), -1, dtype=np.intp)
-    lut[1:-1, 1:-1][allowed] = np.arange(n)
-    centre = idx_flat + 2 * (idx_flat // ny) + w + 1
-    table = lut.ravel()[np.array([-w, -1, 0, 1, w])[:, None] + centre].T
-    keep = table >= 0
-    h2 = domain.h * domain.h
-    data = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / h2, table.shape)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    A = scipy.sparse.csr_matrix((data[keep], table[keep], indptr), shape=(n, n))
-    return A, idx_flat
-
-
-def searchsorted_fold(block, a, b):
-    """``_mirror_fold`` numbering its orbits by ``searchsorted``."""
-    mi, mj = int(a.max()) + 1, int(b.max()) + 1
-    box = np.zeros((mi, mj), dtype=bool)
-    box[a, b] = True
+def searchsorted_orbits(box: np.ndarray):
+    """(orbit, reps, size) for the nodes of ``box`` under its lattice
+    mirrors, or None if it has none: each orbit is named by its first image
+    in box raster order and numbered by ``searchsorted``."""
+    mi, mj = box.shape
     flip_i = np.array_equal(box, box[::-1])
     flip_j = np.array_equal(box, box[:, ::-1])
     diagonal = mi == mj and np.array_equal(box, box.T)
@@ -754,13 +701,23 @@ def searchsorted_fold(block, a, b):
         first = np.minimum(first, first[:, ::-1])
     if diagonal:
         first = np.minimum(first, first.T)
+    a, b = np.nonzero(box)
     key = first[a, b]
     reps = np.flatnonzero(key == a * mj + b)
     orbit = np.searchsorted(key[reps], key)
-    size = np.bincount(orbit)
-    P = scipy.sparse.csr_matrix(
-        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
-    )
+    return orbit, reps, np.bincount(orbit)
+
+
+def searchsorted_fold(block, box: np.ndarray):
+    """(P^T block P, P) for ``block`` on the nodes of ``box`` (raster order),
+    or None if ``box`` has no mirror: P is formed from
+    ``searchsorted_orbits``, and the folded block is scipy's product
+    ``block[reps] @ P`` with sorted indices, row o scaled by sqrt|o|."""
+    orbits = searchsorted_orbits(box)
+    if orbits is None:
+        return None
+    _, reps, size = orbits
+    P = orbit_basis(*orbits)
     folded = block[reps] @ P
     folded.sort_indices()
     folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
@@ -772,8 +729,66 @@ def sin_sin_start(a, b, mi, mj):
     return np.sin(math.pi / (mi + 1) * (a + 1)) * np.sin(math.pi / (mj + 1) * (b + 1))
 
 
+def reference_eig(dom, nodes, tol):
+    """``first_dirichlet_eig`` on a 4-connected set from the references: the
+    whole-lattice COO Laplacian is the block, folded through P unless the
+    set fills its box, the start is sin x sin, and the final lambda is
+    taken on the block."""
+    A, idx = coo_laplacian(dom, nodes)
+    box = bounding_box(nodes)
+    (mi, mj), (a, b) = box.shape, np.nonzero(box)
+    gershgorin = (5 - np.diff(A.indptr)).min() / dom.h**2  # 4 - neighbours, per row
+    floor = max(box_oracle(dom.h, mi, mj), gershgorin)
+    x0 = sin_sin_start(a, b, mi, mj)
+    fold = None if a.size == box.size else searchsorted_fold(A, box)
+    if fold is None:
+        lam, x, res, solves = eigensolve._block_ground_state(A, floor, tol, x0)
+    else:
+        folded, P = fold
+        lam, z, res, solves = eigensolve._block_ground_state(folded, floor, tol, P.T @ x0)
+        x = P @ z
+    if x.sum() < 0:
+        x = -x
+    x = np.clip(x, 0.0, None)
+    x /= _norm(x)
+    values = np.zeros(dom.mask.shape)
+    values.ravel()[idx] = x / dom.h
+    return eigensolve.EigenResult(_dot(x, A @ x), ScalarField(dom, values), res, solves)
+
+
 def csr_bytes(M):
     return [M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes(), M.shape]
+
+
+def assert_same_csr(got, want):
+    """The same CSR and CSC arrays, byte for byte, in the same index dtypes."""
+    assert csr_bytes(got) == csr_bytes(want)
+    assert csr_bytes(got.tocsc()) == csr_bytes(want.tocsc())
+    assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)
+
+
+def assert_blocks_match(dom, box):
+    """The box builder's blocks under the trivial group and the box's own,
+    the orbit basis, and the products that replace P, against the references
+    on the nodes of ``box``; a box without a mirror is folded by P = I."""
+    ref, _ = coo_laplacian(dom, box)
+    assert_same_csr(eigensolve._lattice_block(box, dom.h, trivial_orbits(box)), ref)
+    orbits = eigensolve._mirror_orbits(box)
+    fold = searchsorted_fold(ref, box)
+    if fold is None:
+        assert_trivial(orbits, box)
+    folded, P = fold or (ref, scipy.sparse.identity(ref.shape[0], format="csr"))
+    got = eigensolve._lattice_block(box, dom.h, orbits)
+    assert_canonical(got)
+    assert_same_csr(got, folded)
+    assert csr_bytes(orbit_basis(*orbits)) == csr_bytes(P)
+    orbit, _, size = orbits
+    inv = (1.0 / np.sqrt(size))[orbit]
+    x0 = eigensolve._box_start(box)
+    assert np.bincount(orbit, x0 * inv).tobytes() == (P.T @ x0).tobytes()
+    z = np.random.default_rng(ref.shape[0]).standard_normal(size.size)
+    assert (z[orbit] * inv).tobytes() == (P @ z).tobytes()
+    return orbits
 
 
 def mirror_box(kind: str, side: int) -> np.ndarray:
@@ -791,14 +806,10 @@ def mirror_box(kind: str, side: int) -> np.ndarray:
 
 
 class TestSetupMatchesOffsetMajor:
-    @settings(max_examples=150, deadline=None)
-    @given(case=random_masks())
-    def test_laplacian_bytes(self, case):
-        dom, nodes = case
-        (A, idx), (B, ref) = masked_laplacian(dom, nodes), offset_major_laplacian(dom, nodes)
-        assert idx.tobytes() == ref.tobytes() and idx.dtype == ref.dtype
-        assert csr_bytes(A) == csr_bytes(B)
-        assert (A.indptr.dtype, A.indices.dtype) == (B.indptr.dtype, B.indices.dtype)
+    """The lattice set-up against the references: the offset-major
+    neighbour table of ``_lattice_block`` on named sets, the orbit numbering
+    of ``_mirror_orbits``, the blocks of whole mirrored sets' boxes, and the
+    box start."""
 
     @pytest.mark.parametrize("kind", ["full", "empty_rows", "isolated", "single"])
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (9, 1), (12, 17)])
@@ -807,44 +818,23 @@ class TestSetupMatchesOffsetMajor:
         i, j = np.indices((nx, ny))
         nodes = {"full": dom.mask, "empty_rows": i % 3 != 1, "isolated": (i + j) % 2 == 0,
                  "single": (i == nx // 2) & (j == ny // 2)}[kind]
-        (A, idx), (B, ref) = masked_laplacian(dom, nodes), offset_major_laplacian(dom, nodes)
-        assert idx.tobytes() == ref.tobytes() and csr_bytes(A) == csr_bytes(B)
+        got = eigensolve._lattice_block(nodes, dom.h, trivial_orbits(nodes))
+        assert_same_csr(got, coo_laplacian(dom, nodes)[0])
 
     @pytest.mark.parametrize("kind", ["i", "j", "both", "diagonal", "8"])
     @pytest.mark.parametrize("side", [9, 10])
     def test_orbit_numbering(self, kind, side):
         box = mirror_box(kind, side)
-        dom = build_domain("square", side + 3, 1.0)
-        nodes = np.zeros(dom.mask.shape, dtype=bool)
-        nodes[2 : 2 + side, 2 : 2 + side] = box
-        block, idx = masked_laplacian(dom, nodes)
-        ii, jj = np.divmod(idx, nodes.shape[1])
-        a, b = ii - ii.min(), jj - jj.min()
-        assert a.max() + 1 == b.max() + 1 == side
-        # the set has exactly the mirrors its kind names
-        mirrors = {"i": (1, 0, 0), "j": (0, 1, 0), "both": (1, 1, 0),
-                   "diagonal": (0, 0, 1), "8": (1, 1, 1)}[kind]
-        assert (np.array_equal(box, box[::-1]), np.array_equal(box, box[:, ::-1]),
-                np.array_equal(box, box.T)) == tuple(map(bool, mirrors))
-        orbits = eigensolve._mirror_orbits(box)
-        folded, P = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
-        ref, ref_P = searchsorted_fold(block, a, b)
-        assert csr_bytes(folded) == csr_bytes(ref) and csr_bytes(P) == csr_bytes(ref_P)
+        got, want = eigensolve._mirror_orbits(box), searchsorted_orbits(box)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
     @settings(max_examples=60, deadline=None)
     @given(case=mirrored_masks())
     def test_orbit_numbering_on_mirrored_masks(self, case):
+        # the whole set's box, beside test_blocks_match_the_reference_path's
+        # largest component
         dom, nodes = case
-        block, idx = masked_laplacian(dom, nodes)
-        ii, jj = np.divmod(idx, nodes.shape[1])
-        box = nodes[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
-        orbits = eigensolve._mirror_orbits(box)
-        want = searchsorted_fold(block, ii - ii.min(), jj - jj.min())
-        got = eigensolve._lattice_block(box, dom.h, orbits), orbit_basis(*orbits)
-        if want is None:
-            assert_trivial(orbits, box)
-            want = block, scipy.sparse.identity(block.shape[0], format="csr")
-        assert all(csr_bytes(g) == csr_bytes(w) for g, w in zip(got, want))
+        assert_blocks_match(dom, bounding_box(nodes))
 
     @pytest.mark.parametrize("mi, mj", [(1, 1), (1, 5), (5, 1), (2, 3), (17, 16), (127, 127),
                                         (255, 255), (40, 201)])
@@ -874,7 +864,6 @@ def row_run_masks(draw):
 
 def certified(nodes: np.ndarray) -> bool:
     return eigensolve._rows_connected(nodes)
-
 
 def named_declined_sets() -> dict:
     """Sets the row certificate declines: connected ones and split ones."""
@@ -907,17 +896,15 @@ class TestConnectivityCertificate:
     @settings(max_examples=300, deadline=None)
     @given(case=row_run_masks())
     def test_row_runs_certified_exactly_when_connected(self, case):
-        dom, nodes = case
-        nlab, _ = connected_components(masked_laplacian(dom, nodes)[0], directed=False)
-        assert certified(nodes) == (nlab == 1)
+        _, nodes = case
+        assert certified(nodes) == (scipy.ndimage.label(nodes, structure=CROSS)[1] == 1)
 
     @settings(max_examples=300, deadline=None)
     @given(case=random_masks())
     def test_certified_sets_are_one_component(self, case):
-        dom, nodes = case
+        _, nodes = case
         if certified(nodes):
-            nlab, _ = connected_components(masked_laplacian(dom, nodes)[0], directed=False)
-            assert nlab == 1
+            assert scipy.ndimage.label(nodes, structure=CROSS)[1] == 1
 
     @pytest.mark.parametrize("name", list(named_declined_sets()))
     def test_declined_sets_solve_correctly(self, name):
@@ -925,8 +912,7 @@ class TestConnectivityCertificate:
         dom = GridDomain.raw(*nodes.shape, 1.0 / 11)
         assert not certified(nodes)
         res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-10)
-        A, _ = masked_laplacian(dom, nodes)
-        assert res.lam == pytest.approx(np.linalg.eigvalsh(A.toarray())[0], rel=1e-10)
+        assert res.lam == pytest.approx(dense_lambda(dom, nodes), rel=1e-10)
         assert res.residual <= 1e-10
 
     @pytest.mark.parametrize("shape, params", [("square", (1.0,)), ("disk", (1.0,)),
@@ -936,16 +922,16 @@ class TestConnectivityCertificate:
 
     @settings(max_examples=80, deadline=None)
     @given(case=st.one_of(random_masks(), row_run_masks(), mirrored_masks()))
-    def test_graph_search_path_gives_the_same_bits(self, case):
-        # declining every set sends it through csgraph and the permutation;
-        # a connected set must come out bit for bit as on the fast path
+    def test_labelled_path_gives_the_same_bits(self, case):
+        # declining every set sends it through scipy.ndimage.label; a
+        # connected set must come out bit for bit as on the certified path
         dom, nodes = case
         fast = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
         with mock.patch.object(eigensolve, "_rows_connected", lambda nodes: False):
             slow = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
         assert exact_result(fast) == exact_result(slow)
 
-    def test_graph_search_path_gives_the_same_bits_at_n128(self, disk_eig_128, square_eig_128):
+    def test_labelled_path_gives_the_same_bits_at_n128(self, disk_eig_128, square_eig_128):
         for dom, fast in (disk_eig_128, square_eig_128):
             with mock.patch.object(eigensolve, "_rows_connected", lambda nodes: False):
                 slow = first_dirichlet_eig(dom, tol=1e-9)
@@ -969,7 +955,7 @@ def half_bandwidth(block) -> int:
 
 def whole_lattice_block(shape, n, *params):
     dom = build_domain(shape, n, *params)
-    A, _ = masked_laplacian(dom, dom.mask)
+    A, _ = coo_laplacian(dom, dom.mask)
     return A, 0.99 * box_oracle(dom.h, dom.nx, dom.ny)
 
 
@@ -1006,7 +992,7 @@ class TestBandedFactor:
 
     def test_shift_above_lambda_1_raises(self):
         dom = build_domain("disk", 48, 1.0)
-        A, _ = masked_laplacian(dom, dom.mask)
+        A, _ = coo_laplacian(dom, dom.mask)
         lam = first_dirichlet_eig(dom, tol=1e-9).lam
         assert half_bandwidth(A) <= eigensolve._BAND_MAX
         _factor(A, 0.999 * lam)
@@ -1020,10 +1006,7 @@ class TestBandedFactor:
         # folds to kd = 46, and every block solve of a seed-11 sweep_rect48
         # unit is compared as well
         script = (
-            "import hashlib, json\n"
             "from segpart import partition\n"
-            "from segpart.eigensolve import first_dirichlet_eig\n"
-            "from segpart.grid import build_domain\n"
             "solves = [first_dirichlet_eig(build_domain('disk', 128, 1.0), tol=1e-9)]\n"
             "def spy(*args, **kw):\n"
             "    solves.append(first_dirichlet_eig(*args, **kw))\n"
@@ -1032,23 +1015,9 @@ class TestBandedFactor:
             "dom = build_domain('rectangle', 48, 2.0, 1.0)\n"
             "prob = partition.PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)\n"
             "partition.run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])\n"
-            "print(json.dumps([[r.lam.hex(), r.residual.hex(), r.iterations,\n"
-            "                   hashlib.sha256(r.field.values.tobytes()).hexdigest()]\n"
-            "                  for r in solves]))\n"
+            "print(json.dumps([digest(r) for r in solves]))\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(segpart.__file__)))
-        runs = []
-        for threads in ("1", None):
-            env = dict(os.environ)
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True,
-                text=True, check=True,
-            ).stdout
-            runs.append(json.loads(out.splitlines()[-1]))
+        runs = [with_blas_threads(script, threads) for threads in ("1", None)]
         assert len(runs[0]) > 10 and runs[0][0][2] > 0
         assert runs[0] == runs[1]
 
@@ -1083,126 +1052,6 @@ class TestBandedFactor:
                                       partition.support_mask(ref.field, prob.tau).nodes)
 
 
-# The eigensolve path as it was before the box rewrite: the whole-lattice
-# Laplacian, the fold through P and the products with P.  The box path must
-# reproduce each of these bit for bit
-
-
-def reference_laplacian(domain: GridDomain, allowed: np.ndarray):
-    """``masked_laplacian`` before the box rewrite: a neighbour table on the
-    lattice padded by one excluded ring, gathered node-major."""
-    idx_flat = np.flatnonzero(allowed.ravel())
-    n = idx_flat.size
-    nx, ny = allowed.shape
-    itype = np.int32 if 5 * n <= np.iinfo(np.int32).max else np.intp
-    w = ny + 2
-    lut = np.full((nx + 2, w), -1, dtype=itype)
-    lut[1:-1, 1:-1][allowed] = np.arange(n)
-    centre = idx_flat + 2 * (idx_flat // ny) + w + 1
-    table = lut.ravel()[centre[:, None] + np.array([-w, -1, 0, 1, w])]
-    keep = table >= 0
-    indices = table[keep]
-    indptr = np.zeros(n + 1, dtype=itype)
-    k = keep.view(np.int8)
-    np.cumsum(k[:, 0] + k[:, 1] + k[:, 2] + k[:, 3] + k[:, 4], out=indptr[1:])
-    h2 = domain.h * domain.h
-    data = np.full(indices.size, -1.0 / h2)
-    data[indptr[:-1] + keep[:, 0] + keep[:, 1]] = 4.0 / h2
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)), idx_flat
-
-
-def reference_fold(block, a, b):
-    """``_mirror_fold`` before the box rewrite: (P^T block P, P) or None."""
-    mi, mj = int(a.max()) + 1, int(b.max()) + 1
-    box = np.zeros((mi, mj), dtype=bool)
-    box[a, b] = True
-    flip_i = np.array_equal(box, box[::-1])
-    flip_j = np.array_equal(box, box[:, ::-1])
-    diagonal = mi == mj and np.array_equal(box, box.T)
-    if not (flip_i or flip_j or diagonal):
-        return None
-    first = np.arange(mi * mj).reshape(mi, mj)
-    if flip_i:
-        first = np.minimum(first, first[::-1])
-    if flip_j:
-        first = np.minimum(first, first[:, ::-1])
-    if diagonal:
-        first = np.minimum(first, first.T)
-    key = first[a, b]
-    reps = np.flatnonzero(key == a * mj + b)
-    lut = np.empty(mi * mj, dtype=np.intp)
-    lut[key[reps]] = np.arange(reps.size)
-    orbit = lut[key]
-    size = np.bincount(orbit)
-    P = scipy.sparse.csr_matrix(
-        (1.0 / np.sqrt(size)[orbit], orbit, np.arange(a.size + 1)), shape=(a.size, reps.size)
-    )
-    folded = block[reps] @ P
-    folded.sort_indices()
-    folded.data *= np.repeat(np.sqrt(size), np.diff(folded.indptr))
-    return folded, P
-
-
-def reference_eig(dom, nodes, tol):
-    """``first_dirichlet_eig`` before the box rewrite on a 4-connected set:
-    the whole-lattice Laplacian is the block, folded through P unless the set
-    fills its box, and the final lambda is taken on the block."""
-    A, idx = reference_laplacian(dom, nodes)
-    ii, jj = np.divmod(idx, nodes.shape[1])
-    a, b = ii - ii.min(), jj - jj.min()
-    mi, mj = int(a.max()) + 1, int(b.max()) + 1
-    box_floor = np.array([math.sin(math.pi / (2 * (mi + 1))) ** 2
-                          + math.sin(math.pi / (2 * (mj + 1))) ** 2]) * (4.0 / dom.h**2)
-    degree = np.diff(A.indptr) - 1
-    floor = np.maximum(box_floor, np.minimum.reduceat(4 - degree, [0]) / dom.h**2)[0]
-    x0 = sin_sin_start(a, b, mi, mj)
-    fold = None if a.size == mi * mj else reference_fold(A, a, b)
-    if fold is None:
-        lam, x, res, solves = eigensolve._block_ground_state(A, floor, tol, x0)
-    else:
-        folded, P = fold
-        lam, z, res, solves = eigensolve._block_ground_state(folded, floor, tol, P.T @ x0)
-        x = P @ z
-    if x.sum() < 0:
-        x = -x
-    x = np.clip(x, 0.0, None)
-    x /= _norm(x)
-    values = np.zeros(dom.mask.shape)
-    values.ravel()[idx] = x / dom.h
-    return eigensolve.EigenResult(_dot(x, A @ x), ScalarField(dom, values), res, solves)
-
-
-def csc_bytes(M):
-    return csr_bytes(M.tocsc())
-
-
-def assert_blocks_match(dom, box):
-    """The box builder's blocks under the trivial group and the box's own,
-    and the products that replace P, against the reference path on the
-    nodes of ``box``; a box without a mirror is folded by P = I."""
-    ref, _ = reference_laplacian(dom, box)
-    got, _ = masked_laplacian(dom, box)
-    assert csr_bytes(got) == csr_bytes(ref) and csc_bytes(got) == csc_bytes(ref)
-    assert (got.indptr.dtype, got.indices.dtype) == (ref.indptr.dtype, ref.indices.dtype)
-    a, b = np.nonzero(box)
-    orbits = eigensolve._mirror_orbits(box)
-    fold = reference_fold(ref, a, b)
-    if fold is None:
-        assert_trivial(orbits, box)
-    folded, P = fold or (ref, scipy.sparse.identity(a.size, format="csr"))
-    got = eigensolve._lattice_block(box, dom.h, orbits)
-    assert_canonical(got)
-    assert csr_bytes(got) == csr_bytes(folded) and csc_bytes(got) == csc_bytes(folded)
-    assert (got.indptr.dtype, got.indices.dtype) == (folded.indptr.dtype, folded.indices.dtype)
-    orbit, _, size = orbits
-    inv = (1.0 / np.sqrt(size))[orbit]
-    x0 = eigensolve._box_start(box)
-    assert np.bincount(orbit, x0 * inv).tobytes() == (P.T @ x0).tobytes()
-    z = np.random.default_rng(a.size).standard_normal(size.size)
-    assert (z[orbit] * inv).tobytes() == (P @ z).tobytes()
-    return orbits
-
-
 def beside_its_image(side: int) -> np.ndarray:
     """A plus of two-node-wide arms on an even side: the nodes next to the
     centre each have their i and j mirror images as neighbours, so a folded
@@ -1219,15 +1068,20 @@ class TestLatticeBlock:
     @given(case=st.one_of(mirrored_masks(), row_run_masks(), random_masks()))
     def test_blocks_match_the_reference_path(self, case):
         dom, nodes = case
-        _, box = largest_component(dom, nodes)
-        assert_blocks_match(dom, box)
+        assert_blocks_match(dom, bounding_box(largest_component(nodes)))
 
     @pytest.mark.parametrize("kind", ["i", "j", "both", "diagonal", "8"])
     @pytest.mark.parametrize("side", [9, 10])
     def test_named_mirrors_on_odd_and_even_sides(self, kind, side):
+        # the box is the set's bounding box, and the set has exactly the
+        # mirrors its kind names
         box = mirror_box(kind, side)
+        assert bounding_box(box).shape == (side, side)
+        mirrors, group = {"i": ((1, 0, 0), 2), "j": ((0, 1, 0), 2), "both": ((1, 1, 0), 4),
+                          "diagonal": ((0, 0, 1), 2), "8": ((1, 1, 1), 8)}[kind]
+        assert (np.array_equal(box, box[::-1]), np.array_equal(box, box[:, ::-1]),
+                np.array_equal(box, box.T)) == tuple(map(bool, mirrors))
         orbits = assert_blocks_match(GridDomain.raw(side, side, 0.1), box)
-        group = {"i": 2, "j": 2, "both": 4, "diagonal": 2, "8": 8}[kind]
         assert box.sum() <= group * orbits[1].size
 
     @pytest.mark.parametrize("side", [4, 5, 6, 7])
@@ -1236,14 +1090,13 @@ class TestLatticeBlock:
         box = beside_its_image(side)
         orbits = assert_blocks_match(dom, box)
         # representatives' rows repeat orbits, so the fold merges entries
-        kept = np.diff(reference_laplacian(dom, box)[0].indptr)[orbits[1]]
+        kept = np.diff(coo_laplacian(dom, box)[0].indptr)[orbits[1]]
         assert orbits[2].max() == 8
         assert eigensolve._lattice_block(box, dom.h, orbits).nnz < kept.sum()
 
     def test_disk_n128(self):
         dom = build_domain("disk", 128, 1.0)
-        ii, jj = np.nonzero(dom.mask)
-        box = dom.mask[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
+        box = bounding_box(dom.mask)
         orbit, reps, _ = assert_blocks_match(dom, box)
         assert 7 * reps.size <= box.sum() <= 8 * reps.size
 
@@ -1251,22 +1104,20 @@ class TestLatticeBlock:
     @given(case=st.one_of(mirrored_masks(), random_masks()), positive=st.booleans())
     def test_stencil_is_the_csr_matvec(self, case, positive):
         dom, nodes = case
-        _, box = largest_component(dom, nodes)
+        box = bounding_box(largest_component(nodes))
         x = np.random.default_rng(int(box.sum())).standard_normal(int(box.sum()))
         x = np.abs(x) if positive else x
         got = eigensolve._stencil(x, box, dom.h)
-        assert np.array_equal(got, masked_laplacian(dom, box)[0] @ x)
+        assert np.array_equal(got, coo_laplacian(dom, box)[0] @ x)
 
     @pytest.mark.parametrize("shape", ["square", "disk"])
     def test_stencil_is_the_csr_matvec_at_n128(self, shape):
         dom = build_domain(shape, 128, 1.0)
-        ii, jj = np.nonzero(dom.mask)
-        box = dom.mask[ii.min() : ii.max() + 1, jj.min() : jj.max() + 1]
-        a, b = np.nonzero(box)
+        box = bounding_box(dom.mask)
         for x in (eigensolve._box_start(box),
-                  np.random.default_rng(7).standard_normal(a.size)):
+                  np.random.default_rng(7).standard_normal(int(box.sum()))):
             got = eigensolve._stencil(x, box, dom.h)
-            assert got.tobytes() == (masked_laplacian(dom, box)[0] @ x).tobytes()
+            assert got.tobytes() == (coo_laplacian(dom, box)[0] @ x).tobytes()
 
     def test_box_filling_components_build_no_matrix(self):
         square = build_domain("square", 128, 1.0)
@@ -1287,8 +1138,7 @@ class TestLatticeBlock:
 
     @staticmethod
     def assert_largest_component_matches(dom, nodes):
-        labels, _ = scipy.ndimage.label(nodes, structure=CROSS)
-        part = labels == np.bincount(labels.ravel())[1:].argmax() + 1
+        part = largest_component(nodes)
         res = first_dirichlet_eig(dom, Mask(dom, part), tol=1e-9)
         assert exact_result(res) == exact_result(reference_eig(dom, part, 1e-9))
 
@@ -1401,6 +1251,9 @@ class TestRadialGroundState:
             radial_ground_state(3, -1.0)
         with pytest.raises(ValueError):
             radial_ground_state(3, 1.0, samples=8)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                radial_ground_state(2, bad)
 
 
 class TestCapSpectrum:

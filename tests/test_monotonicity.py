@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from oracles import coo_laplacian
 
 import segpart as sp
-from segpart.eigensolve import masked_laplacian
 from segpart.errors import ConstraintViolationError
 from segpart.grid import GridDomain, ScalarField, _ball_box, build_domain, discrete_gradient
 from segpart.monotonicity import (
@@ -124,6 +124,12 @@ class TestRadialProfile:
             build_radial_profile(3, 0.0)
         with pytest.raises(ValueError):
             build_radial_profile(3, 1.0, samples=100)
+        # a non-finite radius or eigenvalue would give an all-NaN profile
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_radial_profile(2, bad)
+            with pytest.raises(ValueError, match="finite"):
+                profile_for_lambda(3, bad)
 
 
 class TestBallSum:
@@ -442,7 +448,7 @@ def whole_lattice_mean_value(v, lam, center, radii, profile):
     inscribed = float(rho[~dom.mask].min()) if (~dom.mask).any() else math.inf
     if rmax > inscribed:
         raise ValueError("radius exceeds the inscribed distance")
-    A, flat = masked_laplacian(dom, dom.mask)
+    A, flat = coo_laplacian(dom, dom.mask)
     v_in = v.values.ravel()[flat]
     inner = (rho <= rmax - dom.h).ravel()[flat]
     defect = (A @ v_in - lam * v_in)[inner]

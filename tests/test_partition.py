@@ -49,6 +49,10 @@ class TestProblemValidation:
         dom = build_domain("square", 16, 1.0)
         with pytest.raises(ValueError):
             PartitionProblem(dom, k=2, r=-0.1)
+        # rejected up front: optimize would fail 50 start attempts later as infeasible
+        for k, r in ((2, math.nan), (1, math.nan), (1, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                PartitionProblem(dom, k=k, r=r)
 
 
 class TestInit:
@@ -385,6 +389,8 @@ class TestSweep:
             run_sweep(prob, [0.0, 0.25])       # ascending
         with pytest.raises(ValueError):
             run_sweep(prob, [0.25, 0.125])      # missing r = 0
+        with pytest.raises(ValueError):
+            run_sweep(prob, [])                 # no level at all
 
     def test_small_sweep_columns(self):
         dom = build_domain("rectangle", 32, 2.0, 1.0)
