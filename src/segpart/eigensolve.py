@@ -46,11 +46,13 @@ plain numpy reductions that never call BLAS, and the banded factor gives
 the same bits on one BLAS thread as on the default count (a test holds the
 n=128 disk and a whole n=48 sweep to that), so the results do not depend
 on the BLAS thread count; ARPACK's own reductions do call BLAS, but no
-benchmark block reaches the hand-over.
+benchmark block reaches the hand-over.  SuperLU and ARPACK are imported
+from scipy.sparse.linalg only when a block needs them.
 
-The 1-D references: first zeros of Bessel J_nu (scipy's jv and brentq in
-a classical bracket), the radial ground state of a ball in dimension N in
-closed form (scipy's 0F1), and the first Laplace-Beltrami eigenvalue of a
+The 1-D references: first zeros of Bessel J_nu (scipy's jv and a private
+Brent routine that takes brentq's steps, in a classical bracket), the
+radial ground state of a ball in dimension N in closed form (scipy's
+0F1), and the first Laplace-Beltrami eigenvalue of a
 spherical cap through the weighted Sturm-Liouville problem with weight
 sin(theta)^(N-2).  Its finite differences give a tridiagonal pencil
 K w = lam B w, K symmetric positive definite and B diagonal.  K is factored
@@ -74,7 +76,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import ConvergenceError, EmptyRegionError
 from .grid import GridDomain, Mask, ScalarField, _ball_box, _stencil_laplacian
@@ -256,6 +257,10 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
                 f"order {info} of {n} failed (shift {shift!r} at or above lambda_1)",
                 math.nan)
         return _BandedCholesky(factor)
+    # imported at first use: no benchmark block is this wide, and
+    # scipy.sparse.linalg costs about 2 MiB of every command that solves
+    from scipy.sparse.linalg import splu
+
     csc = block.tocsc(copy=True)
     column = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
     csc.data[csc.indices == column] -= shift
@@ -312,6 +317,9 @@ def _block_ground_state(block: sparse.csr_matrix, floor: float, tol: float, x: n
         if lu is None:
             lu = _factor(block, _SHIFT * floor)
         if solves == _LANCZOS_AFTER:
+            # imported at the hand-over, as splu in _factor
+            from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
             op = LinearOperator(block.shape, matvec=solve, dtype=float)
             try:
                 _, v = eigsh(block, k=1, sigma=_SHIFT * floor, OPinv=op, v0=x, tol=0)
@@ -549,22 +557,76 @@ def first_dirichlet_eig(
 # Bessel zeros and the radial ground state in closed form
 
 
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A root of ``f`` in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step as
+    scipy's ``brentq`` with its defaults: relative tolerance 4 eps and at
+    most 100 iterations.  The steps, their order and their float operations
+    are those of brentq's C routine, so both return the same float, and a
+    NaN value of ``f`` raises ``ValueError`` as there."""
+    if not xtol > 0:
+        raise ValueError(f"xtol must be positive, got {xtol}")
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    rtol = 4 * np.finfo(float).eps
+    xpre, xcur = a, b
+    fpre, fcur = value(a), value(b)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def _first_zero(nu: float, tol: float = 1e-12) -> float:
     """First positive zero j_{nu,1} of J_nu to absolute ``tol``, any nu >= 0.
 
-    brentq runs inside the classical bracket
+    Brent's method (``_brent_root``) runs inside the classical bracket
     sqrt(nu (nu + 2)) < j_{nu,1} < sqrt(nu + 1) (sqrt(nu + 2) + 1),
     which holds no other zero of J_nu.
     """
-    # imported here, not at module top: scipy.optimize and scipy.special
-    # would add about 0.2 s to every command's start-up, and only verify
-    # calls the 1-D references
-    from scipy.optimize import brentq
+    # imported here, not at module top: scipy.special adds about 0.1 s to
+    # every command's start-up, and only verify calls the 1-D references
     from scipy.special import jv
 
     lo = math.sqrt(nu * (nu + 2.0))
     hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    return brentq(lambda x: jv(nu, x), lo, hi, xtol=tol)
+    return _brent_root(lambda x: float(jv(nu, x)), lo, hi, tol)
 
 
 def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:

@@ -7,9 +7,11 @@ so a field in the discrete H^1_0 space is just an array that vanishes off
 the mask.
 
 The module provides the geometry layer everything else stands on: exact
-Euclidean distance transforms, dilation/erosion by a Euclidean radius,
-centered/one-sided gradients, and the norm bundle (L2, Linf, H1, Lipschitz,
-exact Holder) used by the separation sweeps.
+Euclidean distance transforms for the distances callers report,
+dilation/erosion by a Euclidean radius as unions of shifted copies over the
+lattice offsets within it (the nodes a distance threshold would give, with
+no transform), centered/one-sided gradients, and the norm bundle (L2,
+Linf, H1, Lipschitz, exact Holder) used by the separation sweeps.
 """
 
 from __future__ import annotations
@@ -211,27 +213,77 @@ def distance_transform(m: Mask) -> ScalarField:
     return ScalarField.from_values(m.domain, _distance_to(m.nodes, m.domain.h))
 
 
+def _reach(domain: GridDomain, r: float) -> int:
+    """The largest squared index distance D that a Euclidean radius ``r``
+    reaches on ``domain``'s lattice: the largest integer D with
+    sqrt(D) h <= r (1 + 1e-12), which is the test a distance transform's
+    value sqrt(D) h meets, clamped to the lattice's largest squared
+    distance, so an infinite radius reaches every node."""
+    h, bound = domain.h, r * (1 + 1e-12)
+    limit = (domain.nx - 1) ** 2 + (domain.ny - 1) ** 2
+    if math.sqrt(limit) * h <= bound:
+        return limit
+    d = int((bound / h) ** 2)
+    while math.sqrt(d + 1) * h <= bound:
+        d += 1
+    while math.sqrt(d) * h > bound:
+        d -= 1
+    return d
+
+
+def _offset_union(nodes: np.ndarray, reach: int) -> np.ndarray:
+    """The union of ``nodes`` shifted by every lattice offset (a, b) with
+    a^2 + b^2 <= ``reach``, cut to the lattice: the nodes whose squared
+    index distance to ``nodes`` is at most ``reach``.
+
+    Row offset by row offset as |a| falls, one running union of column
+    shifts, widened to |b| <= isqrt(reach - a^2), is ORed into the rows
+    shifted by +a and -a.  The lattice is padded on both sides by the
+    widest column shift, so every shift is one slice of a raveled array
+    that moves no node into another row."""
+    nx, ny = nodes.shape
+    pad = min(math.isqrt(reach), ny - 1)
+    w = ny + 2 * pad
+    padded = np.zeros((nx, w), dtype=bool)
+    padded[:, pad : pad + ny] = nodes
+    flat = padded.ravel()
+    cols = flat.copy()
+    out = np.zeros_like(flat)
+    width = 0
+    for a in range(min(math.isqrt(reach), nx - 1), -1, -1):
+        target = min(math.isqrt(reach - a * a), pad)
+        for b in range(width + 1, target + 1):
+            cols[b:] |= flat[:-b]
+            cols[:-b] |= flat[b:]
+        width = max(width, target)
+        if a:
+            out[a * w :] |= cols[: -a * w]
+            out[: -a * w] |= cols[a * w :]
+        else:
+            out |= cols
+    return out.reshape(nx, w)[:, pad : pad + ny]
+
+
 def dilate(m: Mask, r: float) -> Mask:
     """Nodes of the domain mask within Euclidean distance ``r`` of ``m``."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"dilation radius must be nonnegative, got {r}")
     if m.is_empty():
         raise EmptyRegionError("dilate of an empty mask")
     if r == 0:
         return Mask(m.domain, m.nodes.copy())
-    d = _distance_to(m.nodes, m.domain.h)
-    return Mask(m.domain, (d <= r * (1 + 1e-12)) & m.domain.mask)
+    near = _offset_union(m.nodes, _reach(m.domain, r))
+    return Mask(m.domain, near & m.domain.mask)
 
 
 def erode(m: Mask, r: float) -> Mask:
     """Nodes of ``m`` farther than ``r`` from its complement (lattice-wide)."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"erosion radius must be nonnegative, got {r}")
     comp = ~m.nodes
     if r == 0 or not comp.any():
         return Mask(m.domain, m.nodes.copy())
-    d = _distance_to(comp, m.domain.h)
-    return Mask(m.domain, m.nodes & (d > r * (1 + 1e-12)))
+    return Mask(m.domain, m.nodes & ~_offset_union(comp, _reach(m.domain, r)))
 
 
 def _padded(a: np.ndarray) -> np.ndarray:

@@ -90,6 +90,12 @@ class PartitionProblem:
             raise ValueError(f"separation must be finite and nonnegative, got {self.r}")
         if not (0.0 <= self.tau <= 0.1):
             raise ValueError(f"support threshold must lie in [0, 0.1], got {self.tau}")
+        for name in ("tol_outer", "tol_eig"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be finite and positive, got {tol}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.k >= 2 and self.r >= self.domain.diameter() / self.k:
             raise InfeasibleError("infeasible r")
 
@@ -636,6 +642,9 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     r_values = [float(r) for r in r_values]
     if not r_values:
         raise ValueError("r_values must not be empty")
+    # before the order check: sorted() reads a list holding NaN as ordered
+    if not all(map(math.isfinite, r_values)):
+        raise ValueError(f"r_values must be finite, got {r_values}")
     if sorted(r_values, reverse=True) != r_values:
         raise ValueError("r_values must be sorted descending")
     if r_values[-1] != 0.0:

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse
 
-from segpart.grid import GridDomain
+from segpart.grid import GridDomain, Mask, _distance_to
 
 
 def coo_laplacian(domain: GridDomain, allowed: np.ndarray):
@@ -30,3 +30,24 @@ def coo_laplacian(domain: GridDomain, allowed: np.ndarray):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     return A, idx_flat
+
+
+def edt_dilate(m: Mask, r: float) -> np.ndarray:
+    """Nodes of the domain mask within ``r`` of ``m``, read off the exact
+    Euclidean distance transform: ``grid.dilate`` before it became an
+    offset union."""
+    if r == 0:
+        return m.nodes.copy()
+    d = _distance_to(m.nodes, m.domain.h)
+    return (d <= r * (1 + 1e-12)) & m.domain.mask
+
+
+def edt_erode(m: Mask, r: float) -> np.ndarray:
+    """Nodes of ``m`` farther than ``r`` from its lattice-wide complement,
+    read off the exact Euclidean distance transform: ``grid.erode`` before
+    it became an offset union."""
+    comp = ~m.nodes
+    if r == 0 or not comp.any():
+        return m.nodes.copy()
+    d = _distance_to(comp, m.domain.h)
+    return m.nodes & (d > r * (1 + 1e-12))

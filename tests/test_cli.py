@@ -288,6 +288,45 @@ def solve_every_time(allowed, prob, memo):
     return res, partition._truncate(res.field, prob.tau)
 
 
+# what each command's run at test size must not load: verify takes its Bessel
+# zeros without scipy.optimize (which brings scipy.spatial along) and
+# integrates nothing; no solve at n = 32 is wide enough for SuperLU or long
+# enough for ARPACK
+NOT_LOADED = {
+    "eig": ("scipy.sparse.linalg",),
+    "partition": ("scipy.sparse.linalg",),
+    "sweep": ("scipy.sparse.linalg",),
+    "verify": ("scipy.optimize", "scipy.integrate", "scipy.spatial"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_each_command_loads_only_what_it_calls(tmp_path, command):
+    outdir = os.path.join(tmp_path, "out")
+    problem = {"k": 2, "seed": 5}
+    problem.update({"r_values": [0.125, 0.0625, 0.0]} if command == "sweep" else {"r": 0.125})
+    cfg = {
+        "eig": eig_config(tmp_path, grid={"n": 32}),
+        "partition": {
+            "schema": 1,
+            "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
+            "grid": {"n": 32},
+            "problem": problem,
+            "output": {"dir": outdir},
+        },
+        "verify": {
+            "schema": 1,
+            "checks": list(cli.KNOWN_CHECKS),
+            "check_params": {"n": 48, "seed": 11},
+            "output": {"dir": outdir},
+        },
+    }
+    cfg["sweep"] = cfg["partition"]
+    path = write_config(tmp_path, "c.json", cfg[command])
+    body = f"from segpart import cli\nassert cli.main([{command!r}, '--config', {path!r}]) == 0"
+    assert modules_loaded(body, NOT_LOADED[command]) == "[]"
+
+
 @pytest.mark.parametrize("command", ["partition", "sweep"])
 def test_solve_counts_reach_the_log_only(tmp_path, monkeypatch, capsys, command):
     problem = {"k": 2, "seed": 5}

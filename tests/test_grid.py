@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coo_laplacian
+from oracles import coo_laplacian, edt_dilate, edt_erode
 
 from segpart.errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 from segpart.grid import (
@@ -457,6 +457,77 @@ class TestMorphology:
             dilate(m, -1.0)
         with pytest.raises(ValueError):
             erode(m, -0.5)
+
+    def test_nan_radius_rejected(self):
+        # a NaN radius used to fail every threshold and return an empty mask
+        dom = build_domain("rectangle", 16, 2.0, 1.0)
+        x, _ = dom.coords()
+        m = Mask(dom, dom.mask & (x < 1.0))
+        for op in (dilate, erode):
+            with pytest.raises(ValueError, match="nan"):
+                op(m, math.nan)
+
+    def test_infinite_radius(self):
+        dom = build_domain("l_shape", 16, 1.0)
+        x, _ = dom.coords()
+        m = Mask(dom, dom.mask & (x < 0.25))
+        assert np.array_equal(dilate(m, math.inf).nodes, dom.mask)
+        assert not erode(m, math.inf).nodes.any()
+
+
+def named_radii(h: float) -> list:
+    """Radii on node-distance ties, just inside and just outside the tie
+    tolerance, the sweep's blocking and start margins r - h and r / 2 + h,
+    and a radius past every lattice distance."""
+    radii = [h, math.sqrt(2) * h, 2 * h, math.sqrt(5) * h, 5 * h, math.inf]
+    radii += [5 * h * (1 - 5e-13), 5 * h * (1 - 5e-12)]
+    for r in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
+        radii += [max(r - h, 0.0), r / 2 + h]
+    return radii
+
+
+def assert_morphology_matches_the_transform(m: Mask, r: float):
+    assert np.array_equal(dilate(m, r).nodes, edt_dilate(m, r))
+    assert np.array_equal(erode(m, r).nodes, edt_erode(m, r))
+
+
+class TestMorphologyMatchesTheTransform:
+    """The offset unions give the bytes of the distance-transform threshold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        n=st.integers(3, 40),
+        density=densities,
+        seed=seeds,
+        # whole cells and sqrt(q) cells put lattice nodes exactly at distance r
+        r_cells=(
+            st.integers(0, 60).map(float)
+            | st.floats(0.0, 60.0)
+            | st.integers(1, 3600).map(math.sqrt)
+        ),
+    )
+    def test_random_masks_on_every_shape(self, shape, n, density, seed, r_cells):
+        dom = build_domain(shape[0], n, *shape[1])
+        nodes = random_nodes(dom.nx, dom.ny, density, seed) & dom.mask
+        nodes.flat[np.flatnonzero(dom.mask)[seed % int(dom.mask.sum())]] = True
+        m = Mask(dom, nodes)
+        # the same radius written in decimals sits one rounding off the
+        # node distance
+        for r in (r_cells * dom.h, round(r_cells * dom.h, 6)):
+            assert_morphology_matches_the_transform(m, r)
+
+    @pytest.mark.parametrize("n", [32, 48, 128])
+    @pytest.mark.parametrize("shape, params", SHAPES)
+    def test_named_radii(self, shape, params, n):
+        dom = build_domain(shape, n, *params)
+        x, _ = dom.coords()
+        left = x < x.mean()
+        noise = np.random.default_rng(n).random(x.shape) < 0.9
+        for nodes in (left, ~left & noise):
+            m = Mask(dom, nodes & dom.mask)
+            for r in named_radii(dom.h):
+                assert_morphology_matches_the_transform(m, r)
 
 
 class TestGradient:

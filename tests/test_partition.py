@@ -54,6 +54,23 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="finite"):
                 PartitionProblem(dom, k=k, r=r)
 
+    @pytest.mark.parametrize("name", ["tol_eig", "tol_outer"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_tolerances_finite_and_positive(self, name, tol):
+        # a bad tol_eig used to fail at the first eigensolve, after the Lloyd
+        # start, and a bad tol_outer silently turned off the quiet-pass stop
+        dom = build_domain("square", 16, 1.0)
+        with pytest.raises(ValueError, match=name):
+            PartitionProblem(dom, k=2, r=0.0, **{name: tol})
+
+    def test_seed_nonnegative_integer(self):
+        dom = build_domain("square", 16, 1.0)
+        for seed in (-1, 1.5, "3", None):
+            with pytest.raises(ValueError, match="seed"):
+                PartitionProblem(dom, k=2, r=0.0, seed=seed)
+        for seed in (0, 7, np.int64(11)):
+            assert PartitionProblem(dom, k=2, r=0.0, seed=seed).seed == seed
+
 
 class TestInit:
     def test_symmetric_sites_give_half_rectangles(self):
@@ -391,6 +408,23 @@ class TestSweep:
             run_sweep(prob, [0.25, 0.125])      # missing r = 0
         with pytest.raises(ValueError):
             run_sweep(prob, [])                 # no level at all
+
+    def test_non_finite_r_values_rejected_before_any_solve(self, monkeypatch):
+        # sorted() reads [0.25, nan, 0.0] as descending, so only an up-front
+        # finiteness check stops the sweep before its first level
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return first_dirichlet_eig(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "first_dirichlet_eig", spy)
+        dom = build_domain("rectangle", 16, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=0.25, seed=0)
+        for r_values in ([0.25, math.nan, 0.0], [math.inf, 0.25, 0.0], [math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                run_sweep(prob, r_values)
+        assert solves == []
 
     def test_small_sweep_columns(self):
         dom = build_domain("rectangle", 32, 2.0, 1.0)

@@ -70,7 +70,11 @@ def test_a_traced_sweep_records_every_layer_it_runs(spans, monkeypatch):
     finally:
         restore()
     metrics = tracer.layer_metrics()
-    layers = ["grid.norms", "grid.dilate", "grid.erode", "grid.distance", "eigensolve.eig",
+    layers = ["grid.norms", "grid.dilate", "grid.erode", "eigensolve.eig",
               "partition.optimize", "partition.init", "partition.relax", "partition.warmstart"]
     assert not [name for name in layers if metrics[spans._calls_key(name)] == 0]
+    # dilation and erosion are offset unions, and no other step of a sweep
+    # reads a distance, so the sweep runs no distance transform
+    idle = ["grid.distance"]
+    assert [metrics[spans._calls_key(name)] for name in idle] == [0] * len(idle)
     assert metrics["grid.norms.calls"] == len(scans) > 0
