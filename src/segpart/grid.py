@@ -11,7 +11,10 @@ Euclidean distance transforms for the distances callers report,
 dilation/erosion by a Euclidean radius as unions of shifted copies over the
 lattice offsets within it (the nodes a distance threshold would give, with
 no transform), centered/one-sided gradients, and the norm bundle (L2,
-Linf, H1, Lipschitz, exact Holder) used by the separation sweeps.
+Linf, H1, Lipschitz, exact Holder) used by the separation sweeps.  The
+Holder scan of a field equal to one of its lattice mirrors, as every
+component the eigensolver folds by a mirror is, takes each mirror pair of
+offsets once.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ class GridDomain:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid spacing must be finite and positive, got {self.h}")
         if self.mask.shape != (self.nx, self.ny):
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match ({self.nx}, {self.ny})"
@@ -161,8 +164,8 @@ def build_domain(shape: str, n: int, *params: float) -> GridDomain:
     if n < 2:
         raise ValueError(f"resolution n must be at least 2, got {n}")
     p = tuple(float(v) for v in params)
-    if any(v <= 0 for v in p):
-        raise ValueError(f"shape parameters must be positive, got {p}")
+    if not all(math.isfinite(v) and v > 0 for v in p):
+        raise ValueError(f"shape parameters must be finite and positive, got {p}")
 
     disk = shape in ("disk", "disk_minus_ball")
     if disk:
@@ -289,7 +292,9 @@ def erode(m: Mask, r: float) -> Mask:
 def _padded(a: np.ndarray) -> np.ndarray:
     """``a`` inside one ring of zeros (``False`` for a mask) on its last two
     axes, so every node has all four 5-point neighbours."""
-    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)])
+    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 2, a.shape[-1] + 2), dtype=a.dtype)
+    out[..., 1:-1, 1:-1] = a
+    return out
 
 
 # (minus, plus) neighbours of every node along the lattice's first and
@@ -392,6 +397,18 @@ def rayleigh_quotient(f: ScalarField) -> float:
     return dirichlet_energy(f) / nrm2
 
 
+def _steepest(diff: np.ndarray) -> float:
+    return float(np.abs(diff).max(initial=0.0))
+
+
+def _offset_steepest(v: np.ndarray, a: int, b: int) -> float:
+    """max |v(x + (a, b)) - v(x)| over the node pairs of ``v`` at the
+    offset (a, b), a >= 0, as one slice difference."""
+    mx, my = v.shape
+    p, q = max(b, 0), max(-b, 0)
+    return _steepest(v[a:, p : my - q] - v[: mx - a, q : my - p])
+
+
 def _holder_seminorm(f: ScalarField, alpha: float, floor: float = 0.0) -> float:
     """max(floor, max |f(x)-f(y)| / |x-y|^alpha over node pairs), exactly.
 
@@ -403,6 +420,15 @@ def _holder_seminorm(f: ScalarField, alpha: float, floor: float = 0.0) -> float:
     step per direction.  Cropping to the nonzero nodes' bounding box padded
     by one node is exact: a node beyond it, clamped onto the zero padding
     ring, nears every node in the box.
+
+    A crop equal to its column mirror ``v[:, ::-1]`` or its row mirror
+    ``v[::-1]`` scans only the offsets with b >= 0.  Either mirror maps the
+    pairs at offset (a, -b) onto the pairs at (a, b) (the row mirror after
+    swapping each pair's ends), so their differences have the same absolute
+    values; the two offsets share d^alpha, and their bounds too, since the
+    mirror carries the steepest (1, -1) step onto the steepest (1, 1) one.
+    Every skipped ratio is a float some kept offset also yields, and the
+    floor argument below holds on the kept offsets unchanged.
 
     A floor changes which offsets are visited, not the result's bits: the
     maximal offset's bound is at least its ratio, so when that ratio beats
@@ -417,14 +443,12 @@ def _holder_seminorm(f: ScalarField, alpha: float, floor: float = 0.0) -> float:
         return floor
     v = f.values[tuple(slice(max(i.min() - 1, 0), i.max() + 2) for i in nz)]
     mx, my = v.shape
+    mirrored = np.array_equal(v, v[:, ::-1]) or np.array_equal(v, v[::-1])
 
-    def steepest(diff: np.ndarray) -> float:
-        return float(np.abs(diff).max(initial=0.0))
-
-    gx, gy = steepest(v[1:] - v[:-1]), steepest(v[:, 1:] - v[:, :-1])
-    g_diag = steepest(v[1:, 1:] - v[:-1, :-1])  # steps (1, 1), for b >= 0
-    g_anti = steepest(v[1:, :-1] - v[:-1, 1:])  # steps (1, -1), for b < 0
-    a, b = np.meshgrid(np.arange(mx), np.arange(1 - my, my), indexing="ij")
+    gx, gy = _steepest(v[1:] - v[:-1]), _steepest(v[:, 1:] - v[:, :-1])
+    g_diag = _steepest(v[1:, 1:] - v[:-1, :-1])  # steps (1, 1), for b >= 0
+    g_anti = _steepest(v[1:, :-1] - v[:-1, 1:])  # steps (1, -1), for b < 0
+    a, b = np.meshgrid(np.arange(mx), np.arange(0 if mirrored else 1 - my, my), indexing="ij")
     half = (a > 0) | (b > 0)
     a, b = a[half], b[half]
     lo, hi = np.minimum(a, abs(b)), np.maximum(a, abs(b))
@@ -437,9 +461,7 @@ def _holder_seminorm(f: ScalarField, alpha: float, floor: float = 0.0) -> float:
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= best:
             break
-        ak, p, q = int(a[k]), max(int(b[k]), 0), max(-int(b[k]), 0)
-        diff = v[ak:, p : my - q] - v[: mx - ak, q : my - p]
-        best = max(best, steepest(diff) / float(dist_alpha[k]))
+        best = max(best, _offset_steepest(v, int(a[k]), int(b[k])) / float(dist_alpha[k]))
     return best
 
 
@@ -447,7 +469,11 @@ def norms(f: ScalarField, alpha: float = 0.5, *, holder_floor: float = 0.0) -> d
     """Norm bundle: l2, linf, h1_seminorm, lip (max |grad|), and holder,
     the exact Holder(alpha) seminorm over node pairs, or ``holder_floor``
     if that is larger (see :func:`_holder_seminorm`; a result above the
-    floor is the exact seminorm, one equal to it an upper bound)."""
+    floor is the exact seminorm, one equal to it an upper bound).  A field
+    equal to its column or row mirror is scanned over half the offsets:
+    the offsets (a, b) and (a, -b) of a mirror pair hold the same absolute
+    differences at the same distance, so skipping one of each changes no
+    bit of holder."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"holder exponent must lie in (0, 1), got {alpha}")
     h = f.domain.h

@@ -11,6 +11,7 @@ interleave partial output.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -61,6 +62,8 @@ def read_field(path: str, domain: GridDomain | None = None) -> ScalarField:
         if len(header) != 4 or header[0] != "SPF1":
             raise ValueError(f"not an SPF1 file: {path}")
         nx, ny, h = int(header[1]), int(header[2]), float(header[3])
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"SPF1 spacing must be finite and positive, got {h} in {path}")
         raw = fh.read(8 * nx * ny)
     if len(raw) != 8 * nx * ny:
         raise ValueError(f"truncated SPF1 payload in {path}")

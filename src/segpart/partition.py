@@ -216,8 +216,9 @@ def voronoi_cells(domain: GridDomain, sites: list[tuple[int, int]]) -> list[np.n
 
 def _lloyd_sites(
     domain: GridDomain, sites: list[tuple[int, int]], iters: int = 40
-) -> list[tuple[int, int]]:
-    """Polish Voronoi sites toward the centroidal tessellation.
+) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """Polish Voronoi sites toward the centroidal tessellation; returns the
+    sites and their :func:`voronoi_cells`.
 
     Block passes freeze the interface wherever the initial cells put it
     (every component immediately fills its allowed region), so start
@@ -237,9 +238,9 @@ def _lloyd_sites(
             pick = int(np.argmin((ii - ci) ** 2 + (jj - cj) ** 2))
             new_sites.append((int(ii[pick]), int(jj[pick])))
         if new_sites == sites:
-            break
+            return sites, cells
         sites = new_sites
-    return sites
+    return sites, voronoi_cells(domain, sites)
 
 
 class SolveMemo(dict):
@@ -287,8 +288,7 @@ def init_partition(
                 raise InfeasibleError("infeasible r")
             picks = rng.choice(flat_mask, size=prob.k, replace=False)
             sites = [tuple(np.unravel_index(p, domain.mask.shape)) for p in picks]
-        trial_sites = sites if explicit else _lloyd_sites(domain, sites)
-        trial = voronoi_cells(domain, trial_sites)
+        trial = voronoi_cells(domain, sites) if explicit else _lloyd_sites(domain, sites)[1]
         eroded = [erode(Mask(domain, c), margin).nodes for c in trial]
         if all(e.any() for e in eroded):
             cells = eroded

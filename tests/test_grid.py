@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coo_laplacian, edt_dilate, edt_erode
+from oracles import coo_laplacian, edt_dilate, edt_erode, half_plane_holder
 
 from segpart.errors import ConstraintViolationError, EmptyDomainError, EmptyRegionError
 from segpart.grid import (
@@ -15,6 +15,8 @@ from segpart.grid import (
     _distance_to,
     _holder_seminorm,
     _in_excluded_ball,
+    _offset_steepest,
+    _padded,
     _stencil_gradient,
     build_domain,
     dilate,
@@ -80,6 +82,45 @@ def random_values(nx: int, ny: int, kind: str, seed: int) -> np.ndarray:
         return 0.1 + rng.random((nx, ny))
     noise = rng.standard_normal((nx, ny))
     return noise if kind == "mixed" else np.cumsum(np.cumsum(noise, 0), 1)
+
+
+def mirrored_values(nx: int, ny: int, kind: str, seed: int, mirrors: str) -> np.ndarray:
+    """A ``random_values`` field made equal to its column mirror (``col``),
+    its row mirror (``row``) or both, by copying one half onto the other."""
+    v = random_values(nx, ny, kind, seed)
+    if mirrors in ("col", "both"):
+        v[:, ny - ny // 2 :] = v[:, : ny // 2][:, ::-1]
+    if mirrors in ("row", "both"):
+        v[nx - nx // 2 :] = v[: nx // 2][::-1]
+    return v
+
+
+def scan_with_offsets(f: ScalarField, alpha: float, floor: float) -> tuple[float, list]:
+    """``_holder_seminorm(f, alpha, floor)`` and the offsets (a, b) it
+    evaluated, in scan order."""
+    visited = []
+
+    def spy(v, a, b):
+        visited.append((a, b))
+        return _offset_steepest(v, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("segpart.grid._offset_steepest", spy)
+        return _holder_seminorm(f, alpha, floor), visited
+
+
+def reference_with_offsets(f: ScalarField, alpha: float, floor: float) -> tuple[float, list]:
+    """The half-plane reference scan and the offsets it evaluated."""
+    visited = []
+    value = half_plane_holder(f, alpha, floor, visit=lambda a, b: visited.append((a, b)))
+    return value, visited
+
+
+def holder_crop(v: np.ndarray) -> np.ndarray:
+    """The nonzero nodes' bounding box padded by one node, cut to the
+    lattice: the part of a field the Holder scan reads."""
+    ii, jj = np.nonzero(v)
+    return v[max(ii.min() - 1, 0) : ii.max() + 2, max(jj.min() - 1, 0) : jj.max() + 2]
 
 
 def shifted_copy_gradient(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -290,6 +331,21 @@ class TestBuildDomain:
             build_domain("hexagon", 16, 1.0)
         with pytest.raises(ValueError):
             build_domain("rectangle", 16, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # a NaN radius of the excluded ball used to give the plain disk
+        for shape, params in SHAPES:
+            for i in range(len(params)):
+                p = list(params)
+                p[i] = bad
+                with pytest.raises(ValueError, match="finite and positive.*" + str(bad)):
+                    build_domain(shape, 16, *p)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+    def test_spacing_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="grid spacing must be finite and positive"):
+            GridDomain.raw(2, 2, h)
 
 
 class TestDistanceTransform:
@@ -578,6 +634,18 @@ class TestGradient:
             assert np.array_equal(gx[i], want_x.values)
             assert np.array_equal(gy[i], want_y.values)
 
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.integers(1, 30), ny=st.integers(1, 30), k=st.integers(0, 3),
+           density=st.floats(0.001, 1.0), seed=seeds)
+    def test_padded_matches_np_pad(self, nx, ny, k, density, seed):
+        # a 2-D bool mask and a 3-D float stack of k fields
+        mask = random_nodes(nx, ny, density, seed)
+        stack = np.random.default_rng(seed).standard_normal((k, nx, ny))
+        for a, width in ((mask, [(1, 1)] * 2), (stack, [(0, 0)] + [(1, 1)] * 2)):
+            got, want = _padded(a), np.pad(a, width, constant_values=0)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("shape, params", SHAPES)
     def test_matches_shifted_copies_on_shapes(self, shape, params):
         dom = build_domain(shape, 32, *params)
@@ -631,6 +699,65 @@ class TestNorms:
         exact = _holder_seminorm(f, alpha)
         for floor in (0.0, exact / 2, exact, 2 * exact):
             assert _holder_seminorm(f, alpha, floor) == max(floor, exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**holder_cases, mirrors=st.sampled_from(["col", "row", "both"]))
+    def test_mirrored_field_scans_half_the_offsets(self, nx, ny, h, alpha, kind, seed, mirrors):
+        # a field equal to a mirror of itself evaluates no offset with b < 0
+        # and gives the half-plane reference's bits, floors included
+        f = ScalarField(GridDomain.raw(nx, ny, h), mirrored_values(nx, ny, kind, seed, mirrors))
+        exact = half_plane_holder(f, alpha)
+        for floor in (0.0, exact / 2, exact, 2 * exact):
+            got, visited = scan_with_offsets(f, alpha, floor)
+            assert got == half_plane_holder(f, alpha, floor)
+            assert all(b >= 0 for _, b in visited)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**dict(holder_cases, nx=st.integers(2, 24), ny=st.integers(2, 24)),
+           mirrors=st.sampled_from(["col", "row", "both"]))
+    def test_field_one_entry_off_a_mirror_scans_as_the_reference(
+        self, nx, ny, h, alpha, kind, seed, mirrors
+    ):
+        # nonzero corners make the crop the whole lattice; one entry off
+        # both mirror axes, raised above every value, then breaks both
+        # mirrors, so the scan must evaluate the reference's offsets in
+        # the reference's order
+        v = mirrored_values(nx, ny, kind, seed, mirrors)
+        v[[0, 0, -1, -1], [0, -1, 0, -1]] = 1.0
+        rng = np.random.default_rng(seed)
+        i, j = int(rng.integers(nx)), int(rng.integers(ny))
+        i, j = (0 if 2 * i == nx - 1 else i), (0 if 2 * j == ny - 1 else j)
+        v[i, j] += 1.0 + 2.0 * np.abs(v).max()
+        f = ScalarField(GridDomain.raw(nx, ny, h), v)
+        assert not np.array_equal(v, v[:, ::-1]) and not np.array_equal(v, v[::-1])
+        exact = half_plane_holder(f, alpha)
+        for floor in (0.0, exact / 2, exact, 2 * exact):
+            assert scan_with_offsets(f, alpha, floor) == reference_with_offsets(f, alpha, floor)
+
+    @pytest.mark.parametrize("n", [48, 128])
+    def test_sweep_scans_take_the_mirror_path(self, n):
+        # every field the seed-11 sweep scans, with the floor it is scanned
+        # from: its crop equals its column mirror, and the halved scan gives
+        # the reference's bits
+        from segpart import partition
+        from segpart.partition import PartitionProblem, run_sweep
+
+        calls = []
+
+        def spy(f, alpha=0.5, *, holder_floor=0.0):
+            calls.append((f, alpha, holder_floor))
+            return norms(f, alpha, holder_floor=holder_floor)
+
+        dom = build_domain("rectangle", n, 2.0, 1.0)
+        prob = PartitionProblem(dom, k=2, r=1 / 8, seed=11, tol_eig=1e-8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "norms", spy)
+            run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
+        assert calls
+        for f, alpha, floor in calls:
+            crop = holder_crop(f.values)
+            assert np.array_equal(crop, crop[:, ::-1])
+            assert _holder_seminorm(f, alpha, floor) == half_plane_holder(f, alpha, floor)
 
     def test_holder_floor_must_be_finite_and_nonnegative(self):
         dom = build_domain("square", 8, 1.0)

@@ -69,6 +69,17 @@ def test_spf1_rejects_garbage(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_spf1_non_finite_spacing_rejected(tmp_path, h):
+    path = tmp_path / "f.spf1"
+    path.write_bytes(f"SPF1 2 2 {h}\n".encode("ascii") + np.ones(4, "<f8").tobytes())
+    # with or without a domain, the message names the spacing and the file
+    message = f"spacing must be finite and positive, got {h} in .*f.spf1"
+    for domain in (None, GridDomain.raw(2, 2, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            read_field(str(path), domain)
+
+
 def test_pgm_round_trip(tmp_path):
     dom = build_domain("l_shape", 12, 1.0)
     m = Mask(dom, dom.mask.copy())

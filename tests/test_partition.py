@@ -112,6 +112,18 @@ class TestInit:
             init_partition(prob, sites=sites)
 
 
+@pytest.mark.parametrize("iters", [40, 1])
+def test_lloyd_cells_are_the_voronoi_cells_of_its_sites(iters):
+    # 40 iterations converge from this start, one does not: the cells of
+    # the last iteration's sites and the cells computed after it
+    dom = build_domain("rectangle", 48, 2.0, 1.0)
+    start = [dom.nearest_node((0.3, 0.2)), dom.nearest_node((0.5, 0.3))]
+    sites, cells = partition._lloyd_sites(dom, start, iters=iters)
+    assert (partition._lloyd_sites(dom, sites, iters=1)[0] == sites) == (iters == 40)
+    want = partition.voronoi_cells(dom, sites)
+    assert [c.tobytes() for c in cells] == [c.tobytes() for c in want]
+
+
 def partitioned_voronoi_cells(domain, sites):
     """``voronoi_cells`` finding ties from the two smallest distances by
     ``np.partition``, with no ties for a single site."""
