@@ -21,7 +21,7 @@ CMAME 1986).  A component without a mirror has the trivial group, every
 node its own orbit, and P = I.  One routine assembles every block straight
 from the box's neighbour table, one row per orbit, each row's columns
 sorted; neither A nor P is formed.  The solver factors that block,
-shifted by sigma = 0.99 * floor, once and runs shifted inverse iteration.
+shifted by sigma = 0.99 * floor, and runs shifted inverse iteration.
 In orbit order a node's neighbours lie at most one box row away,
 so the block is banded, its lower half-bandwidth kd about the box's width.
 Up to kd = 64 the factor is banded Cholesky (LAPACK's dpbtrf and dpbtrs):
@@ -31,23 +31,25 @@ envelope against nested-dissection orderings).  A wider block is factored
 by SuperLU (a symmetric minimum-degree ordering, no pivoting).  The floor is
 the larger of two lower bounds on the component's lambda_1: lambda_1 of
 its bounding box (Cauchy interlacing) and Gershgorin's smallest
-(4 - neighbours) / h^2 over its nodes, so the shifted block stays SPD.  Within a connected component the ground state is simple and the
-error contracts by (lambda_1 - sigma) / (lambda_2' - sigma) per solve,
+(4 - neighbours) / h^2 over its nodes, so the shifted block stays SPD.
+Within a connected component the ground state is simple and the error
+contracts by (lambda_1 - sigma) / (lambda_2' - sigma) per solve,
 lambda_2' >= lambda_2 the second eigenvalue among mirror-invariant vectors,
 always below the zero-shift ratio lambda_1 / lambda_2, which
 near-degenerate clusters on different components would push towards 1 on
 the whole set.  Within one component a near-degenerate pair (two lobes
 joined by a narrow bridge) still pushes that ratio towards 1, so a block
-that has not met ``tol`` after 100 solves restarts from its iterate in
-ARPACK's shift-invert Lanczos on the same factor, which separates the pair
-in a few dozen solves.  No step is random, so a result depends only on the
-domain, the allowed set and ``tol``.  The loop's dot products and norms are
-plain numpy reductions that never call BLAS, and the banded factor gives
-the same bits on one BLAS thread as on the default count (a test holds the
-n=128 disk and a whole n=48 sweep to that), so the results do not depend
-on the BLAS thread count; ARPACK's own reductions do call BLAS, but no
-benchmark block reaches the hand-over.  SuperLU and ARPACK are imported
-from scipy.sparse.linalg only when a block needs them.
+that has not met ``tol`` after 100 solves is factored again at the shift
+lam - residual, which a factor that exists certifies below lambda_1, and
+the pair separates in a few more solves (Parlett, The Symmetric Eigenvalue
+Problem, SIAM 1998, on inverse iteration and residual bounds).  No step is
+random, so a result depends only on the domain, the allowed set and
+``tol``.  The loop's dot products and norms are plain numpy reductions that
+never call BLAS, and the banded factor gives the same bits on one BLAS
+thread as on the default count (tests hold the n=128 disk, a whole n=48
+sweep and a refined bridged pair to that), so the results do not depend on
+the BLAS thread count.  SuperLU is imported from scipy.sparse.linalg only
+when a block needs it.
 
 The 1-D references: first zeros of Bessel J_nu (scipy's jv and a private
 Brent routine that takes brentq's steps, in a classical bracket), the
@@ -71,6 +73,7 @@ forwards to the Poincare quotient in ``monotonicity``, with the ball estimates.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +86,12 @@ from .grid import GridDomain, Mask, ScalarField, _ball_box, _stencil_laplacian
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
 _SHIFT = 0.99
-# solves of plain inverse iteration before a block hands its factor to
-# shift-invert Lanczos: no benchmark workload's block takes more than 17,
-# while a near-degenerate pair (two lobes joined by a bridge) contracts by
-# 0.998 per solve or slower and can take thousands
-_LANCZOS_AFTER = 100
+# solves before a block first refines its shift, and again at twice, four
+# times ... as many: no benchmark block takes more than 17, while a
+# near-degenerate pair (two lobes joined by a bridge) contracts by 0.998 per
+# solve or slower at the floor's shift; sooner, a factor costs more than the
+# few solves it saves
+_REFINE_AFTER = 100
 # widest lower half-bandwidth factored by banded Cholesky rather than
 # SuperLU.  Factor plus 6 solves on an unmirrored m x m box (kd = m), 2-core
 # Xeon: banded 1.5 / 3.1 / 4.8 / 7.8 ms against SuperLU 2.8 / 5.2 / 8.2 /
@@ -96,8 +100,7 @@ _LANCZOS_AFTER = 100
 # doubles and its wall-time lead shrinks to 0-15% (5.7 ms wall and 9.9 ms
 # CPU against SuperLU's 6.8 ms at 72)
 _BAND_MAX = 64
-# solves of one block, inverse iteration and Lanczos together, before
-# ConvergenceError
+# solves of one block, across all its shifts, before ConvergenceError
 _MAX_SOLVES = 10_000
 
 
@@ -217,7 +220,9 @@ class _BandedCholesky:
 
 def _factor(block: sparse.csr_matrix, shift: float = 0.0):
     """Factor of ``block - shift * I`` for one SPD block from
-    ``_lattice_block`` and a shift below its smallest eigenvalue.
+    ``_lattice_block``.  Raises ``ConvergenceError`` if the shift is at or
+    above the block's lambda_1, where the shifted block is not positive
+    definite; no solve has run, so the error's residual is nan.
 
     A block whose lower half-bandwidth kd (the largest row minus column of
     an entry) is at most ``_BAND_MAX`` is factored by banded Cholesky
@@ -226,12 +231,12 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
     subtracted there.  The blocks hold each neighbour at most one box row
     away in orbit order, so kd is about the box's width, and their columns
     are sorted, so each row's first column gives its distance below the
-    diagonal and kd is read from the rows' first entries alone.  A
-    shifted block that is not positive definite, a shift at or above its
-    lambda_1, raises ``ConvergenceError`` naming the leading minor that
-    failed; no solve has run, so its residual is nan.  A wider block keeps
-    SuperLU: the shifted block is SPD, so diagonal pivots are safe, and the
-    shift is subtracted in place from the CSC copy's diagonal entries.
+    diagonal and kd is read from the rows' first entries alone; its error
+    names the leading minor that failed.  A wider block keeps SuperLU, the
+    shift subtracted in place from the CSC copy's diagonal entries.  With
+    equal row and column permutations its factor is P (A - shift I) P^T =
+    L U, L unit lower triangular, so U's diagonal has the shifted block's
+    inertia (Sylvester's law) and must be positive.
     Minimum degree on A^T + A without supernode relaxation gives about half
     the fill of the default COLAMD ordering (L + U about 6.5e5 nonzeros on
     the full n=128 square, against 1.2e6), and the fill sets the factor's
@@ -264,7 +269,7 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
     csc = block.tocsc(copy=True)
     column = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
     csc.data[csc.indices == column] -= shift
-    return splu(
+    lu = splu(
         csc,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
@@ -272,6 +277,10 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
         panel_size=1,
         options={"SymmetricMode": True},
     )
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
+        raise ConvergenceError(f"the shifted block is not positive definite: a SuperLU pivot "
+                               f"is off the diagonal or not positive (shift {shift!r})", math.nan)
+    return lu
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -289,49 +298,40 @@ def _norm(a: np.ndarray) -> float:
 def _block_ground_state(block: sparse.csr_matrix, floor: float, tol: float, x: np.ndarray):
     """(lam, x, residual, solves) on one connected block, ``x`` unit l2.
 
-    Inverse iteration from the start vector ``x`` with
-    ``block - _SHIFT * floor * I``, where ``floor`` is a lower bound on the
-    block's smallest eigenvalue; the Rayleigh quotient and the residual are
-    taken on the unshifted block.  A start vector that already meets ``tol``
-    is returned without a factor or a solve.  A block still short of ``tol``
-    after ``_LANCZOS_AFTER`` solves restarts from its iterate in ARPACK's
-    shift-invert Lanczos (``eigsh``) on the same factor, which separates
-    lambda_1 from a close lambda_2 in a few dozen solves; every solve counts
-    towards ``_MAX_SOLVES``.
+    Inverse iteration from the start vector ``x`` with ``block - sigma I``,
+    sigma = ``_SHIFT * floor`` at first, ``floor`` a lower bound on the
+    block's smallest eigenvalue; the Rayleigh quotient lam and the residual
+    are taken on the unshifted block.  A start vector that already meets
+    ``tol`` is returned without a factor or a solve.  After ``_REFINE_AFTER``
+    solves, and twice and four times as many, a block short of ``tol`` is
+    factored again at lam - residual if that is above sigma: some eigenvalue
+    lies within the residual of lam (Weinstein), and ``_factor`` succeeds
+    exactly below lambda_1 (Sylvester), so its factor is certified; if it
+    raises, the old factor stays.  Every solve counts towards ``_MAX_SOLVES``.
     """
     x = x / _norm(x)
     ax = block @ x
     lam = _dot(x, ax)
     res = _norm(ax - lam * x)
-    lu = None
+    shift = _SHIFT * floor
     solves = 0
-
-    def solve(v):
-        nonlocal solves
+    refine = _REFINE_AFTER
+    while res > tol:
         if solves >= _MAX_SOLVES:
             raise ConvergenceError("eigensolver did not converge", res)
+        if solves == 0:
+            lu = _factor(block, shift)
+        elif solves == refine:
+            refine *= 2
+            if lam - res > shift:
+                with suppress(ConvergenceError):  # at or above lambda_1: keep lu
+                    lu, shift = _factor(block, lam - res), lam - res
+        y = lu.solve(x)
         solves += 1
-        return lu.solve(v)
-
-    while res > tol:
-        if lu is None:
-            lu = _factor(block, _SHIFT * floor)
-        if solves == _LANCZOS_AFTER:
-            # imported at the hand-over, as splu in _factor
-            from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-            op = LinearOperator(block.shape, matvec=solve, dtype=float)
-            try:
-                _, v = eigsh(block, k=1, sigma=_SHIFT * floor, OPinv=op, v0=x, tol=0)
-            except ArpackNoConvergence:
-                raise ConvergenceError("Lanczos did not converge", res) from None
-            x = v[:, 0]
-        else:
-            y = solve(x)
-            ny_ = _norm(y)
-            if not np.isfinite(ny_) or ny_ == 0.0:
-                raise ConvergenceError("inverse iteration produced a null vector", res)
-            x = y / ny_
+        ny_ = _norm(y)
+        if not np.isfinite(ny_) or ny_ == 0.0:
+            raise ConvergenceError("inverse iteration produced a null vector", res)
+        x = y / ny_
         ax = block @ x
         lam = _dot(x, ax)
         res = _norm(ax - lam * x)
@@ -478,8 +478,9 @@ def first_dirichlet_eig(
     shifted inverse iteration until ``residual <= tol`` (a start that
     already meets it needs no factor); each solve contracts the error by
     (lambda_1 - sigma) / (lambda_2 - sigma) for the shift sigma, and a
-    block still short of ``tol`` after 100 solves finishes in ARPACK's
-    shift-invert Lanczos on the same factor.  The folded
+    block still short of ``tol`` after 100, 200, 400, ... solves raises
+    sigma to lam - residual when a factor there certifies it below
+    lambda_1.  The folded
     residual equals the block's residual of the unfolded vector.  The floor
     is the larger of the bounding box's lambda_1 and the Gershgorin bound,
     the smallest (4 - neighbours) / h^2 over the component's nodes.  The

@@ -55,7 +55,9 @@ def read_field(path: str, domain: GridDomain | None = None) -> ScalarField:
 
     Without a domain, the field is attached to a free lattice whose mask is
     the set of nonzero values (the header does not carry the mask); pass the
-    original domain (or read the PGM sidecar) to recover exact geometry.
+    original domain (or read the PGM sidecar) to recover exact geometry.  A
+    domain whose (nx, ny) or spacing h differs from the header's raises
+    ``ValueError``; the header holds ``repr(h)``, so h compares exactly.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
@@ -74,6 +76,8 @@ def read_field(path: str, domain: GridDomain | None = None) -> ScalarField:
         raise ValueError(
             f"domain ({domain.nx}, {domain.ny}) does not match file ({nx}, {ny})"
         )
+    elif domain.h != h:
+        raise ValueError(f"domain spacing {domain.h!r} does not match file spacing {h!r}")
     return ScalarField.from_values(domain, values)
 
 

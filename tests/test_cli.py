@@ -290,8 +290,7 @@ def solve_every_time(allowed, prob, memo):
 
 # what each command's run at test size must not load: verify takes its Bessel
 # zeros without scipy.optimize (which brings scipy.spatial along) and
-# integrates nothing; no solve at n = 32 is wide enough for SuperLU or long
-# enough for ARPACK
+# integrates nothing; no solve at n = 32 is wide enough for SuperLU
 NOT_LOADED = {
     "eig": ("scipy.sparse.linalg",),
     "partition": ("scipy.sparse.linalg",),

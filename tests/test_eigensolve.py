@@ -322,16 +322,21 @@ class TestMaskedEig:
     def test_independent_of_blas_thread_count(self):
         # the notched n = 64 square has no mirror, so it iterates on its
         # whole 3924-node block, of kd = 63: blocked dpbtrf calls level-3
-        # BLAS from kd = 32
+        # BLAS from kd = 32.  The n = 13 bridged pair refines its shift
+        pair = bridged_pair(13, 3, 6)[1].nodes.tolist()
         script = (
+            "import numpy as np\n"
             "from segpart.grid import Mask\n"
             "dom = build_domain('square', 64, 1.0)\n"
             "nodes = dom.mask.copy()\n"
             "nodes[:10, :6] = False\n"
-            "print(json.dumps(digest(first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9))))\n"
+            "solves = [first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)]\n"
+            "dom = build_domain('square', 13, 1.0)\n"
+            f"solves.append(first_dirichlet_eig(dom, Mask(dom, np.array({pair})), tol=1e-9))\n"
+            "print(json.dumps([digest(r) for r in solves]))\n"
         )
         runs = [with_blas_threads(script, threads) for threads in ("1", "2")]
-        assert runs[0][2] > 0
+        assert runs[0][0][2] > 0 and runs[0][1][2] > eigensolve._REFINE_AFTER
         assert runs[0] == runs[1]
 
     def test_shift_cuts_the_solve_count(self, square_eig_128, disk_eig_128):
@@ -393,21 +398,46 @@ def bridged_pair(n: int, side: int, hung: int) -> tuple[GridDomain, Mask]:
 
 class TestNearDegeneratePair:
     @pytest.mark.parametrize("n, side, hung", [(13, 3, 6), (20, 4, 9)])
-    def test_converges_through_lanczos(self, n, side, hung):
-        # the plain iteration contracts by 0.998 per solve or slower here
+    def test_converges_by_a_refined_shift(self, n, side, hung):
+        # the floor's shift contracts by 0.998 per solve or slower here; the
+        # shift refined after _REFINE_AFTER solves separates the pair
         dom, allowed = bridged_pair(n, side, hung)
         res = first_dirichlet_eig(dom, allowed, tol=1e-9)
         lam1, lam2 = np.linalg.eigvalsh(coo_laplacian(dom, allowed.nodes)[0].toarray())[:2]
         assert lam2 - lam1 < 1e-3 * lam1
         assert res.lam == pytest.approx(lam1, rel=1e-12)
         assert res.residual <= 1e-9
-        assert eigensolve._LANCZOS_AFTER < res.iterations <= eigensolve._LANCZOS_AFTER + 60
+        assert eigensolve._REFINE_AFTER < res.iterations <= eigensolve._REFINE_AFTER + 20
 
-    def test_lanczos_solves_count_towards_max_solves(self, monkeypatch):
+    def test_refined_solves_count_towards_max_solves(self, monkeypatch):
         dom, allowed = bridged_pair(13, 3, 6)
-        monkeypatch.setattr(eigensolve, "_MAX_SOLVES", eigensolve._LANCZOS_AFTER + 5)
+        monkeypatch.setattr(eigensolve, "_MAX_SOLVES", eigensolve._REFINE_AFTER + 3)
         with pytest.raises(ConvergenceError, match="did not converge"):
             first_dirichlet_eig(dom, allowed, tol=1e-9)
+
+    def test_a_refused_refinement_keeps_the_old_factor(self, monkeypatch):
+        # disk_minus_ball(2, 1) at n = 32 takes 18 solves, so no refinement
+        # at the real schedule; at 4, 8, 16 solves every refined factor is
+        # refused and the solve goes on with its first one, bit for bit
+        dom = build_domain("disk_minus_ball", 32, 2.0, 1.0)
+        plain = first_dirichlet_eig(dom, tol=1e-9)
+        assert plain.iterations < eigensolve._REFINE_AFTER
+        real, shifts = _factor, []
+
+        def refuse_after_the_first(block, shift=0.0):
+            shifts.append(shift)
+            if len(shifts) > 1:
+                raise ConvergenceError("refused", math.nan)
+            return real(block, shift)
+
+        monkeypatch.setattr(eigensolve, "_REFINE_AFTER", 4)
+        refined = first_dirichlet_eig(dom, tol=1e-9)
+        monkeypatch.setattr(eigensolve, "_factor", refuse_after_the_first)
+        refused = first_dirichlet_eig(dom, tol=1e-9)
+        assert len(shifts) > 1 and all(s > shifts[0] for s in shifts[1:])
+        assert exact_result(refused) == exact_result(plain)
+        # a refined factor that is accepted does change the solve
+        assert refined.iterations < plain.iterations
 
 
 class TestAssembly:
@@ -990,7 +1020,7 @@ class TestBandedFactor:
         assert isinstance(_factor(disk, disk_shift), eigensolve._BandedCholesky)
         assert isinstance(_factor(square, square_shift), scipy.sparse.linalg.SuperLU)
 
-    def test_shift_above_lambda_1_raises(self):
+    def test_shift_above_lambda_1_raises(self, square_eig_128):
         dom = build_domain("disk", 48, 1.0)
         A, _ = coo_laplacian(dom, dom.mask)
         lam = first_dirichlet_eig(dom, tol=1e-9).lam
@@ -998,8 +1028,16 @@ class TestBandedFactor:
         _factor(A, 0.999 * lam)
         with pytest.raises(ConvergenceError, match=r"leading minor of order \d+ of 1789"):
             _factor(A, 1.001 * lam)
+        # the whole n = 128 square block (kd 127) takes SuperLU, whose
+        # pivots _factor checks
+        dom, res = square_eig_128
+        A, _ = coo_laplacian(dom, dom.mask)
+        assert half_bandwidth(A) > eigensolve._BAND_MAX
+        _factor(A, 0.999 * res.lam)
+        with pytest.raises(ConvergenceError, match="SuperLU pivot"):
+            _factor(A, 1.001 * res.lam)
         # SuperLU without pivoting factors the indefinite block silently
-        superlu_factor(A, 1.001 * lam)
+        superlu_factor(A, 1.001 * res.lam)
 
     def test_independent_of_blas_thread_count(self):
         # blocked dpbtrf calls level-3 BLAS from kd = 32: the n = 128 disk

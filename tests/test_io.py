@@ -62,6 +62,14 @@ def test_spf1_shape_mismatch(tmp_path):
         read_field(path, domain=build_domain("square", 16, 1.0))
 
 
+def test_spf1_spacing_mismatch(tmp_path):
+    # the same 3 x 3 lattice at another spacing would scale every norm
+    path = os.path.join(tmp_path, "f.spf1")
+    write_field(path, ScalarField.zeros(GridDomain.raw(3, 3, 0.1)))
+    with pytest.raises(ValueError, match="spacing 0.5 does not match file spacing 0.1"):
+        read_field(path, domain=GridDomain.raw(3, 3, 0.5))
+
+
 def test_spf1_rejects_garbage(tmp_path):
     path = os.path.join(tmp_path, "bad.spf1")
     atomic_write_text(path, "NOTSPF 3 3 0.1\n")
