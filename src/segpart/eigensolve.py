@@ -51,8 +51,8 @@ sweep and a refined bridged pair to that), so the results do not depend on
 the BLAS thread count.  SuperLU is imported from scipy.sparse.linalg only
 when a block needs it.
 
-The 1-D references: first zeros of Bessel J_nu (scipy's jv and a private
-Brent routine that takes brentq's steps, in a classical bracket), the
+The 1-D references: first zeros of Bessel J_nu (bisection on the sign of
+scipy's jv in a classical bracket, down to adjacent floats), the
 radial ground state of a ball in dimension N in closed form (scipy's
 0F1), and the first Laplace-Beltrami eigenvalue of a
 spherical cap through the weighted Sturm-Liouville problem with weight
@@ -558,68 +558,15 @@ def first_dirichlet_eig(
 # Bessel zeros and the radial ground state in closed form
 
 
-def _brent_root(f, a: float, b: float, xtol: float) -> float:
-    """A root of ``f`` in [a, b] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), step for step as
-    scipy's ``brentq`` with its defaults: relative tolerance 4 eps and at
-    most 100 iterations.  The steps, their order and their float operations
-    are those of brentq's C routine, so both return the same float, and a
-    NaN value of ``f`` raises ``ValueError`` as there."""
-    if not xtol > 0:
-        raise ValueError(f"xtol must be positive, got {xtol}")
+def _first_zero(nu: float) -> float:
+    """First positive zero j_{nu,1} of J_nu to the last bit, any nu >= 0.
 
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    rtol = 4 * np.finfo(float).eps
-    xpre, xcur = a, b
-    fpre, fcur = value(a), value(b)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
-
-
-def _first_zero(nu: float, tol: float = 1e-12) -> float:
-    """First positive zero j_{nu,1} of J_nu to absolute ``tol``, any nu >= 0.
-
-    Brent's method (``_brent_root``) runs inside the classical bracket
+    Bisection on the sign of J_nu inside the classical bracket
     sqrt(nu (nu + 2)) < j_{nu,1} < sqrt(nu + 1) (sqrt(nu + 2) + 1),
-    which holds no other zero of J_nu.
+    which holds no other zero of J_nu, so J_nu > 0 below j_{nu,1}.  It
+    stops when the bracket's ends are adjacent floats and returns the first
+    float where J_nu <= 0.  ``ValueError`` unless J_nu < 0 at the upper
+    end, as for a NaN order.
     """
     # imported here, not at module top: scipy.special adds about 0.1 s to
     # every command's start-up, and only verify calls the 1-D references
@@ -627,14 +574,21 @@ def _first_zero(nu: float, tol: float = 1e-12) -> float:
 
     lo = math.sqrt(nu * (nu + 2.0))
     hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    return _brent_root(lambda x: float(jv(nu, x)), lo, hi, tol)
+    if not jv(nu, hi) < 0:
+        raise ValueError(f"J_nu is not negative at the bracket's end {hi} for nu = {nu}")
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if jv(nu, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def bessel_first_zero(nu: float, tol: float = 1e-12) -> float:
-    """First positive zero of J_nu for nu in [0, 5]."""
+def bessel_first_zero(nu: float) -> float:
+    """First positive zero of J_nu for nu in [0, 5], to the last bit."""
     if not (0.0 <= nu <= 5.0):
         raise ValueError(f"order must lie in [0, 5], got {nu}")
-    return _first_zero(nu, tol)
+    return _first_zero(nu)
 
 
 def _radial_phi(dim: int, lambda_bar: float, s: np.ndarray | float) -> np.ndarray:

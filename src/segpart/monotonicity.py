@@ -92,6 +92,14 @@ class MonotonicityReport:
 
 
 def _consecutive_decrease(values: np.ndarray) -> float:
+    """Largest relative decrease between consecutive values, 0 if none.
+
+    NaN if a value is not finite: a NaN compares False with everything, so
+    max() would drop the decrease it stands in, and NaN fails every ``<=``
+    gate.
+    """
+    if not np.all(np.isfinite(values)):
+        return math.nan
     worst = 0.0
     for a, b in zip(values[:-1], values[1:]):
         scale = max(abs(a), 1e-300)
@@ -150,7 +158,7 @@ def _sample_profile(dim: int, R_bar: float, lam: float, samples: int) -> RadialP
 
 def gamma_fun(dim: int, t: float) -> float:
     """Exponent function sqrt(((N-2)/2)^2 + t) - (N-2)/2; gamma(N-1) = 1."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"argument must be nonnegative, got {t}")
     half = (dim - 2) / 2.0
     return math.sqrt(half * half + t) - half
@@ -158,7 +166,7 @@ def gamma_fun(dim: int, t: float) -> float:
 
 def gamma_fun_derivative(dim: int, t: float) -> float:
     """gamma'(t) = 1 / (2 sqrt(((N-2)/2)^2 + t)); +inf at N = 2, t = 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"argument must be nonnegative, got {t}")
     half = (dim - 2) / 2.0
     root = math.sqrt(half * half + t)
@@ -224,6 +232,8 @@ def mean_value_check(
     nondecreasing in exact arithmetic.
     """
     radii = _sorted_radii(radii)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam > profile.lambda_bar * (1 + 1e-9):
         raise ValueError(
             f"lambda {lam} exceeds the profile's lambda_bar {profile.lambda_bar}"
@@ -302,6 +312,8 @@ def acf_psi_functional(
     that give Psi for any other C.
     """
     radii = _sorted_radii(radii)
+    if not math.isfinite(C):
+        raise ValueError(f"C must be finite, got {C}")
     dom = u.domain
     if np.any(u.values < 0):
         raise ConstraintViolationError("field must be nonnegative")

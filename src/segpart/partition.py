@@ -467,8 +467,8 @@ def cutoff_competitor(
     recomputed from scratch.  Returns the competitor state, its energy, and
     the tubular-neighborhood measure |N_r| for the Minkowski diagnostic.
     """
-    if r < 0:
-        raise ValueError(f"separation must be nonnegative, got {r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"separation must be finite and nonnegative, got {r}")
     domain = prob.domain
     dist = _nodal_distance(state, domain)
     if r == 0:

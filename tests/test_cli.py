@@ -288,13 +288,13 @@ def solve_every_time(allowed, prob, memo):
     return res, partition._truncate(res.field, prob.tau)
 
 
-# what each command's run at test size must not load: verify takes its Bessel
-# zeros without scipy.optimize (which brings scipy.spatial along) and
-# integrates nothing; no solve at n = 32 is wide enough for SuperLU
+# what each command's run at test size must not load: no command needs a
+# root finder (scipy.optimize, which brings scipy.spatial along), verify
+# integrates nothing, and no solve at n = 32 is wide enough for SuperLU
 NOT_LOADED = {
-    "eig": ("scipy.sparse.linalg",),
-    "partition": ("scipy.sparse.linalg",),
-    "sweep": ("scipy.sparse.linalg",),
+    "eig": ("scipy.sparse.linalg", "scipy.optimize"),
+    "partition": ("scipy.sparse.linalg", "scipy.optimize"),
+    "sweep": ("scipy.sparse.linalg", "scipy.optimize"),
     "verify": ("scipy.optimize", "scipy.integrate", "scipy.spatial"),
 }
 

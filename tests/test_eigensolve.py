@@ -1250,23 +1250,22 @@ class TestBesselZero:
             with pytest.raises(ValueError):
                 bessel_first_zero(nu)
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14])
-    def test_brent_steps_as_brentq(self, tol):
-        # the private Brent routine repeats brentq step for step, so the two
-        # return the same float in the same bracket; orders past 5 are the
+    def test_bisection_ends_at_the_sign_change(self):
+        # each zero is the first float where J_nu <= 0, and lies within an ulp
+        # or two of brentq run to its last bit; orders past 5 are the
         # dimensions up to 40 that the radial ground state reaches
         for nu in [*np.linspace(0.0, 5.0, 2001), 5.5, 9.0, 19.0]:
+            z = eigensolve._first_zero(nu)
+            assert scipy.special.jv(nu, np.nextafter(z, 0.0)) > 0 >= scipy.special.jv(nu, z)
             lo = math.sqrt(nu * (nu + 2.0))
             hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-            oracle = scipy.optimize.brentq(lambda x: scipy.special.jv(nu, x), lo, hi, xtol=tol)
-            assert eigensolve._first_zero(nu, tol) == oracle
+            oracle = scipy.optimize.brentq(
+                lambda x: scipy.special.jv(nu, x), lo, hi, xtol=1e-300)
+            assert abs(z - oracle) <= 1e-15 * z
 
-    def test_brent_rejects_bad_input_and_returns_exact_roots(self):
-        with pytest.raises(ValueError, match="signs"):
-            eigensolve._brent_root(math.cos, 0.0, 1.0, 1e-12)
-        with pytest.raises(ValueError, match="xtol"):
-            eigensolve._brent_root(math.sin, -1.0, 1.0, 0.0)
-        assert eigensolve._brent_root(math.sin, 0.0, 1.0, 1e-12) == 0.0
+    def test_nan_order_raises(self):
+        with pytest.raises(ValueError, match="not negative"):
+            eigensolve._first_zero(math.nan)
 
 
 class TestRadialGroundState:

@@ -345,6 +345,54 @@ class TestCjk:
             cjk_product(neg, pos, (0.5, 0.5), [0.1, 0.2])
 
 
+class TestNonFiniteInput:
+    """A NaN parameter or value used to make a check pass unchecked: every
+    comparison with NaN is False, so no gate tripped."""
+
+    @pytest.fixture(scope="class")
+    def verify_cases(self):
+        # the disk and disk_minus_ball cases of verify's mean_value and acf
+        # checks at n = 48
+        disk = build_domain("disk", 48, 1.0)
+        res = sp.first_dirichlet_eig(disk, tol=1e-10)
+        lune = build_domain("disk_minus_ball", 48, 2.0, 1.0)
+        lune_res = sp.first_dirichlet_eig(lune, tol=1e-8)
+        # each check with the parameter verify passes it
+        return {
+            "mean_value": (lambda lam: mean_value_check(
+                res.field, lam, (0.0, 0.0), [0.15, 0.3, 0.45, 0.6, 0.75, 0.9],
+                profile_for_lambda(2, res.lam, 1024),
+            ), res.lam),
+            "acf": (lambda C: acf_psi_functional(
+                lune_res.field, profile_for_lambda(2, lune_res.lam, 1024), (0.0, 0.0),
+                list(np.linspace(4 * lune.h, 0.5, 12)), C,
+            ), 0.0),
+        }
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    @pytest.mark.parametrize("name, label", [("mean_value", "lambda"), ("acf", "C")])
+    def test_non_finite_parameter_rejected(self, verify_cases, name, label, bad):
+        # lam = nan skipped the subsolution check, and C = nan gave all-NaN
+        # values: each reported max_violation 0.0
+        check, good = verify_cases[name]
+        rep = check(good)
+        assert np.all(np.isfinite(rep.values)) and math.isfinite(rep.max_violation)
+        with pytest.raises(ValueError, match=f"{label} must be finite, got {bad}"):
+            check(bad)
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, math.nan, 0.5], [math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
+    def test_non_finite_value_gives_nan_decrease(self, values):
+        # the drop 1.0 -> 0.5 around a NaN used to read 0.0; NaN fails
+        # verify's worst <= 0.02 gate
+        assert math.isnan(_consecutive_decrease(np.array(values)))
+
+    @pytest.mark.parametrize("fun", [gamma_fun, gamma_fun_derivative])
+    def test_gamma_nan_argument_rejected(self, fun):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            fun(3, math.nan)
+
+
 class TestRadiiValidation:
     @pytest.fixture(scope="class")
     def functionals(self):

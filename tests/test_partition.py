@@ -374,6 +374,13 @@ class TestCutoff:
         out = cutoff_competitor(state, prob, 1 / 8)
         assert check_feasible(out["state"], prob, r=1 / 8)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.125])
+    def test_bad_separation_rejected_up_front(self, base_state, r):
+        # NaN and inf passed r < 0 and failed later, in the field check
+        dom, prob, state = base_state
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {r}"):
+            cutoff_competitor(state, prob, r)
+
     def test_annihilation_raises(self, base_state):
         dom, prob, state = base_state
         with pytest.raises((EmptyRegionError, InfeasibleError)):
