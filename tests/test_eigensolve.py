@@ -1263,6 +1263,18 @@ class TestBesselZero:
                 lambda x: scipy.special.jv(nu, x), lo, hi, xtol=1e-300)
             assert abs(z - oracle) <= 1e-15 * z
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14])
+    def test_brent_steps_as_brentq(self, tol):
+        # brentq stopped at xtol lands within its own documented bound,
+        # xtol + 4 eps |x|, of the bisection zero in the same bracket
+        rtol = 4.0 * np.finfo(float).eps
+        for nu in [*np.linspace(0.0, 5.0, 2001), 5.5, 9.0, 19.0]:
+            z = eigensolve._first_zero(nu)
+            lo = math.sqrt(nu * (nu + 2.0))
+            hi = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
+            oracle = scipy.optimize.brentq(lambda x: scipy.special.jv(nu, x), lo, hi, xtol=tol)
+            assert abs(z - oracle) <= tol + rtol * z
+
     def test_nan_order_raises(self):
         with pytest.raises(ValueError, match="not negative"):
             eigensolve._first_zero(math.nan)
