@@ -56,7 +56,7 @@ _TOP_KEYS = {
     "eig": ({"schema", "domain", "grid", "output"}, {"tolerances"}),
     "partition": ({"schema", "domain", "grid", "problem", "output"}, {"tolerances"}),
     "sweep": ({"schema", "domain", "grid", "problem", "output"}, {"tolerances"}),
-    "verify": ({"schema", "checks", "output"}, {"check_params", "grid"}),
+    "verify": ({"schema", "checks", "output"}, {"check_params"}),
 }
 
 _SECTION_KEYS = {

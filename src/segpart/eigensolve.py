@@ -22,8 +22,11 @@ node its own orbit, and P = I.  One routine assembles every block straight
 from the box's neighbour table, one row per orbit, each row's columns
 sorted; neither A nor P is formed.  The solver factors that block,
 shifted by sigma = 0.99 * floor, and runs shifted inverse iteration.
-In orbit order a node's neighbours lie at most one box row away,
-so the block is banded, its lower half-bandwidth kd about the box's width.
+The orbits are numbered in raster order, where a node's neighbours lie at
+most one box row away, so the block is banded, its lower half-bandwidth kd
+about the box's width.  Under the diagonal they are numbered along
+anti-diagonals of the fold's wedge, shorter than its rows, and kd narrows
+(46 to 33 on the n = 128 disk, 126 to 64 on the n = 128 L-shape).
 Up to kd = 64 the factor is banded Cholesky (LAPACK's dpbtrf and dpbtrs):
 no ordering and no CSC copy, and faster than SuperLU there (George and Liu,
 Computer Solution of Large Sparse Positive Definite Systems, 1981, on
@@ -141,12 +144,15 @@ def _lattice_block(box: np.ndarray, h: float, orbits) -> sparse.csr_matrix:
     times the row of A P at o's representative: each neighbour adds -1/h^2,
     the node itself 4/h^2, times 1/sqrt|orbit|, and a neighbour in an orbit
     already seen in table order adds onto that orbit's first entry, in table
-    order.  The orbits are numbered in the raster order of their first nodes
-    and a representative is its orbit's first node, so each row's columns
-    come out sorted and unique: the block is canonical CSR, with the bits of
-    scipy's product ``A[reps] @ P`` with sorted indices.  Under the trivial
-    group it is A itself, each entry -1/h^2 or 4/h^2.  No entry sums to zero
-    (a node has at most two neighbours in its own orbit), so none is dropped.
+    order.  A representative is its orbit's first node in raster order, and
+    the orbits are numbered in the raster order of their representatives or,
+    under the diagonal, along anti-diagonals by (a + b, a): either way the
+    orbits a row reaches through -W, -1, 0, +1, +W, repeats merged, come in
+    that order, so each row's columns come out sorted and unique: the block
+    is canonical CSR, with the bits of scipy's product ``A[reps] @ P`` with
+    sorted indices.  Under the trivial group it is A itself, each entry
+    -1/h^2 or 4/h^2.  No entry sums to zero (a node has at most two
+    neighbours in its own orbit), so none is dropped.
     """
     orbit, reps, size = orbits
     mi, mj = box.shape
@@ -228,11 +234,13 @@ def _factor(block: sparse.csr_matrix, shift: float = 0.0):
     an entry) is at most ``_BAND_MAX`` is factored by banded Cholesky
     (LAPACK's ``dpbtrf``): its lower triangle is scattered from the CSR
     arrays into the band, row 0 of which is the diagonal, and the shift is
-    subtracted there.  The blocks hold each neighbour at most one box row
-    away in orbit order, so kd is about the box's width, and their columns
-    are sorted, so each row's first column gives its distance below the
-    diagonal and kd is read from the rows' first entries alone; its error
-    names the leading minor that failed.  A wider block keeps SuperLU, the
+    subtracted there.  In orbit order the blocks hold each neighbour at most
+    one box row away, or under the diagonal one anti-diagonal of the fold's
+    wedge, so kd is about the box's width or the length of such an
+    anti-diagonal.  Their columns are sorted, so each
+    row's first column gives its distance below the diagonal and kd is read
+    from the rows' first entries alone; the banded factor's error names the
+    leading minor that failed.  A wider block keeps SuperLU, the
     shift subtracted in place from the CSC copy's diagonal entries.  With
     equal row and column permutations its factor is P (A - shift I) P^T =
     L U, L unit lower triangular, so U's diagonal has the shifted block's
@@ -345,13 +353,17 @@ def _mirror_orbits(box: np.ndarray):
     The mirrors tried are a -> m_i - 1 - a, b -> m_j - 1 - b and, on a
     square box, the diagonal (a, b) -> (b, a).  ``orbit`` numbers each node's
     orbit under the group the mirrors that map ``box`` onto itself generate
-    (1, 2, 4 or 8 nodes) in the raster order of the orbits' first nodes,
-    ``reps`` holds those first nodes' positions and ``size`` the orbits'
-    sizes.  A box without a mirror has the trivial group: every node is its
-    own orbit, ``orbit`` and ``reps`` both count the nodes and every size
-    is 1.  The orthonormal basis P with entries 1/sqrt|o| on orbit o's nodes
-    spans the mirror-invariant vectors, which hold the simple, positive
-    ground state.  A block maps that span into itself, so
+    (1, 2, 4 or 8 nodes), ``reps`` holds the orbits' first nodes in raster
+    order (their representatives) and ``size`` the orbits' sizes.  The
+    orbits are numbered in the raster order of their representatives, or,
+    when the diagonal is in the group, by (a + b, a) of each representative's
+    0-based row a and column b in the box: along anti-diagonals, which
+    across the fold's wedge are shorter than its rows, so the block's band
+    is narrower.  A box without a mirror has the
+    trivial group: every node is its own orbit, ``orbit`` and ``reps`` both
+    count the nodes and every size is 1.  The orthonormal basis P with
+    entries 1/sqrt|o| on orbit o's nodes spans the mirror-invariant vectors,
+    which hold the simple, positive ground state.  A block maps that span into itself, so
     A P z = P (P^T A P) z, and the folded residual of z is the block's
     residual of P z.
     """
@@ -371,7 +383,10 @@ def _mirror_orbits(box: np.ndarray):
         first = np.minimum(first, first.T)
     flat = np.flatnonzero(box)
     key = first.ravel()[flat]
-    reps = np.flatnonzero(key == flat)  # one node per orbit, in orbit order
+    reps = np.flatnonzero(key == flat)  # one node per orbit, in raster order
+    if diagonal:  # along anti-diagonals instead
+        a, b = np.divmod(flat[reps], mj)
+        reps = reps[np.argsort((a + b) * mi + a, kind="stable")]
     lut = np.empty(mi * mj, dtype=np.intp)
     lut[key[reps]] = np.arange(reps.size)
     orbit = lut[key]  # every key is the key of its orbit's representative

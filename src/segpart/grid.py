@@ -148,6 +148,11 @@ def _in_excluded_ball(x: np.ndarray, y: np.ndarray, r0: float) -> np.ndarray:
     return (x + r0) ** 2 + y**2 <= r0 * r0 * (1 + 1e-12)
 
 
+def _is_integer(v) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def build_domain(shape: str, n: int, *params: float) -> GridDomain:
     """Lattice domain for one of the supported shapes.
 
@@ -161,8 +166,8 @@ def build_domain(shape: str, n: int, *params: float) -> GridDomain:
         raise ValueError(
             f"shape {shape!r} takes {SHAPE_PARAM_COUNT[shape]} parameter(s), got {len(params)}"
         )
-    if n < 2:
-        raise ValueError(f"resolution n must be at least 2, got {n}")
+    if not (_is_integer(n) and n >= 2):
+        raise ValueError(f"resolution n must be an integer of at least 2, got {n!r}")
     p = tuple(float(v) for v in params)
     if not all(math.isfinite(v) and v > 0 for v in p):
         raise ValueError(f"shape parameters must be finite and positive, got {p}")

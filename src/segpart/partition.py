@@ -60,6 +60,7 @@ from .grid import (
     Mask,
     ScalarField,
     _distance_to,
+    _is_integer,
     dilate,
     erode,
     gradient_magnitude,
@@ -84,8 +85,8 @@ class PartitionProblem:
     tau: float = 1e-3
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"component count must be at least 1, got {self.k}")
+        if not (_is_integer(self.k) and self.k >= 1):
+            raise ValueError(f"component count k must be an integer >= 1, got {self.k!r}")
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ValueError(f"separation must be finite and nonnegative, got {self.r}")
         if not (0.0 <= self.tau <= 0.1):
@@ -94,7 +95,7 @@ class PartitionProblem:
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be finite and positive, got {tol}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.k >= 2 and self.r >= self.domain.diameter() / self.k:
             raise InfeasibleError("infeasible r")

@@ -88,6 +88,19 @@ class TestConfigValidation:
         }
         assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 2
 
+    def test_verify_rejects_a_grid_section(self, tmp_path, capsys):
+        # verify reads its grid size from check_params.n; a grid section used
+        # to be accepted and ignored, so the checks ran at the default n = 128
+        cfg = {
+            "schema": 1,
+            "checks": ["gradient"],
+            "grid": {"n": 16},
+            "output": {"dir": os.path.join(tmp_path, "o")},
+        }
+        assert cli.main(["verify", "--config", write_config(tmp_path, "v.json", cfg)]) == 2
+        assert "config error: config: unknown keys ['grid']" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output"]["dir"])
+
     def test_repeated_check_name(self, tmp_path, capsys):
         cfg = {
             "schema": 1,

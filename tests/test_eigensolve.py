@@ -322,7 +322,10 @@ class TestMaskedEig:
     def test_independent_of_blas_thread_count(self):
         # the notched n = 64 square has no mirror, so it iterates on its
         # whole 3924-node block, of kd = 63: blocked dpbtrf calls level-3
-        # BLAS from kd = 32.  The n = 13 bridged pair refines its shift
+        # BLAS from kd = 32.  The n = 13 bridged pair refines its shift.
+        # The n = 128 L-shape folds across its diagonal to the widest band
+        # factored by Cholesky
+        assert folded_kd("l_shape", 128, 1.0) == eigensolve._BAND_MAX
         pair = bridged_pair(13, 3, 6)[1].nodes.tolist()
         script = (
             "import numpy as np\n"
@@ -333,10 +336,11 @@ class TestMaskedEig:
             "solves = [first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)]\n"
             "dom = build_domain('square', 13, 1.0)\n"
             f"solves.append(first_dirichlet_eig(dom, Mask(dom, np.array({pair})), tol=1e-9))\n"
+            "solves.append(first_dirichlet_eig(build_domain('l_shape', 128, 1.0), tol=1e-9))\n"
             "print(json.dumps([digest(r) for r in solves]))\n"
         )
         runs = [with_blas_threads(script, threads) for threads in ("1", "2")]
-        assert runs[0][0][2] > 0 and runs[0][1][2] > eigensolve._REFINE_AFTER
+        assert runs[0][0][2] > 0 and runs[0][1][2] > eigensolve._REFINE_AFTER and runs[0][2][2] > 0
         assert runs[0] == runs[1]
 
     def test_shift_cuts_the_solve_count(self, square_eig_128, disk_eig_128):
@@ -714,10 +718,12 @@ class TestMirrorFold:
 # sin x sin box start, and the solve built on the three
 
 
-def searchsorted_orbits(box: np.ndarray):
+def searchsorted_orbits(box: np.ndarray, antidiagonal: bool = True):
     """(orbit, reps, size) for the nodes of ``box`` under its lattice
     mirrors, or None if it has none: each orbit is named by its first image
-    in box raster order and numbered by ``searchsorted``."""
+    in box raster order and numbered by ``searchsorted`` on that name, or,
+    under the diagonal and if ``antidiagonal``, on (a + b, a) of that first
+    image (a, b)."""
     mi, mj = box.shape
     flip_i = np.array_equal(box, box[::-1])
     flip_j = np.array_equal(box, box[:, ::-1])
@@ -734,6 +740,10 @@ def searchsorted_orbits(box: np.ndarray):
     a, b = np.nonzero(box)
     key = first[a, b]
     reps = np.flatnonzero(key == a * mj + b)
+    if diagonal and antidiagonal:
+        ra, rb = np.divmod(key, mj)
+        key = (ra + rb) * mi + ra
+        reps = reps[np.argsort(key[reps])]
     orbit = np.searchsorted(key[reps], key)
     return orbit, reps, np.bincount(orbit)
 
@@ -1040,9 +1050,10 @@ class TestBandedFactor:
         superlu_factor(A, 1.001 * res.lam)
 
     def test_independent_of_blas_thread_count(self):
-        # blocked dpbtrf calls level-3 BLAS from kd = 32: the n = 128 disk
-        # folds to kd = 46, and every block solve of a seed-11 sweep_rect48
-        # unit is compared as well
+        # blocked dpbtrf calls level-3 BLAS from kd = 32, which the n = 128
+        # disk's folded block reaches; every block solve of a seed-11
+        # sweep_rect48 unit is compared as well
+        assert folded_kd("disk", 128, 1.0) >= 32
         script = (
             "from segpart import partition\n"
             "solves = [first_dirichlet_eig(build_domain('disk', 128, 1.0), tol=1e-9)]\n"
@@ -1213,6 +1224,56 @@ class TestLatticeBlock:
     def test_n128_matches_the_reference_path(self, disk_eig_128, square_eig_128):
         for dom, res in (disk_eig_128, square_eig_128):
             assert exact_result(res) == exact_result(reference_eig(dom, dom.mask, 1e-9))
+
+
+def raster_orbits(box: np.ndarray):
+    """The fold with its orbits numbered in the raster order of their first
+    nodes under every group, the diagonal's too, and the trivial group on a
+    box without a mirror: the numbering that anti-diagonals replaced under
+    the diagonal, whose band is wider."""
+    return searchsorted_orbits(box, antidiagonal=False) or trivial_orbits(box)
+
+
+def folded_kd(shape, n, *params, orbits=eigensolve._mirror_orbits) -> int:
+    """kd of the block of a whole domain's box, folded on ``orbits``."""
+    dom = build_domain(shape, n, *params)
+    box = bounding_box(dom.mask)
+    return half_bandwidth(eigensolve._lattice_block(box, dom.h, orbits(box)))
+
+
+def assert_matches_raster_fold(dom, nodes):
+    """A solve on ``nodes`` against the same solve on the raster-numbered
+    fold: lambda within 1e-13 relative, the same iterations and support."""
+    res = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+    with mock.patch.object(eigensolve, "_mirror_orbits", raster_orbits):
+        ref = first_dirichlet_eig(dom, Mask(dom, nodes), tol=1e-9)
+    assert res.lam == pytest.approx(ref.lam, rel=1e-13, abs=0)
+    assert res.iterations == ref.iterations
+    assert np.array_equal(res.field.values > 0, ref.field.values > 0)
+
+
+class TestAntidiagonalOrder:
+    """Orbits of a fold with the diagonal are numbered along anti-diagonals,
+    which narrows the band; nothing else moves beyond rounding."""
+
+    @pytest.mark.parametrize("shape, n, kd, raster_kd", [
+        ("disk", 48, 13, 17), ("disk", 128, 33, 46), ("disk", 256, 65, 91),
+        ("l_shape", 48, 24, 46), ("l_shape", 128, 64, 126)])
+    def test_band_narrows(self, shape, n, kd, raster_kd):
+        assert folded_kd(shape, n, 1.0) == kd
+        assert folded_kd(shape, n, 1.0, orbits=raster_orbits) == raster_kd
+
+    @pytest.mark.parametrize("shape, n", [("disk", 48), ("disk", 128), ("l_shape", 48),
+                                          ("l_shape", 128)])
+    def test_domains_match_the_raster_fold(self, shape, n):
+        dom = build_domain(shape, n, 1.0)
+        assert_matches_raster_fold(dom, dom.mask)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mirrored_masks())
+    def test_mirrored_masks_match_the_raster_fold(self, case):
+        dom, nodes = case
+        assert_matches_raster_fold(dom, largest_component(nodes))
 
 
 class TestBesselZero:

@@ -332,6 +332,13 @@ class TestBuildDomain:
         with pytest.raises(ValueError):
             build_domain("rectangle", 16, 2.0)
 
+    def test_n_is_an_integer(self):
+        # n = 2.5 used to build h = extent / 2.5, so n cells did not span it
+        for n in (2.5, 16.0, True, "16", None, 1, np.int64(1)):
+            with pytest.raises(ValueError, match="resolution n"):
+                build_domain("disk", n, 1.0)
+        assert build_domain("disk", np.int64(16), 1.0).h == build_domain("disk", 16, 1.0).h
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):
         # a NaN radius of the excluded ball used to give the plain disk

@@ -63,9 +63,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=name):
             PartitionProblem(dom, k=2, r=0.0, **{name: tol})
 
+    def test_k_positive_integer(self):
+        # a float or bool k used to fail only inside optimize's rng.choice
+        dom = build_domain("square", 16, 1.0)
+        for k in (2.5, 2.0, True, "2", None, 0, -1):
+            with pytest.raises(ValueError, match="component count k"):
+                PartitionProblem(dom, k=k, r=0.0)
+        for k in (1, 2, np.int64(3)):
+            assert PartitionProblem(dom, k=k, r=0.0).k == k
+
     def test_seed_nonnegative_integer(self):
         dom = build_domain("square", 16, 1.0)
-        for seed in (-1, 1.5, "3", None):
+        for seed in (-1, 1.5, "3", None, True):
             with pytest.raises(ValueError, match="seed"):
                 PartitionProblem(dom, k=2, r=0.0, seed=seed)
         for seed in (0, 7, np.int64(11)):
