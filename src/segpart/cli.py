@@ -26,7 +26,7 @@ from . import io as spio
 from .errors import ConfigError, ConvergenceError, EmptyDomainError, EmptyRegionError
 from .errors import InfeasibleError, SqueezedOutError, ConstraintViolationError
 from .eigensolve import cap_eigenvalue, first_dirichlet_eig
-from .grid import SHAPE_PARAM_COUNT, Mask, _ball_box, build_domain
+from .grid import SHAPE_PARAM_COUNT, Mask, _ball_box, _checked, build_domain
 from .monotonicity import (
     _consecutive_decrease,
     _poincare_quotients,
@@ -52,35 +52,36 @@ SCHEMA_VERSION = 1
 # check_params defaults; their minimums are in _VALUE_RULES
 _CHECK_DEFAULTS = {"N": 3, "samples": 1024, "n": 128, "theta_nodes": 4096, "seed": 0}
 
+# the keys each command reads, one row per command, so that a key it does
+# not read is unknown: (required, optional) top-level keys, and the optional
+# keys of its sections; every key of a _REQUIRED_KEYS section is required
 _TOP_KEYS = {
     "eig": ({"schema", "domain", "grid", "output"}, {"tolerances"}),
     "partition": ({"schema", "domain", "grid", "problem", "output"}, {"tolerances"}),
     "sweep": ({"schema", "domain", "grid", "problem", "output"}, {"tolerances"}),
     "verify": ({"schema", "checks", "output"}, {"check_params"}),
 }
-
 _SECTION_KEYS = {
-    "domain": ({"shape", "params"}, set()),
-    "grid": ({"n"}, set()),
-    "problem": (set(), {"k", "r", "r_values", "seed"}),
-    "tolerances": (set(), {"eig", "outer"}),
-    "output": ({"dir"}, set()),
-    "check_params": (set(), set(_CHECK_DEFAULTS)),
+    "eig": {"tolerances": {"eig"}},
+    "partition": {"problem": {"k", "r", "seed"}, "tolerances": {"eig", "outer"}},
+    "sweep": {"problem": {"k", "r_values", "seed"}, "tolerances": {"eig", "outer"}},
+    "verify": {"check_params": set(_CHECK_DEFAULTS)},
 }
+_REQUIRED_KEYS = {"domain": {"shape", "params"}, "grid": {"n"}, "output": {"dir"}}
 
-# (section, key): (integer?, lower bound, bound excluded?) of each scalar value
+# (section, key): (kind, lower bound) of each scalar value for grid._checked
 _VALUE_RULES = {
-    ("grid", "n"): (True, 2, False),
-    ("check_params", "N"): (True, 2, False),
-    ("check_params", "samples"): (True, 256, False),
-    ("check_params", "n"): (True, 2, False),
-    ("check_params", "theta_nodes"): (True, 16, False),
-    ("check_params", "seed"): (True, 0, False),
-    ("tolerances", "eig"): (False, 0, True),
-    ("tolerances", "outer"): (False, 0, True),
-    ("problem", "k"): (True, 1, False),
-    ("problem", "seed"): (True, 0, False),
-    ("problem", "r"): (False, 0, False),
+    ("grid", "n"): ("int", 2),
+    ("check_params", "N"): ("int", 2),
+    ("check_params", "samples"): ("int", 256),
+    ("check_params", "n"): ("int", 2),
+    ("check_params", "theta_nodes"): ("int", 16),
+    ("check_params", "seed"): ("int", 0),
+    ("tolerances", "eig"): ("()", 0),
+    ("tolerances", "outer"): ("()", 0),
+    ("problem", "k"): ("int", 1),
+    ("problem", "seed"): ("int", 0),
+    ("problem", "r"): ("[)", 0),
 }
 
 
@@ -94,22 +95,12 @@ def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _check_value(value, where: str, integer: bool, low, strict: bool) -> None:
-    """Raise ConfigError unless ``value`` is an integer (or, if not
-    ``integer``, a finite number) above ``low`` (``strict``) or at least
-    ``low``; booleans are rejected."""
-    kinds = (int,) if integer else (int, float)
-    ok = (
-        not isinstance(value, bool)
-        and isinstance(value, kinds)
-        and not (isinstance(value, float) and not math.isfinite(value))
-        and (value > low if strict else value >= low)
-    )
-    if not ok:
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(
-            f"{where} must be {kind} {'>' if strict else '>='} {low}, got {value!r}"
-        )
+def _check_value(value, where: str, kind: str, low) -> None:
+    """``grid._checked``, the library's one rule, raising ConfigError."""
+    try:
+        _checked(where, value, kind, low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str, command: str) -> dict:
@@ -127,11 +118,13 @@ def load_config(path: str, command: str) -> dict:
     schema = cfg["schema"]
     if type(schema) is not int or schema != SCHEMA_VERSION:  # not True, not 1.0
         raise ConfigError(f"schema must be the integer {SCHEMA_VERSION}, got {schema!r}")
-    for section, spec in _SECTION_KEYS.items():
+    optional = _SECTION_KEYS[command]
+    for section in (*_REQUIRED_KEYS, *optional):
         if section in cfg:
             if not isinstance(cfg[section], dict):
                 raise ConfigError(f"{section} must be an object")
-            _require_keys(cfg[section], spec[0], spec[1], section)
+            _require_keys(cfg[section], _REQUIRED_KEYS.get(section, set()),
+                          optional.get(section, set()), section)
     if command == "verify":
         checks = cfg.get("checks")
         if not isinstance(checks, list) or not checks:
@@ -144,12 +137,12 @@ def load_config(path: str, command: str) -> dict:
     for (section, key), rule in _VALUE_RULES.items():
         if key in cfg.get(section, {}):
             _check_value(cfg[section][key], f"{section}.{key}", *rule)
-    for section, key, strict in (("problem", "r_values", False), ("domain", "params", True)):
+    for section, key, kind in (("problem", "r_values", "[)"), ("domain", "params", "()")):
         values = cfg.get(section, {}).get(key, [])
         if not isinstance(values, list):
             raise ConfigError(f"{section}.{key} must be a list, got {values!r}")
         for v in values:
-            _check_value(v, f"{section}.{key} entries", False, 0, strict)
+            _check_value(v, f"{section}.{key} entries", kind, 0)
     r_values = cfg.get("problem", {}).get("r_values", [])
     if len(set(r_values)) < len(r_values):
         raise ConfigError(f"problem.r_values must not repeat a value, got {r_values!r}")
@@ -266,15 +259,14 @@ def cmd_partition(cfg: dict, verbose: bool = False) -> int:
 
 
 def cmd_sweep(cfg: dict, verbose: bool = False) -> int:
-    domain = _build_domain_from(cfg)
-    outdir = _outdir(cfg)
-    prob_cfg = cfg.get("problem", {})
-    r_values = prob_cfg.get("r_values")
+    r_values = cfg["problem"].get("r_values")
     if not isinstance(r_values, list) or not r_values:
         raise ConfigError("problem.r_values must be a nonempty list for sweeps")
     r_values = sorted((float(r) for r in r_values), reverse=True)
     if r_values[-1] != 0.0:
         raise ConfigError("problem.r_values must include 0")
+    domain = _build_domain_from(cfg)
+    outdir = _outdir(cfg)
     prob = _problem_from(cfg, domain, r_override=max(r_values))
     report = run_sweep(prob, r_values)
     spio.atomic_write_text(

@@ -84,7 +84,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import ConvergenceError, EmptyRegionError
-from .grid import GridDomain, Mask, ScalarField, _ball_box, _stencil_laplacian
+from .grid import GridDomain, Mask, ScalarField, _ball_box, _checked, _stencil_laplacian
 
 # inverse-iteration shift as a fraction of the component's eigenvalue floor:
 # the shifted block's smallest eigenvalue stays at or above 0.01 * lambda_1
@@ -513,8 +513,7 @@ def first_dirichlet_eig(
     ``tol`` at its start, and ``ValueError`` if ``allowed`` lies on another
     lattice (its domain's nx, ny, h or bbox differ from ``domain``'s).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _checked("tol", tol, "()", 0)
     if allowed is not None:
         ours, theirs = ((d.nx, d.ny, d.h, tuple(d.bbox)) for d in (domain, allowed.domain))
         if theirs != ours:
@@ -601,9 +600,7 @@ def _first_zero(nu: float) -> float:
 
 def bessel_first_zero(nu: float) -> float:
     """First positive zero of J_nu for nu in [0, 5], to the last bit."""
-    if not (0.0 <= nu <= 5.0):
-        raise ValueError(f"order must lie in [0, 5], got {nu}")
-    return _first_zero(nu)
+    return _first_zero(_checked("nu", nu, "[]", 0, 5))
 
 
 def _radial_phi(dim: int, lambda_bar: float, s: np.ndarray | float) -> np.ndarray:
@@ -639,12 +636,9 @@ def radial_ground_state(dim: int, radius: float, samples: int = 1024) -> RadialG
     phi is sampled on ``samples`` equispaced points of [0, 2R] and is
     positive and strictly decreasing on [0, 2R).
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
+    _checked("dim", dim, "int", 2)
+    _checked("radius", radius, "()", 0)
+    _checked("samples", samples, "int", 64)
     lam = _ball_lambda(dim, radius)
     s = np.linspace(0.0, 2.0 * radius, samples)
     return RadialGroundState(dim, radius, lam, s, _radial_phi(dim, lam, s))
@@ -717,12 +711,9 @@ def cap_eigenvalue(dim: int, r: float, nodes: int = 4096) -> CapSpectrum:
     (from N = 89 at 4096 nodes).  Up to there lam lies within 1.1e-6 of the
     hemisphere's N - 1 at 4096 nodes.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"cap parameter must lie in [0, 1), got {r}")
-    if nodes < 16:
-        raise ValueError(f"need at least 16 theta nodes, got {nodes}")
+    _checked("dim", dim, "int", 2)
+    _checked("r", r, "[)", 0, 1)
+    _checked("nodes", nodes, "int", 16)
     theta_r, theta, diag, off, bdiag = _cap_pencil(dim, r, nodes)
     d, e, info = dpttrf(diag, off)
     if info != 0:

@@ -34,6 +34,41 @@ SHAPE_PARAM_COUNT = {
     "disk_minus_ball": 2,
 }
 
+# what _checked says of a real range by its brackets and ends, if not "lie in"
+_RANGE_WORDS = {
+    ("()", 0, math.inf): "be finite and positive",
+    ("[)", 0, math.inf): "be finite and nonnegative",
+    ("[]", 0, math.inf): "be nonnegative",
+    ("()", -math.inf, math.inf): "be finite",
+}
+
+
+def _checked(name: str, value, kind: str, low, high=math.inf):
+    """``value`` if it is a number of ``kind`` from ``low`` to ``high``, else
+    ValueError naming ``name`` and ``value``: the one rule for every numeric
+    argument of the API and every number of a CLI config.
+
+    A number is a Python or numpy int or float, never a bool.  ``kind``
+    "int" asks for an int of at least ``low``.  Any other kind is a pair of
+    brackets, "[" or "]" to include an end of the range and "(" or ")" to
+    exclude it, so a range whose excluded end is inf asks for a finite value
+    and only "[]" up to inf takes inf.  NaN lies in no range.
+    """
+    if kind == "int":
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+    else:
+        ok = (
+            isinstance(value, (float, int, np.floating, np.integer))
+            and not isinstance(value, bool)
+            and (low <= value if kind[0] == "[" else low < value)
+            and (value <= high if kind[1] == "]" else value < high)
+        )
+    if not ok:
+        rule = f"be an integer >= {low}" if kind == "int" else _RANGE_WORDS.get(
+            (kind, low, high), f"lie in {kind[0]}{low:g}, {high:g}{kind[1]}")
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True, eq=False)
 class GridDomain:
@@ -53,8 +88,11 @@ class GridDomain:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid spacing must be finite and positive, got {self.h}")
+        _checked("nx", self.nx, "int", 1)
+        _checked("ny", self.ny, "int", 1)
+        _checked("grid spacing h", self.h, "()", 0)
+        for i, corner in enumerate(self.bbox):
+            _checked(f"bbox[{i}]", corner, "()", -math.inf)
         if self.mask.shape != (self.nx, self.ny):
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match ({self.nx}, {self.ny})"
@@ -67,7 +105,9 @@ class GridDomain:
     @classmethod
     def raw(cls, nx: int, ny: int, h: float, bbox: tuple[float, float] = (0.0, 0.0)):
         """Free lattice with every node in the mask (no excluded boundary)."""
-        return cls(nx, ny, float(h), np.ones((nx, ny), dtype=bool), bbox)
+        # checked here as well: np.ones reads the sizes and float() the spacing
+        mask = np.ones((_checked("nx", nx, "int", 1), _checked("ny", ny, "int", 1)), dtype=bool)
+        return cls(nx, ny, float(_checked("grid spacing h", h, "()", 0)), mask, bbox)
 
     def xs(self) -> np.ndarray:
         return self.bbox[0] + self.h * np.arange(self.nx)
@@ -148,11 +188,6 @@ def _in_excluded_ball(x: np.ndarray, y: np.ndarray, r0: float) -> np.ndarray:
     return (x + r0) ** 2 + y**2 <= r0 * r0 * (1 + 1e-12)
 
 
-def _is_integer(v) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def build_domain(shape: str, n: int, *params: float) -> GridDomain:
     """Lattice domain for one of the supported shapes.
 
@@ -166,11 +201,8 @@ def build_domain(shape: str, n: int, *params: float) -> GridDomain:
         raise ValueError(
             f"shape {shape!r} takes {SHAPE_PARAM_COUNT[shape]} parameter(s), got {len(params)}"
         )
-    if not (_is_integer(n) and n >= 2):
-        raise ValueError(f"resolution n must be an integer of at least 2, got {n!r}")
-    p = tuple(float(v) for v in params)
-    if not all(math.isfinite(v) and v > 0 for v in p):
-        raise ValueError(f"shape parameters must be finite and positive, got {p}")
+    _checked("resolution n", n, "int", 2)
+    p = tuple(float(_checked(f"params[{i}]", v, "()", 0)) for i, v in enumerate(params))
 
     disk = shape in ("disk", "disk_minus_ball")
     if disk:
@@ -274,8 +306,7 @@ def _offset_union(nodes: np.ndarray, reach: int) -> np.ndarray:
 
 def dilate(m: Mask, r: float) -> Mask:
     """Nodes of the domain mask within Euclidean distance ``r`` of ``m``."""
-    if not r >= 0:
-        raise ValueError(f"dilation radius must be nonnegative, got {r}")
+    _checked("dilation radius r", r, "[]", 0)
     if m.is_empty():
         raise EmptyRegionError("dilate of an empty mask")
     if r == 0:
@@ -286,8 +317,7 @@ def dilate(m: Mask, r: float) -> Mask:
 
 def erode(m: Mask, r: float) -> Mask:
     """Nodes of ``m`` farther than ``r`` from its complement (lattice-wide)."""
-    if not r >= 0:
-        raise ValueError(f"erosion radius must be nonnegative, got {r}")
+    _checked("erosion radius r", r, "[]", 0)
     comp = ~m.nodes
     if r == 0 or not comp.any():
         return Mask(m.domain, m.nodes.copy())
@@ -347,9 +377,11 @@ def _ball_box(
 ) -> tuple[tuple[slice, slice], np.ndarray]:
     """The bounding box of the lattice nodes of the closed ball B_r(center),
     grown by one node and clamped to the lattice, and |x - center| on it:
-    the ball's window, which holds every ball node's 5-point neighbours."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radius must be finite and positive, got {r}")
+    the ball's window, which holds every ball node's 5-point neighbours.
+    ValueError unless r > 0 and center are finite and the ball holds a node."""
+    _checked("r", r, "()", 0)
+    for i, c in enumerate(center):
+        _checked(f"center[{i}]", c, "()", -math.inf)
     x, y = domain.coords()
     rho = np.hypot(x - center[0], y - center[1])
     ball = rho <= r
@@ -441,8 +473,7 @@ def _holder_seminorm(f: ScalarField, alpha: float, floor: float = 0.0) -> float:
     maximum of the same float quotients.  A result equal to ``floor`` says
     only that the seminorm is no larger.  A zero field returns ``floor``.
     """
-    if not (math.isfinite(floor) and floor >= 0.0):
-        raise ValueError(f"holder floor must be finite and nonnegative, got {floor}")
+    _checked("holder_floor", floor, "[)", 0)
     nz = np.nonzero(f.values)
     if nz[0].size == 0:
         return floor
@@ -479,8 +510,7 @@ def norms(f: ScalarField, alpha: float = 0.5, *, holder_floor: float = 0.0) -> d
     the offsets (a, b) and (a, -b) of a mirror pair hold the same absolute
     differences at the same distance, so skipping one of each changes no
     bit of holder."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"holder exponent must lie in (0, 1), got {alpha}")
+    _checked("alpha", alpha, "()", 0, 1)
     h = f.domain.h
     g = gradient_magnitude(f)
     return {

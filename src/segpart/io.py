@@ -11,13 +11,12 @@ interleave partial output.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 
 import numpy as np
 
-from .grid import GridDomain, Mask, ScalarField
+from .grid import GridDomain, Mask, ScalarField, _checked
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -56,16 +55,22 @@ def read_field(path: str, domain: GridDomain | None = None) -> ScalarField:
     Without a domain, the field is attached to a free lattice whose mask is
     the set of nonzero values (the header does not carry the mask); pass the
     original domain (or read the PGM sidecar) to recover exact geometry.  A
-    domain whose (nx, ny) or spacing h differs from the header's raises
-    ``ValueError``; the header holds ``repr(h)``, so h compares exactly.
+    header whose nx or ny is not an integer >= 1, or whose h is not finite
+    and positive, raises ``ValueError`` naming the file.  So does a domain
+    whose (nx, ny) or spacing h differs from the header's; the header holds
+    ``repr(h)``, so h compares exactly.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         if len(header) != 4 or header[0] != "SPF1":
             raise ValueError(f"not an SPF1 file: {path}")
-        nx, ny, h = int(header[1]), int(header[2]), float(header[3])
-        if not (math.isfinite(h) and h > 0):
-            raise ValueError(f"SPF1 spacing must be finite and positive, got {h} in {path}")
+        try:
+            nx, ny, h = (int(t) if t.lstrip("+-").isdigit() else float(t) for t in header[1:])
+            _checked("SPF1 nx", nx, "int", 1)
+            _checked("SPF1 ny", ny, "int", 1)
+            h = float(_checked("SPF1 spacing", h, "()", 0))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {path}") from None
         raw = fh.read(8 * nx * ny)
     if len(raw) != 8 * nx * ny:
         raise ValueError(f"truncated SPF1 payload in {path}")

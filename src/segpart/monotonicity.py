@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError
 from .eigensolve import _first_zero, _radial_phi
-from .grid import GridDomain, ScalarField, _ball_box, _in_excluded_ball
+from .grid import GridDomain, ScalarField, _ball_box, _checked, _in_excluded_ball
 from .grid import _padded, _stencil_gradient, _stencil_laplacian
 
 
@@ -109,24 +109,20 @@ def _consecutive_decrease(values: np.ndarray) -> float:
 
 def build_radial_profile(dim: int, R_bar: float, samples: int = 1024) -> RadialProfile:
     """Profile of the ball B_{2R}: lambda_bar = (j_{nu,1} / 2R)^2."""
-    if not (math.isfinite(R_bar) and R_bar > 0):
-        raise ValueError(f"R_bar must be finite and positive, got {R_bar}")
+    _checked("R_bar", R_bar, "()", 0)
     return _sample_profile(dim, R_bar, (_phi_zero(dim) / (2.0 * R_bar)) ** 2, samples)
 
 
 def profile_for_lambda(dim: int, lambda_bar: float, samples: int = 1024) -> RadialProfile:
     """Profile whose reference ball B_{2R} has first eigenvalue lambda_bar."""
-    if not (math.isfinite(lambda_bar) and lambda_bar > 0):
-        raise ValueError(f"lambda_bar must be finite and positive, got {lambda_bar}")
+    _checked("lambda_bar", lambda_bar, "()", 0)
     R_bar = _phi_zero(dim) / (2.0 * math.sqrt(lambda_bar))
     return _sample_profile(dim, R_bar, lambda_bar, samples)
 
 
 def _phi_zero(dim: int) -> float:
     """j_{nu,1}, nu = N/2 - 1: phi's first zero sits at s = j_{nu,1} / sqrt(lambda_bar)."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    return _first_zero(dim / 2.0 - 1.0)
+    return _first_zero(_checked("dim", dim, "int", 2) / 2.0 - 1.0)
 
 
 def _sample_profile(dim: int, R_bar: float, lam: float, samples: int) -> RadialProfile:
@@ -137,8 +133,7 @@ def _sample_profile(dim: int, R_bar: float, lam: float, samples: int) -> RadialP
     """
     from scipy.special import jv, yv  # at first use, as in _radial_phi
 
-    if samples < 256:
-        raise ValueError(f"need at least 256 samples, got {samples}")
+    _checked("samples", samples, "int", 256)
     s = np.linspace(0.0, 1.5 * R_bar, samples)
     phi = _radial_phi(dim, lam, s)
     if dim == 2:
@@ -158,18 +153,14 @@ def _sample_profile(dim: int, R_bar: float, lam: float, samples: int) -> RadialP
 
 def gamma_fun(dim: int, t: float) -> float:
     """Exponent function sqrt(((N-2)/2)^2 + t) - (N-2)/2; gamma(N-1) = 1."""
-    if not t >= 0:
-        raise ValueError(f"argument must be nonnegative, got {t}")
-    half = (dim - 2) / 2.0
-    return math.sqrt(half * half + t) - half
+    half = (_checked("dim", dim, "int", 2) - 2) / 2.0
+    return math.sqrt(half * half + _checked("t", t, "[)", 0)) - half
 
 
 def gamma_fun_derivative(dim: int, t: float) -> float:
     """gamma'(t) = 1 / (2 sqrt(((N-2)/2)^2 + t)); +inf at N = 2, t = 0."""
-    if not t >= 0:
-        raise ValueError(f"argument must be nonnegative, got {t}")
-    half = (dim - 2) / 2.0
-    root = math.sqrt(half * half + t)
+    half = (_checked("dim", dim, "int", 2) - 2) / 2.0
+    root = math.sqrt(half * half + _checked("t", t, "[)", 0))
     return math.inf if root == 0.0 else 0.5 / root
 
 
@@ -192,9 +183,7 @@ def _sorted_radii(radii) -> np.ndarray:
     """The radii in increasing order; ValueError unless each is finite and
     positive (an empty ball would average to 0 or divide by r = 0) and there
     are at least two (every functional compares balls)."""
-    out = np.asarray(sorted(float(r) for r in radii))
-    if not np.all(np.isfinite(out) & (out > 0)):
-        raise ValueError(f"radii must be finite and positive, got {out.tolist()}")
+    out = np.asarray(sorted(float(_checked("radii", r, "()", 0)) for r in radii))
     if out.size < 2:
         raise ValueError("need at least two radii")
     return out
@@ -232,20 +221,18 @@ def mean_value_check(
     nondecreasing in exact arithmetic.
     """
     radii = _sorted_radii(radii)
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    _checked("lam", lam, "()", -math.inf)
     if lam > profile.lambda_bar * (1 + 1e-9):
         raise ValueError(
             f"lambda {lam} exceeds the profile's lambda_bar {profile.lambda_bar}"
         )
-    dom = v.domain
+    dom, rmax = v.domain, float(radii[-1])
+    box, rho = _ball_box(dom, rmax, center)
     ci, cj = dom.nearest_node(center)
     if not dom.mask[ci, cj]:
         raise ValueError("center is off the domain mask")
     if np.any(v.values < 0):
         raise ConstraintViolationError("field must be nonnegative")
-    rmax = float(radii[-1])
-    box, rho = _ball_box(dom, rmax, center)
     if rmax >= 2.0 * profile.R_bar:
         raise ValueError("largest radius reaches the profile's zero")
     # an off-mask node nearer than rmax, which decides this, is in the window
@@ -312,8 +299,7 @@ def acf_psi_functional(
     that give Psi for any other C.
     """
     radii = _sorted_radii(radii)
-    if not math.isfinite(C):
-        raise ValueError(f"C must be finite, got {C}")
+    _checked("C", C, "()", -math.inf)
     dom = u.domain
     if np.any(u.values < 0):
         raise ConstraintViolationError("field must be nonnegative")

@@ -59,8 +59,8 @@ from .grid import (
     GridDomain,
     Mask,
     ScalarField,
+    _checked,
     _distance_to,
-    _is_integer,
     dilate,
     erode,
     gradient_magnitude,
@@ -85,18 +85,12 @@ class PartitionProblem:
     tau: float = 1e-3
 
     def __post_init__(self):
-        if not (_is_integer(self.k) and self.k >= 1):
-            raise ValueError(f"component count k must be an integer >= 1, got {self.k!r}")
-        if not (math.isfinite(self.r) and self.r >= 0):
-            raise ValueError(f"separation must be finite and nonnegative, got {self.r}")
-        if not (0.0 <= self.tau <= 0.1):
-            raise ValueError(f"support threshold must lie in [0, 0.1], got {self.tau}")
-        for name in ("tol_outer", "tol_eig"):
-            tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"{name} must be finite and positive, got {tol}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _checked("component count k", self.k, "int", 1)
+        _checked("r", self.r, "[)", 0)
+        _checked("tau", self.tau, "[]", 0, 0.1)
+        _checked("tol_outer", self.tol_outer, "()", 0)
+        _checked("tol_eig", self.tol_eig, "()", 0)
+        _checked("seed", self.seed, "int", 0)
         if self.k >= 2 and self.r >= self.domain.diameter() / self.k:
             raise InfeasibleError("infeasible r")
 
@@ -278,7 +272,7 @@ def init_partition(
     ground-state solve per cell."""
     memo = SolveMemo() if memo is None else memo
     domain = prob.domain
-    rng = np.random.default_rng(prob.seed if seed is None else seed)
+    rng = np.random.default_rng(prob.seed if seed is None else _checked("seed", seed, "int", 0))
     flat_mask = np.flatnonzero(domain.mask.ravel())
     margin = prob.r / 2.0 + domain.h
     explicit = sites is not None
@@ -468,8 +462,7 @@ def cutoff_competitor(
     recomputed from scratch.  Returns the competitor state, its energy, and
     the tubular-neighborhood measure |N_r| for the Minkowski diagnostic.
     """
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"separation must be finite and nonnegative, got {r}")
+    _checked("r", r, "[)", 0)
     domain = prob.domain
     dist = _nodal_distance(state, domain)
     if r == 0:
@@ -640,12 +633,10 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     most once, from the running maximum of its level (:func:`_level_norms`),
     so a level whose fields were all seen before scans none; ``holder_05``
     is still the exact maximum over the level's fields."""
-    r_values = [float(r) for r in r_values]
+    # checked before the order: sorted() reads a list holding NaN as ordered
+    r_values = [float(_checked("r_values", r, "[)", 0)) for r in r_values]
     if not r_values:
         raise ValueError("r_values must not be empty")
-    # before the order check: sorted() reads a list holding NaN as ordered
-    if not all(map(math.isfinite, r_values)):
-        raise ValueError(f"r_values must be finite, got {r_values}")
     if sorted(r_values, reverse=True) != r_values:
         raise ValueError("r_values must be sorted descending")
     if r_values[-1] != 0.0:

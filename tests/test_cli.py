@@ -101,6 +101,25 @@ class TestConfigValidation:
         assert "config error: config: unknown keys ['grid']" in capsys.readouterr().err
         assert not os.path.exists(cfg["output"]["dir"])
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("partition", "problem", "r_values", [0.25, 0.0]),
+        ("sweep", "problem", "r", 0.3),
+        ("eig", "tolerances", "outer", 5.0),
+    ], ids=["partition-r_values", "sweep-r", "eig-outer"])
+    def test_a_key_the_command_does_not_read_exit_2(self, tmp_path, capsys, command, section,
+                                                    key, value):
+        # each used to exit 0, the key ignored: a partition solves at
+        # problem.r, a sweep at its r_values, and eig has no outer loop
+        cfg = eig_config(tmp_path, grid={"n": 16})
+        if command != "eig":
+            cfg["domain"] = {"shape": "rectangle", "params": [2.0, 1.0]}
+            cfg["problem"] = {"k": 2, "r": 0.0} if command == "partition" else {
+                "k": 2, "r_values": [0.25, 0.0]}
+        cfg.setdefault(section, {})[key] = value
+        assert cli.main([command, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+        assert f"config error: {section}: unknown keys ['{key}']" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output"]["dir"])
+
     def test_repeated_check_name(self, tmp_path, capsys):
         cfg = {
             "schema": 1,
@@ -188,16 +207,21 @@ class TestConfigValidation:
     )
     def test_bad_problem_and_tolerance_values_exit_2(self, tmp_path, capsys, section,
                                                      key, value):
+        # problem.r on a partition config: a sweep does not read it, so there
+        # it is an unknown key whatever its value
+        command = "partition" if key == "r" else "sweep"
         cfg = {
             "schema": 1,
             "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
             "grid": {"n": 16},
-            "problem": {"k": 2, "r_values": [0.25, 0.0], "seed": 5},
+            "problem": {"k": 2, "seed": 5},
             "tolerances": {"eig": 1e-7, "outer": 1e-6},
             "output": {"dir": os.path.join(tmp_path, "o")},
         }
+        if command == "sweep":
+            cfg["problem"]["r_values"] = [0.25, 0.0]
         cfg[section][key] = value(tmp_path) if callable(value) else value
-        assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
+        assert cli.main([command, "--config", write_config(tmp_path, "s.json", cfg)]) == 2
         assert f"config error: {section}.{key}" in capsys.readouterr().err
 
 
@@ -420,15 +444,17 @@ class TestSweep:
         summary = json.load(open(os.path.join(cfg["output"]["dir"], "sweep_summary.json")))
         assert summary["failed_r"] == r_values[:n_failed]
 
-    def test_missing_r_values_rejected(self, tmp_path):
+    def test_missing_r_values_rejected(self, tmp_path, capsys):
         cfg = {
             "schema": 1,
             "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
             "grid": {"n": 16},
-            "problem": {"k": 2, "r": 0.1, "seed": 5},
+            "problem": {"k": 2, "seed": 5},
             "output": {"dir": os.path.join(tmp_path, "sw2")},
         }
         assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == 2
+        assert "problem.r_values must be a nonempty list" in capsys.readouterr().err
+        assert not os.path.exists(cfg["output"]["dir"])
 
 
 # each check's CSV header and the fields of its verify.json entry

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``,
+with a RuntimeWarning made an error, as in the suite."""
 
 import glob
 import os
@@ -21,7 +22,7 @@ def test_demo_exits_0(path, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, path], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", path], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -316,7 +316,7 @@ class TestMaskedEig:
     def test_rejects_tolerance_not_finite_and_positive(self, tol):
         # res > nan is False, so a NaN tolerance would return the start vector
         dom = build_domain("square", 16, 1.0)
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
             first_dirichlet_eig(dom, tol=tol)
 
     def test_independent_of_blas_thread_count(self):
@@ -1508,7 +1508,7 @@ class TestPoincare:
     @pytest.mark.parametrize("r", [0.0, -0.5, math.inf, -math.inf, math.nan])
     def test_radius_must_be_finite_and_positive(self, lune, r):
         f = ScalarField.from_values(lune, np.ones(lune.mask.shape))
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
+        with pytest.raises(ValueError, match="r must be finite and positive"):
             poincare_check(f, r)
 
     @pytest.mark.parametrize("center, r", [((10.0, 10.0), 1.0), ((0.01, 0.01), 0.005)])

@@ -351,7 +351,7 @@ class TestBuildDomain:
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
     def test_spacing_must_be_finite_and_positive(self, h):
-        with pytest.raises(ValueError, match="grid spacing must be finite and positive"):
+        with pytest.raises(ValueError, match="grid spacing h must be finite and positive"):
             GridDomain.raw(2, 2, h)
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_spf1_non_finite_spacing_rejected(tmp_path, h):
     for domain in (None, GridDomain.raw(2, 2, 1.0)):
         with pytest.raises(ValueError, match=message):
             read_field(str(path), domain)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("0 5", "SPF1 nx must be an integer >= 1, got 0"),
+    ("-2 -3", "SPF1 nx must be an integer >= 1, got -2"),
+    ("3 0", "SPF1 ny must be an integer >= 1, got 0"),
+    ("2.5 2", "SPF1 nx must be an integer >= 1, got 2.5"),
+    ("2 x", "could not convert string to float: 'x'"),
+], ids=["nx-zero", "negative", "ny-zero", "nx-float", "ny-str"])
+def test_spf1_sizes_must_be_integers_of_at_least_one(tmp_path, sizes, message):
+    # a zero size used to raise "empty domain" without the file, negative
+    # sizes "truncated SPF1 payload", and a non-integer one int()'s bare error
+    path = tmp_path / "f.spf1"
+    path.write_bytes(f"SPF1 {sizes} 0.1\n".encode("ascii") + np.ones(4, "<f8").tobytes())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} in .*f.spf1$"):
+        read_field(str(path))
 
 
 def test_pgm_round_trip(tmp_path):

@@ -370,7 +370,8 @@ class TestNonFiniteInput:
         }
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
-    @pytest.mark.parametrize("name, label", [("mean_value", "lambda"), ("acf", "C")])
+    @pytest.mark.parametrize("name, label", [("mean_value", "lam"), ("acf", "C")],
+                             ids=["mean_value-lambda", "acf-C"])
     def test_non_finite_parameter_rejected(self, verify_cases, name, label, bad):
         # lam = nan skipped the subsolution check, and C = nan gave all-NaN
         # values: each reported max_violation 0.0
