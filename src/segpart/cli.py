@@ -267,7 +267,7 @@ def cmd_sweep(cfg: dict, verbose: bool = False) -> int:
         raise ConfigError("problem.r_values must include 0")
     domain = _build_domain_from(cfg)
     outdir = _outdir(cfg)
-    prob = _problem_from(cfg, domain, r_override=max(r_values))
+    prob = _problem_from(cfg, domain)
     report = run_sweep(prob, r_values)
     spio.atomic_write_text(
         os.path.join(outdir, "sweep.csv"), "\n".join(report.to_csv_lines()) + "\n"

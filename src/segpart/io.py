@@ -19,6 +19,11 @@ import numpy as np
 from .grid import GridDomain, Mask, ScalarField, _checked
 
 
+def _header_number(token: str):
+    """A header token as the int it spells, else as a float."""
+    return int(token) if token.lstrip("+-").isdigit() else float(token)
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -65,7 +70,7 @@ def read_field(path: str, domain: GridDomain | None = None) -> ScalarField:
         if len(header) != 4 or header[0] != "SPF1":
             raise ValueError(f"not an SPF1 file: {path}")
         try:
-            nx, ny, h = (int(t) if t.lstrip("+-").isdigit() else float(t) for t in header[1:])
+            nx, ny, h = map(_header_number, header[1:])
             _checked("SPF1 nx", nx, "int", 1)
             _checked("SPF1 ny", ny, "int", 1)
             h = float(_checked("SPF1 spacing", h, "()", 0))
@@ -110,14 +115,18 @@ def read_mask_array(path: str) -> np.ndarray:
         raise ValueError(f"not a P2 PGM file: {path}")
     if len(tokens) < 4:
         raise ValueError(f"truncated PGM header in {path}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = (
+            _checked(f"PGM {name}", _header_number(t), "int", 1)
+            for name, t in zip(("width", "height", "maxval"), tokens[1:4])
+        )
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
     pixels = np.array([int(t) for t in tokens[4:]])
     if pixels.size != width * height:
         raise ValueError(
             f"PGM payload has {pixels.size} values, not {width}x{height}, in {path}"
         )
-    if maxval <= 0:
-        raise ValueError(f"bad PGM maxval in {path}")
     if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
         raise ValueError(f"PGM pixel value outside [0, {maxval}] in {path}")
     return (pixels.reshape(height, width) > 0)

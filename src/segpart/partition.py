@@ -13,7 +13,7 @@ vacated territory, breaking both properties.)
 The h slack in the dilation radius is the discretization rule for "distance
 at least r": two node sets are accepted when neither meets the (r - h)-
 dilation of the other, which keeps a continuum-feasible configuration
-feasible under refinement.
+feasible under refinement; :func:`check_feasible` tests that same rule.
 
 A sweep level's warm start is rebuilt by the same block pass, seeded with
 the restored supports and infinite eigenvalues, so that it accepts every
@@ -137,24 +137,18 @@ def _truncate(f: ScalarField, tau: float) -> tuple[ScalarField, Mask, float]:
     return cut, supp, rayleigh_quotient(cut)
 
 
-def _pairwise_node_distances(nodes: list[np.ndarray], h: float) -> np.ndarray:
-    """Matrix of minimal node-to-node distances between nonempty node sets
-    (inf on the diagonal)."""
-    k = len(nodes)
-    out = np.full((k, k), np.inf)
-    dts = [_distance_to(m, h) for m in nodes]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                out[i, j] = float(dts[j][nodes[i]].min())
-    return out
-
-
 def pairwise_support_distances(state: PartitionState) -> np.ndarray:
-    """Matrix of minimal node-to-node distances between supports."""
-    return _pairwise_node_distances(
-        [s.nodes for s in state.supports], state.supports[0].domain.h
-    )
+    """Matrix of minimal node-to-node distances between supports (inf on
+    the diagonal), read from distance transforms: a report, independent of
+    the dilation rule :func:`check_feasible` tests."""
+    h = state.supports[0].domain.h
+    dts = [_distance_to(s.nodes, h) for s in state.supports]
+    out = np.full((state.k, state.k), np.inf)
+    for i, s in enumerate(state.supports):
+        for j in range(state.k):
+            if i != j:
+                out[i, j] = float(dts[j][s.nodes].min())
+    return out
 
 
 def _union_of_others(nodes: list[np.ndarray], i: int) -> np.ndarray:
@@ -178,18 +172,16 @@ def _distance_to_others(nodes: list[np.ndarray], i: int, h: float) -> np.ndarray
 def check_feasible(
     state: PartitionState, prob: PartitionProblem, r: float | None = None
 ) -> bool:
-    """Pairwise support distances at least r - h and segregated fields."""
-    if prob.k == 1:
-        return True
-    sep = prob.r if r is None else r
-    d = pairwise_support_distances(state)
-    slack = sep - prob.domain.h
-    iu = np.triu_indices(prob.k, 1)
-    if np.any(d[iu] < slack - 1e-9 * max(sep, 1.0)):
-        return False
-    for i in range(prob.k):
+    """The block pass's rule at separation r (``prob.r`` by default): no
+    support meets the (r - h)-dilation of another, and the fields are
+    segregated."""
+    slack = max((prob.r if r is None else r) - prob.domain.h, 0.0)
+    for i in range(prob.k - 1):
+        near = dilate(state.supports[i], slack).nodes
         for j in range(i + 1, prob.k):
-            if np.any((state.fields[i].values != 0) & (state.fields[j].values != 0)):
+            if np.any(near & state.supports[j].nodes) or np.any(
+                (state.fields[i].values != 0) & (state.fields[j].values != 0)
+            ):
                 return False
     return True
 
@@ -498,8 +490,8 @@ def cutoff_competitor(
 
 @dataclass(eq=False)
 class SweepReport:
-    """Per-separation record of energy, eigenvalues, norms, and distances to
-    the r = 0 solution (components matched by support overlap)."""
+    """Per-separation record of energy, eigenvalues, norms, and each
+    component's distance to the same component of the r = 0 solution."""
 
     rows: list[dict]
     metadata: dict
@@ -537,32 +529,6 @@ class SweepReport:
         resid = float(np.linalg.norm(dc - slope * rs))
         scale = float(np.linalg.norm(dc))
         return slope, (resid / scale if scale > 0 else 0.0)
-
-
-def match_components(state: PartitionState, ref: PartitionState) -> list[int]:
-    """Greedy maximal-Jaccard assignment of state components onto ref's,
-    ties broken by the lower index pair."""
-    k = state.k
-    scores = np.zeros((k, k))
-    for i in range(k):
-        a = state.supports[i].nodes
-        for j in range(k):
-            b = ref.supports[j].nodes
-            inter = float(np.logical_and(a, b).sum())
-            union = float(np.logical_or(a, b).sum())
-            scores[i, j] = inter / union if union > 0 else 0.0
-    perm = [-1] * k
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    order = sorted(
-        ((-scores[i, j], i, j) for i in range(k) for j in range(k))
-    )
-    for neg, i, j in order:
-        if i not in used_i and j not in used_j:
-            perm[j] = i
-            used_i.add(i)
-            used_j.add(j)
-    return perm
 
 
 def _restore_feasibility(
@@ -626,13 +592,15 @@ def _level_norms(fields: list[ScalarField], seen: list[dict]) -> tuple[list[dict
 
 def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     """Optimize along descending separations, warm-starting each level from
-    the previous optimum; components are matched to the r = 0 solution by
-    support overlap before distances are reported.  All levels share one
-    :class:`SolveMemo`; the report metadata counts its solves and hits.
-    Each distinct field of the run is scanned for its Holder seminorm at
-    most once, from the running maximum of its level (:func:`_level_norms`),
-    so a level whose fields were all seen before scans none; ``holder_05``
-    is still the exact maximum over the level's fields."""
+    the previous optimum.  Block passes keep each component's index, so
+    ``dist_to_u0`` compares component j with component j of the r = 0
+    state; a level whose r is infeasible or whose solve fails is an error
+    row.  All levels share one :class:`SolveMemo`; the report metadata
+    counts its solves and hits.  Each distinct field of the run is scanned
+    for its Holder seminorm at most once, from the running maximum of its
+    level (:func:`_level_norms`), so a level whose fields were all seen
+    before scans none; ``holder_05`` is still the exact maximum over the
+    level's fields."""
     # checked before the order: sorted() reads a list holding NaN as ordered
     r_values = [float(_checked("r_values", r, "[)", 0)) for r in r_values]
     if not r_values:
@@ -647,8 +615,8 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     seen: list[dict] = []
     memo = SolveMemo()
     for r in r_values:
-        prob = prob_base.with_r(r)
         try:
+            prob = prob_base.with_r(r)
             if prev is None:
                 state = optimize(prob, memo=memo)
             else:
@@ -677,14 +645,11 @@ def run_sweep(prob_base: PartitionProblem, r_values) -> SweepReport:
     if 0.0 in states:
         ref = states[0.0]
         for row in rows:
-            if row.get("error") or row["r"] not in states:
-                continue
-            state = states[row["r"]]
-            perm = match_components(state, ref)
-            row["dist_to_u0"] = [
-                float(np.abs(state.fields[perm[j]].values - ref.fields[j].values).max())
-                for j in range(prob_base.k)
-            ]
+            if not row.get("error"):
+                row["dist_to_u0"] = [
+                    float(np.abs(f.values - g.values).max())
+                    for f, g in zip(states[row["r"]].fields, ref.fields)
+                ]
     meta = {
         "k": prob_base.k,
         "seed": prob_base.seed,

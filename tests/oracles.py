@@ -93,3 +93,27 @@ def half_plane_holder(f: ScalarField, alpha: float, floor: float = 0.0, visit=No
         diff = v[ak:, p : my - q] - v[: mx - ak, q : my - p]
         best = max(best, steepest(diff) / float(dist_alpha[k]))
     return best
+
+
+def jaccard_match(state, ref) -> list[int]:
+    """Greedy maximal-Jaccard assignment of ``state``'s components onto
+    ``ref``'s, ties broken by the lower index pair: entry j is the
+    component of ``state`` that overlaps ``ref``'s component j best.  The
+    sweep once matched its levels to the r = 0 state this way."""
+    k = state.k
+    scores = np.zeros((k, k))
+    for i in range(k):
+        a = state.supports[i].nodes
+        for j in range(k):
+            b = ref.supports[j].nodes
+            union = float(np.logical_or(a, b).sum())
+            scores[i, j] = float(np.logical_and(a, b).sum()) / union if union > 0 else 0.0
+    perm = [-1] * k
+    used_i: set[int] = set()
+    used_j: set[int] = set()
+    for _, i, j in sorted((-scores[i, j], i, j) for i in range(k) for j in range(k)):
+        if i not in used_i and j not in used_j:
+            perm[j] = i
+            used_i.add(i)
+            used_j.add(j)
+    return perm

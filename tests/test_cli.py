@@ -444,6 +444,28 @@ class TestSweep:
         summary = json.load(open(os.path.join(cfg["output"]["dir"], "sweep_summary.json")))
         assert summary["failed_r"] == r_values[:n_failed]
 
+    @pytest.mark.parametrize("r_values, code", [
+        ([1.5, 0.25, 0.125, 0.0625, 0.0], 0),
+        ([1.5, 0.25, 0.0], 3),
+    ], ids=["four-of-five", "two-of-three"])
+    def test_infeasible_level_is_an_error_row(self, tmp_path, capsys, r_values, code):
+        # r = 1.5 reaches the rectangle's diameter / k; that level used to
+        # stop the whole sweep with "infeasible r" and no sweep.csv
+        cfg = {
+            "schema": 1,
+            "domain": {"shape": "rectangle", "params": [2.0, 1.0]},
+            "grid": {"n": 16},
+            "problem": {"k": 2, "r_values": r_values, "seed": 5},
+            "output": {"dir": os.path.join(tmp_path, "sw4")},
+        }
+        assert cli.main(["sweep", "--config", write_config(tmp_path, "s.json", cfg)]) == code
+        assert capsys.readouterr().err == ""
+        lines = open(os.path.join(cfg["output"]["dir"], "sweep.csv")).read().splitlines()
+        assert lines[-1] == "1.5,error,infeasible r"
+        assert len(lines) == 1 + len(r_values)
+        summary = json.load(open(os.path.join(cfg["output"]["dir"], "sweep_summary.json")))
+        assert summary["failed_r"] == [1.5]
+
     def test_missing_r_values_rejected(self, tmp_path, capsys):
         cfg = {
             "schema": 1,

@@ -223,8 +223,7 @@ VALID = {
         "a separation; the cutoff annihilates every component", sp.EmptyRegionError),
     ("run_sweep", "r_values", "0"): "a sweep of two levels at r = 0",
     ("run_sweep", "r_values", "2.5"): (
-        "a separation; two components cannot lie 2.5 apart, and an infeasible first "
-        "level stops the sweep", sp.InfeasibleError),
+        "a separation; two components cannot lie 2.5 apart, so that level is an error row"),
 }
 
 CASES = [(name, slot, label) for name, slots in SLOTS.items() for slot in slots for label in BAD]

@@ -189,6 +189,21 @@ def test_pgm_bad_payload_rejected(tmp_path, text):
         read_mask_array(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("P2\n2.5 1\n255\n255 0\n", "PGM width must be an integer >= 1, got 2.5"),
+    ("P2\n-1 -1\n255\n7\n", "PGM width must be an integer >= 1, got -1"),
+    ("P2\n2 1\n0\n0 0\n", "PGM maxval must be an integer >= 1, got 0"),
+    ("P2\n2 x\n255\n0 0\n", "could not convert string to float: 'x'"),
+], ids=["width-float", "negative", "maxval-zero", "height-str"])
+def test_pgm_header_numbers_must_be_integers_of_at_least_one(tmp_path, text, message):
+    # a fractional size raised int()'s bare error, and -1 x -1 passed the
+    # payload count and failed in numpy's reshape
+    path = tmp_path / "m.pgm"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} in .*m.pgm$"):
+        read_mask_array(str(path))
+
+
 def test_atomic_write_no_partial_files(tmp_path):
     path = os.path.join(tmp_path, "x.txt")
     atomic_write_text(path, "payload")

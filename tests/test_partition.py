@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import jaccard_match
 
 import segpart as sp
 from segpart.errors import EmptyRegionError, InfeasibleError, SqueezedOutError
@@ -12,6 +13,7 @@ from segpart.eigensolve import first_dirichlet_eig
 from segpart.grid import GridDomain, Mask, ScalarField, build_domain, gradient_magnitude
 from segpart.partition import (
     PartitionProblem,
+    PartitionState,
     SolveMemo,
     check_feasible,
     cutoff_competitor,
@@ -19,7 +21,6 @@ from segpart.partition import (
     free_boundary_point,
     gradient_location_check,
     init_partition,
-    match_components,
     optimize,
     pairwise_support_distances,
     relax_step,
@@ -167,7 +168,7 @@ def assert_feasible_and_segregated(state, prob):
             assert not np.any(state.supports[i].nodes & state.supports[j].nodes)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     shape=st.sampled_from(
         [("square", (1.0,)), ("rectangle", (2.0, 1.0)), ("disk", (1.0,))]
@@ -189,6 +190,63 @@ def test_init_and_relax_stay_feasible_and_segregated(shape, n, k, r_frac, seed):
         assume(False)
     assert_feasible_and_segregated(state, prob)
     assert_feasible_and_segregated(after, prob)
+
+
+def block_state(dom, blocks):
+    """A state whose supports are the mask's nodes in each (first row, last
+    row) block and whose fields are their indicators."""
+    supports = []
+    for lo, hi in blocks:
+        nodes = np.zeros_like(dom.mask)
+        nodes[lo : hi + 1] = True
+        supports.append(Mask(dom, nodes & dom.mask))
+    fields = [ScalarField(dom, s.nodes.astype(float)) for s in supports]
+    return PartitionState(fields, supports, np.ones(len(blocks)), float(len(blocks)))
+
+
+class TestCheckFeasible:
+    def test_supports_exactly_r_minus_h_apart_are_infeasible(self):
+        # rows 5 and 8 lie 3h = r - h apart, so the block pass's (r - h)-
+        # dilation of either block meets the other; a distance test with
+        # slack accepted them
+        dom = build_domain("square", 16, 1.0)
+        prob = PartitionProblem(dom, k=2, r=1 / 4)
+        close = block_state(dom, [(1, 5), (8, 14)])
+        assert pairwise_support_distances(close)[0, 1] == 3 * dom.h == prob.r - dom.h
+        assert not check_feasible(close, prob)
+        assert check_feasible(block_state(dom, [(1, 5), (9, 14)]), prob)
+        assert check_feasible(close, prob, r=3 * dom.h)
+
+    def test_overlapping_fields_are_infeasible(self):
+        dom = build_domain("square", 16, 1.0)
+        prob = PartitionProblem(dom, k=2, r=0.0)
+        state = block_state(dom, [(1, 5), (9, 14)])
+        assert check_feasible(state, prob)
+        state.fields[1] = state.fields[0]
+        assert not check_feasible(state, prob)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 24),
+        k=st.integers(2, 3),
+        seed=st.integers(0, 2**16),
+        cells=st.one_of(st.integers(0, 12).map(lambda m: m / 2), st.floats(0.0, 6.0)),
+    )
+    def test_the_rule_read_off_distances(self, n, k, seed, cells):
+        # the (r - h)-dilation blocks a node within (r - h)(1 + 1e-12), so
+        # supports pass exactly when every pair is farther apart than that
+        dom = build_domain("square", n, 1.0)
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for _ in range(k):
+            lo = int(rng.integers(1, n))
+            blocks.append((lo, int(rng.integers(lo, n))))
+        state = block_state(dom, blocks)
+        r = cells * dom.h
+        slack = max(r - dom.h, 0.0)
+        d = pairwise_support_distances(state)
+        apart = all(d[i, j] > slack * (1 + 1e-12) for i in range(k) for j in range(i + 1, k))
+        assert check_feasible(state, PartitionProblem(dom, k=k, r=0.0), r=r) == apart
 
 
 def test_losing_near_degenerate_component_does_not_abort_the_pass():
@@ -514,14 +572,42 @@ class TestSweep:
             assert len(scans) == want_scans
         assert len(seen) == 4
 
-    def test_component_matching_tracks_labels(self):
-        dom = build_domain("rectangle", 32, 2.0, 1.0)
-        prob = PartitionProblem(dom, k=2, r=0.0, seed=2, tol_eig=1e-7)
-        s1, s2 = mirror_sites(dom)
-        a = optimize(prob, sites=[s1, s2])
-        b = optimize(prob, sites=[s2, s1])
-        perm = match_components(b, a)
-        assert perm == [1, 0]
+    @pytest.mark.parametrize(
+        "shape, params, n, k, seed",
+        [
+            ("rectangle", (2.0, 1.0), 48, 2, 11),
+            ("rectangle", (2.0, 1.0), 48, 2, 7717),
+            ("square", (1.0,), 32, 3, 11),
+            ("l_shape", (1.0,), 32, 3, 11),
+            ("square", (1.0,), 32, 4, 11),
+            ("l_shape", (1.0,), 32, 4, 11),
+            ("rectangle", (2.0, 1.0), 32, 4, 11),
+        ],
+    )
+    def test_components_keep_their_index_along_the_sweep(self, shape, params, n, k, seed):
+        # every level descends from the first through block passes, so the
+        # overlap matcher the sweep once ran finds the identity on each
+        prob = PartitionProblem(build_domain(shape, n, *params), k=k, r=0.0, seed=seed,
+                                tol_eig=1e-8)
+        rep = run_sweep(prob, [1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.0])
+        assert sorted(rep.states) == sorted(row["r"] for row in rep.rows)
+        ref = rep.states[0.0]
+        for row in rep.rows:
+            state = rep.states[row["r"]]
+            assert jaccard_match(state, ref) == list(range(k))
+            assert row["dist_to_u0"] == [
+                float(np.abs(f.values - g.values).max()) for f, g in zip(state.fields, ref.fields)
+            ]
+
+    def test_an_infeasible_first_level_is_an_error_row(self):
+        # r = 1.5 reaches the diameter / k; the next level starts cold, as
+        # the first level of a sweep without it does
+        prob = PartitionProblem(build_domain("rectangle", 16, 2.0, 1.0), k=2, r=0.0, seed=5)
+        rep = run_sweep(prob, [1.5, 0.25, 0.0])
+        assert rep.rows[0] == {"r": 1.5, "error": "infeasible r"}
+        assert sorted(rep.states) == [0.0, 0.25]
+        plain = run_sweep(prob, [0.25, 0.0])
+        assert rep.to_csv_lines()[1:] == plain.to_csv_lines()[1:] + ["1.5,error,infeasible r"]
 
 
 def count_solves(monkeypatch):

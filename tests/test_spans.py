@@ -8,6 +8,7 @@ The module is loaded from its file, as the benchmark runner loads it.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -78,3 +79,40 @@ def test_a_traced_sweep_records_every_layer_it_runs(spans, monkeypatch):
     idle = ["grid.distance"]
     assert [metrics[spans._calls_key(name)] for name in idle] == [0] * len(idle)
     assert metrics["grid.norms.calls"] == len(scans) > 0
+
+
+# spans that no workload calls, and why; each must read 0 calls on every
+# workload, so re-pointing one makes this dict shrink
+IDLE = {
+    "eigensolve.laplacian": "the solver builds _lattice_block, not masked_laplacian",
+    "eigensolve.shooting": "no check calls radial_ground_state",
+    "eigensolve.poincare": "verify batches its balls through _poincare_quotients",
+}
+
+
+def test_every_span_records_a_call_on_some_workload(spans, tmp_path):
+    # one full-size seed-11 unit of each workload, traced as the benchmark
+    # traces it; a span no workload reaches times nothing
+    path = SPANS_PATH.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = dict.fromkeys(spans.LAYERS, 0)
+    for name, workload in workloads.WORKLOADS.items():
+        paths = {}
+        for label, cfg in workload.configs(11, False, str(tmp_path / name)).items():
+            paths[label] = str(tmp_path / f"{name}-{label}.json")
+            Path(paths[label]).write_text(json.dumps(cfg), encoding="utf-8")
+        ctx = workload.setup(paths, 11)
+        tracer = spans.Tracer()
+        restore = spans.install(tracer)
+        try:
+            workload.run(ctx)
+        finally:
+            restore()
+        metrics = tracer.layer_metrics()
+        for layer in calls:
+            calls[layer] += metrics[spans._calls_key(layer)]
+    assert set(IDLE) <= set(spans.LAYERS)
+    assert [layer for layer in spans.LAYERS if layer not in IDLE and calls[layer] == 0] == []
+    assert {layer: calls[layer] for layer in IDLE} == dict.fromkeys(IDLE, 0)
